@@ -19,12 +19,8 @@ from pseudolearn.simulate import Dgp1dConfig, evaluate_mse, sample_1d
 
 kernel = LearnerSpec(kind="kernel")
 cfg = IFLearnerConfig(
-    crossfit=CrossfitConfig(
-        outcome_spec=kernel,
-        propensity_spec=kernel,
-        n_folds=5,
-        binary_outcome=True,   # arm models clipped into [p_clip, 1-p_clip]
-    ),
+    crossfit=CrossfitConfig(outcome_spec=kernel, propensity_spec=kernel, n_folds=5),
+    # binary mode: arm models are clipped into [p_clip, 1-p_clip]
     pseudo=PseudoOutcomeSpec(target="risk_ratio", binary_outcome=True),
     second_stage=kernel,
     seed=6,

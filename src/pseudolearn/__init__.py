@@ -20,7 +20,6 @@ from .crossfit import (
     CrossfitConfig,
     crossfit_nuisances,
     evaluate_propensity,
-    fixed_propensity,
     oob_nuisances,
 )
 from .data import (
@@ -106,7 +105,6 @@ __all__ = [
     "fit_oracle_learner",
     "fit_plugin_learner",
     "fit_probability",
-    "fixed_propensity",
     "group_efficient_estimate",
     "group_ht_estimate",
     "ht_pseudo",

@@ -19,7 +19,6 @@ estimation failed at runtime, 2 invalid input or configuration.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -29,15 +28,8 @@ import scipy
 
 from . import __version__
 from . import rng as rngmod
-from .data import ColumnMap, load_csv
-from .errors import (
-    ConfigError,
-    DomainError,
-    EstimationError,
-    ParseError,
-    PseudolearnError,
-    SchemaError,
-)
+from .data import ColumnMap, load_csv, read_csv_columns, write_csv
+from .errors import ConfigError, EstimationError, ParseError, PseudolearnError
 from .grouplearner import GroupConfig, fit_group_learner
 from .iflearner import (
     IFLearnerConfig,
@@ -50,10 +42,6 @@ from .simulate import ExperimentConfig, run_replications
 __all__ = ["main", "propensity_expression"]
 
 FIT_VARIANTS = ("if_learner", "plugin")
-
-
-def _g17(v: float) -> str:
-    return format(float(v), ".17g")
 
 
 def _load_json(path) -> dict:
@@ -118,49 +106,6 @@ def propensity_expression(expr: str):
     return pi
 
 
-def _load_query_matrix(path, x_names) -> np.ndarray:
-    """Read the covariate columns of a query CSV, in configured order."""
-    try:
-        f = open(path, newline="")
-    except FileNotFoundError:
-        raise ConfigError(f"query file not found: {path}") from None
-    with f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: file is empty (no header row)") from None
-        idx = []
-        for name in x_names:
-            if name not in header:
-                raise SchemaError(
-                    f"{path}: missing column {name!r}; query files need the "
-                    f"covariate columns {list(x_names)}"
-                )
-            idx.append(header.index(name))
-        rows = []
-        for i, row in enumerate(reader):
-            vals = []
-            for j, name in zip(idx, x_names):
-                if j >= len(row):
-                    raise ParseError(f"{path}: row {i}, column {name!r}: missing value")
-                try:
-                    v = float(row[j])
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: row {i}, column {name!r}: not a number: {row[j]!r}"
-                    ) from None
-                if not np.isfinite(v):
-                    raise DomainError(
-                        f"{path}: row {i}, column {name!r}: non-finite value"
-                    )
-                vals.append(v)
-            rows.append(vals)
-    if not rows:
-        raise SchemaError(f"{path}: no query rows")
-    return np.array(rows, dtype=float)
-
-
 def _parse_grid(spec: str, n_features: int) -> np.ndarray:
     if n_features != 1:
         raise ConfigError(
@@ -213,7 +158,7 @@ def cmd_fit(args) -> int:
     if (args.query is None) == (args.grid is None):
         raise ConfigError("exactly one of --query or --grid is required")
     if args.query is not None:
-        Xq = _load_query_matrix(args.query, columns.covariates)
+        Xq = read_csv_columns(args.query, columns.covariates)
     else:
         Xq = _parse_grid(args.grid, len(columns.covariates))
     known = (
@@ -227,11 +172,11 @@ def cmd_fit(args) -> int:
         model = fit_if_learner(data, icfg, known_propensity=known)
     preds = model.predict(Xq)
     out = args.out or "predictions.csv"
-    with open(out, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(list(columns.covariates) + ["psi_hat"])
-        for row, p in zip(Xq, preds):
-            writer.writerow([_g17(v) for v in row] + [_g17(p)])
+    write_csv(
+        out,
+        list(columns.covariates) + ["psi_hat"],
+        (list(row) + [p] for row, p in zip(Xq, preds)),
+    )
     _write_manifest(
         out,
         "fit",

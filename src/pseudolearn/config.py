@@ -1,0 +1,65 @@
+"""The one loader behind every config class's ``from_dict``.
+
+Config dataclasses inherit :class:`FromDict`.  Loading a JSON-style dict
+resolves the field types with :func:`typing.get_type_hints`, loads
+nested config dicts recursively, turns lists into tuples where the
+field is a tuple, and rejects unknown keys with a :class:`ConfigError`
+naming the class.  A class rewrites its own dict first by overriding
+``_normalize`` (discriminators, inherited settings, legacy keys).
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import types
+import typing
+
+from .errors import ConfigError
+
+__all__ = ["FromDict"]
+
+
+class FromDict:
+    """Mixin giving a config dataclass the shared ``from_dict`` loader."""
+
+    @classmethod
+    def _normalize(cls, d: dict) -> dict:
+        return d
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        if not isinstance(d, dict):
+            raise ConfigError(f"{cls.__name__}: expected an object, got {d!r}")
+        d = cls._normalize(dict(d))
+        hints = typing.get_type_hints(cls)
+        names = [f.name for f in dataclasses.fields(cls)]
+        unknown = sorted(set(d) - set(names))
+        if unknown:
+            raise ConfigError(
+                f"{cls.__name__}: unknown key(s) {unknown}; expected some of {names}"
+            )
+        kwargs = {
+            k: _convert(f"{cls.__name__}.{k}", hints[k], v) for k, v in d.items()
+        }
+        try:
+            return cls(**kwargs)
+        except TypeError as e:
+            raise ConfigError(f"{cls.__name__}: {e}") from None
+
+
+def _convert(where: str, tp, value):
+    """Load ``value`` as the annotated type ``tp`` where it is a config or tuple."""
+    union = typing.get_origin(tp) in (typing.Union, types.UnionType)
+    allowed = typing.get_args(tp) if union else (tp,)  # X | None allows X and None
+    config = next(
+        (a for a in allowed if isinstance(a, type) and issubclass(a, FromDict)), None
+    )
+    if config is not None:
+        if isinstance(value, dict):
+            return config.from_dict(value)
+        if not isinstance(value, allowed):
+            raise ConfigError(f"{where}: expected an object, got {value!r}")
+    elif isinstance(value, list) and (tp is tuple or typing.get_origin(tp) is tuple):
+        item = (typing.get_args(tp) or (object,))[0]
+        return tuple(_convert(where, item, v) for v in value)
+    return value

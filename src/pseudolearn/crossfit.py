@@ -23,59 +23,98 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as rngmod
-from .data import (
-    EPS_CLIP_DEFAULT,
-    P_CLIP_DEFAULT,
-    Dataset,
-    FoldAssignment,
-    NuisanceEstimates,
-    make_folds,
-)
+from .config import FromDict
+from .data import Dataset, FoldAssignment, NuisanceEstimates, make_folds
 from .errors import ConfigError, DomainError, EstimationError, SchemaError
-from .learners import LearnerSpec, fit_learner, fit_probability
+from .learners import FittedModel, LearnerSpec, fit_learner, fit_probability
+from .pseudo import PseudoOutcomeSpec
 
 __all__ = [
     "CrossfitConfig",
     "crossfit_nuisances",
-    "fixed_propensity",
     "oob_nuisances",
+    "evaluate_nuisance",
     "evaluate_propensity",
+    "fit_nuisance",
 ]
 
 # A violated fold draw (some training complement missing an arm) is
 # redrawn with a fresh seed at most this many times before giving up.
 MAX_FOLD_REDRAWS = 100
 
+_DEFAULT_PSEUDO = PseudoOutcomeSpec()
+
 
 @dataclass(frozen=True)
-class CrossfitConfig:
-    """Settings for one cross-fitting pass."""
+class CrossfitConfig(FromDict):
+    """Settings for one cross-fitting pass.
+
+    The clip floors and the binary-outcome mode belong to the
+    :class:`PseudoOutcomeSpec` passed alongside.
+    """
 
     outcome_spec: LearnerSpec = field(default_factory=LearnerSpec)
     propensity_spec: LearnerSpec = field(default_factory=LearnerSpec)
     n_folds: int = 5
     seed: int = 0
-    eps_clip: float = EPS_CLIP_DEFAULT
-    p_clip: float = P_CLIP_DEFAULT
-    binary_outcome: bool = False
 
     def __post_init__(self):
         if self.n_folds < 2:
             raise ConfigError(f"n_folds must be >= 2, got {self.n_folds}")
-        for name, v in (("eps_clip", self.eps_clip), ("p_clip", self.p_clip)):
-            if not 0.0 < v < 0.5:
-                raise ConfigError(f"{name} must be in (0, 0.5), got {v}")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CrossfitConfig":
-        d = dict(d)
-        for key in ("outcome_spec", "propensity_spec"):
-            if isinstance(d.get(key), dict):
-                d[key] = LearnerSpec.from_dict(d[key])
-        try:
-            return cls(**d)
-        except TypeError as e:
-            raise ConfigError(f"bad crossfit config: {e}") from None
+
+def fit_nuisance(
+    name: str,
+    data: Dataset,
+    rows: np.ndarray,
+    cfg: CrossfitConfig,
+    pseudo: PseudoOutcomeSpec,
+    seed: int,
+    where: str,
+) -> FittedModel:
+    """Fit one first-stage model on the given rows of ``data``.
+
+    ``name`` ``"pi"`` fits the propensity (target w, clipped to
+    ``pseudo.eps_clip``); any other name (``mu0``, ``mu1``, ``mu``)
+    fits an outcome mean (target y, clipped to ``pseudo.p_clip`` in
+    binary-outcome mode).  Too few rows for the learner (an empty arm,
+    k-NN with k above the row count, a forest leaf larger than the
+    sample) depends on the realised split, so it is an
+    :class:`EstimationError` naming the nuisance and ``where`` it was fit.
+    """
+    spec = cfg.propensity_spec if name == "pi" else cfg.outcome_spec
+    need = {"knn": spec.k, "forest": spec.min_leaf}.get(spec.kind, 1)
+    if rows.size < need:
+        what = "degenerate arm" if rows.size == 0 else "too few rows"
+        raise EstimationError(
+            f"{what}: {name} in {where} has {rows.size} training row(s); "
+            f"{spec.kind} needs at least {need}"
+        )
+    X = data.X[rows]
+    if name == "pi":
+        w = data.w[rows].astype(float)
+        return fit_probability(spec, X, w, seed=seed, clip=pseudo.eps_clip)
+    if pseudo.binary_outcome:
+        return fit_probability(spec, X, data.y[rows], seed=seed, clip=pseudo.p_clip)
+    return fit_learner(spec, X, data.y[rows], seed=seed)
+
+
+def evaluate_nuisance(data: Dataset, value, name: str) -> np.ndarray:
+    """Per-row values of a nuisance given as a scalar, an array or a callable.
+
+    An array must have one entry per row; a callable is applied to each
+    covariate row.
+    """
+    if callable(value):
+        return np.asarray([float(value(x)) for x in data.X])
+    if np.isscalar(value):
+        return np.full(data.n, float(value))
+    vals = np.asarray(value, dtype=float).ravel()
+    if vals.shape[0] != data.n:
+        raise SchemaError(
+            f"{name} array has length {vals.shape[0]}, expected {data.n}"
+        )
+    return vals
 
 
 def evaluate_propensity(data: Dataset, pi_fn, eps_clip: float) -> np.ndarray:
@@ -85,16 +124,7 @@ def evaluate_propensity(data: Dataset, pi_fn, eps_clip: float) -> np.ndarray:
     applied to each covariate row.  Values must lie strictly inside
     (0, 1) before clipping; anything else is an overlap violation.
     """
-    if callable(pi_fn):
-        vals = np.asarray([float(pi_fn(x)) for x in data.X])
-    elif np.isscalar(pi_fn):
-        vals = np.full(data.n, float(pi_fn))
-    else:
-        vals = np.asarray(pi_fn, dtype=float).ravel()
-        if vals.shape[0] != data.n:
-            raise SchemaError(
-                f"propensity array has length {vals.shape[0]}, expected {data.n}"
-            )
+    vals = evaluate_nuisance(data, pi_fn, "propensity")
     if not np.all(np.isfinite(vals)):
         raise DomainError("known propensity produced a non-finite value")
     if np.any(vals <= 0.0) or np.any(vals >= 1.0):
@@ -130,6 +160,7 @@ def _draw_folds(data: Dataset, cfg: CrossfitConfig) -> FoldAssignment:
 def crossfit_nuisances(
     data: Dataset,
     cfg: CrossfitConfig,
+    pseudo: PseudoOutcomeSpec = _DEFAULT_PSEUDO,
     folds: FoldAssignment | None = None,
     known_propensity=None,
     instrument=None,
@@ -141,6 +172,8 @@ def crossfit_nuisances(
     data : Dataset
         Must carry a 0/1 indicator column.
     cfg : CrossfitConfig
+    pseudo : PseudoOutcomeSpec
+        Supplies the clip floors and the binary-outcome mode.
     folds : FoldAssignment, optional
         Injected fold assignment (no redrawing happens for injected
         folds; a degenerate arm errors immediately).
@@ -182,56 +215,29 @@ def crossfit_nuisances(
                 "without one arm"
             )
 
-    if cfg.binary_outcome and not np.all(np.isin(data.y, (0.0, 1.0))):
-        raise DomainError("binary_outcome=True but y contains non-0/1 values")
-
-    pi_known = None
-    if known_propensity is not None:
-        pi_known = evaluate_propensity(data, known_propensity, cfg.eps_clip)
-
-    def fit_outcome(X, y, seed):
-        if cfg.binary_outcome:
-            return fit_probability(cfg.outcome_spec, X, y, seed=seed, clip=cfg.p_clip)
-        return fit_learner(cfg.outcome_spec, X, y, seed=seed)
-
     mu0_hat = np.empty(n)
     mu1_hat = np.empty(n)
-    pi_hat = np.empty(n)
+    if known_propensity is None:
+        pi_hat = np.empty(n)
+    else:
+        pi_hat = evaluate_propensity(data, known_propensity, pseudo.eps_clip)
     train_rows = []
     for k in range(cfg.n_folds):
         test = folds.rows_in_fold(k)
         train = folds.train_rows(k)
         train_rows.append(train)
-        rows0 = train[w[train] == 0]
-        rows1 = train[w[train] == 1]
-
-        m0 = fit_outcome(
-            data.X[rows0], data.y[rows0], rngmod.derive_seed(cfg.seed, "mu0", k)
-        )
-        mu0_hat[test] = m0.predict(data.X[test])
-        if instrument is not None:
-            instrument("mu0", k, rows0, test)
-
-        m1 = fit_outcome(
-            data.X[rows1], data.y[rows1], rngmod.derive_seed(cfg.seed, "mu1", k)
-        )
-        mu1_hat[test] = m1.predict(data.X[test])
-        if instrument is not None:
-            instrument("mu1", k, rows1, test)
-
-        if pi_known is None:
-            mpi = fit_probability(
-                cfg.propensity_spec,
-                data.X[train],
-                w[train].astype(float),
-                seed=rngmod.derive_seed(cfg.seed, "pi", k),
-                clip=cfg.eps_clip,
-            )
-            pi_hat[test] = mpi.predict(data.X[test])
+        fits = [
+            ("mu0", mu0_hat, train[w[train] == 0]),
+            ("mu1", mu1_hat, train[w[train] == 1]),
+        ]
+        if known_propensity is None:
+            fits.append(("pi", pi_hat, train))
+        for name, out, rows in fits:
+            seed = rngmod.derive_seed(cfg.seed, name, k)
+            model = fit_nuisance(name, data, rows, cfg, pseudo, seed, f"fold {k}")
+            out[test] = model.predict(data.X[test])
             if instrument is not None:
-                instrument("pi", k, train, test)
-        else:
-            pi_hat[test] = pi_known[test]
+                instrument(name, k, rows, test)
 
     return NuisanceEstimates(
         mu0_hat=mu0_hat,
@@ -242,26 +248,11 @@ def crossfit_nuisances(
     )
 
 
-def fixed_propensity(
-    data: Dataset,
-    pi_fn,
-    cfg: CrossfitConfig,
-    folds: FoldAssignment | None = None,
-    instrument=None,
-) -> NuisanceEstimates:
-    """Nuisances for a design with known assignment probabilities.
-
-    ``pi_hat`` is the clipped evaluation of ``pi_fn`` on each row; the
-    outcome models are still cross-fitted exactly as in
-    :func:`crossfit_nuisances`.
-    """
-    return crossfit_nuisances(
-        data, cfg, folds=folds, known_propensity=pi_fn, instrument=instrument
-    )
-
-
 def oob_nuisances(
-    data: Dataset, cfg: CrossfitConfig, known_propensity=None
+    data: Dataset,
+    cfg: CrossfitConfig,
+    pseudo: PseudoOutcomeSpec = _DEFAULT_PSEUDO,
+    known_propensity=None,
 ) -> NuisanceEstimates:
     """Out-of-bag alternative to fold splitting, for forest nuisances.
 
@@ -280,34 +271,22 @@ def oob_nuisances(
     if w.sum() in (0, n):
         raise EstimationError("degenerate arm: all rows share one indicator value")
 
-    def fit_outcome(X, y, seed):
-        if cfg.binary_outcome:
-            return fit_probability(cfg.outcome_spec, X, y, seed=seed, clip=cfg.p_clip)
-        return fit_learner(cfg.outcome_spec, X, y, seed=seed)
+    def fit(name, rows):
+        seed = rngmod.derive_seed(cfg.seed, name)
+        return fit_nuisance(name, data, rows, cfg, pseudo, seed, "the out-of-bag fit")
 
     rows0 = np.flatnonzero(w == 0)
     rows1 = np.flatnonzero(w == 1)
-    mu0_hat = np.empty(n)
-    mu1_hat = np.empty(n)
-
-    m0 = fit_outcome(data.X[rows0], data.y[rows0], rngmod.derive_seed(cfg.seed, "mu0"))
-    mu0_hat[rows0] = m0.predict_oob()
-    mu0_hat[rows1] = m0.predict(data.X[rows1])
-
-    m1 = fit_outcome(data.X[rows1], data.y[rows1], rngmod.derive_seed(cfg.seed, "mu1"))
-    mu1_hat[rows1] = m1.predict_oob()
-    mu1_hat[rows0] = m1.predict(data.X[rows0])
+    mu = {}
+    for name, own, other in (("mu0", rows0, rows1), ("mu1", rows1, rows0)):
+        m = fit(name, own)
+        mu[name] = np.empty(n)
+        mu[name][own] = m.predict_oob()
+        mu[name][other] = m.predict(data.X[other])
 
     if known_propensity is not None:
-        pi_hat = evaluate_propensity(data, known_propensity, cfg.eps_clip)
+        pi_hat = evaluate_propensity(data, known_propensity, pseudo.eps_clip)
     else:
-        mpi = fit_probability(
-            cfg.propensity_spec,
-            data.X,
-            w.astype(float),
-            seed=rngmod.derive_seed(cfg.seed, "pi"),
-            clip=cfg.eps_clip,
-        )
-        pi_hat = mpi.predict_oob()
+        pi_hat = fit("pi", np.arange(n)).predict_oob()
 
-    return NuisanceEstimates(mu0_hat=mu0_hat, mu1_hat=mu1_hat, pi_hat=pi_hat)
+    return NuisanceEstimates(mu0_hat=mu["mu0"], mu1_hat=mu["mu1"], pi_hat=pi_hat)

@@ -1,4 +1,4 @@
-"""Core data model: observations, datasets, fold assignments, nuisance tables.
+"""Core data model: datasets, fold assignments, nuisance tables.
 
 A :class:`Dataset` is an immutable column store of covariates ``X``,
 outcomes ``y`` and an optional binary treatment/observation indicator
@@ -14,33 +14,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import FromDict
 from .errors import ConfigError, DomainError, ParseError, SchemaError
 
 __all__ = [
     "EPS_CLIP_DEFAULT",
     "P_CLIP_DEFAULT",
-    "Observation",
     "Dataset",
     "FoldAssignment",
     "NuisanceEstimates",
     "ColumnMap",
     "make_folds",
     "load_csv",
+    "read_csv_columns",
+    "write_csv",
 ]
 
 # Numeric floors enforcing overlap: propensities are clipped into
 # [EPS_CLIP, 1 - EPS_CLIP], binary-outcome means into [P_CLIP, 1 - P_CLIP].
 EPS_CLIP_DEFAULT = 0.01
 P_CLIP_DEFAULT = 0.01
-
-
-@dataclass(frozen=True)
-class Observation:
-    """A single row: covariates, outcome, optional 0/1 indicator."""
-
-    x: np.ndarray
-    y: float
-    w: int | None = None
 
 
 class Dataset:
@@ -83,7 +76,8 @@ class Dataset:
             if not np.all(ok):
                 bad = int(np.argwhere(~ok)[0][0])
                 raise DomainError(
-                    f"treatment indicator must be 0 or 1; row {bad} has {w[bad]!r}"
+                    "treatment indicator must be 0 or 1; "
+                    f"row {bad} has {w[bad].item()!r}"
                 )
             w = wf.astype(np.int64)
             w.flags.writeable = False
@@ -106,10 +100,6 @@ class Dataset:
     @property
     def has_treatment(self) -> bool:
         return self.w is not None
-
-    def row(self, i: int) -> Observation:
-        w = None if self.w is None else int(self.w[i])
-        return Observation(x=self.X[i], y=float(self.y[i]), w=w)
 
     def subset(self, idx) -> "Dataset":
         """New dataset from the given row indices (order preserved)."""
@@ -216,27 +206,20 @@ class NuisanceEstimates:
 
 
 @dataclass(frozen=True)
-class ColumnMap:
+class ColumnMap(FromDict):
     """Names the CSV columns holding covariates, outcome and treatment."""
 
     covariates: tuple
     outcome: str
     treatment: str | None = None
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ColumnMap":
-        try:
-            cov = tuple(d["covariates"])
-            out = d["outcome"]
-        except KeyError as e:
-            raise ConfigError(f"column map is missing {e.args[0]!r}") from None
-        if not cov:
+    def __post_init__(self):
+        if not self.covariates:
             raise ConfigError("column map needs at least one covariate column")
-        return cls(covariates=cov, outcome=out, treatment=d.get("treatment"))
 
 
-def load_csv(path, column_map) -> Dataset:
-    """Parse a headered CSV file into a :class:`Dataset`.
+def read_csv_columns(path, names) -> np.ndarray:
+    """Parse the named columns of a headered CSV file into an (n, len(names)) matrix.
 
     Rows with any non-finite field are rejected (not silently dropped:
     silent row loss changes n and breaks reproducibility).  Floats use
@@ -244,35 +227,34 @@ def load_csv(path, column_map) -> Dataset:
 
     Raises
     ------
+    ConfigError
+        The file does not exist.
     SchemaError
-        Missing column or header-only file.
+        Missing column, empty or header-only file.
     ParseError
-        Non-numeric cell, with row and column named.
+        Missing or non-numeric cell, with row and column named.
     DomainError
-        Non-finite value or treatment outside {0, 1}, row named.
+        Non-finite value, with row and column named.
     """
-    if isinstance(column_map, dict):
-        column_map = ColumnMap.from_dict(column_map)
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except FileNotFoundError:
+        raise ConfigError(f"file not found: {path}") from None
+    with fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: file is empty (no header row)") from None
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError(f"{path}: file is empty (no header row)")
         header = [h.strip() for h in header]
-        col_idx = {}
-        needed = list(column_map.covariates) + [column_map.outcome]
-        if column_map.treatment is not None:
-            needed.append(column_map.treatment)
-        for name in needed:
+        idx = []
+        for name in names:
             if name not in header:
                 raise SchemaError(f"{path}: missing column {name!r}")
-            col_idx[name] = header.index(name)
-
-        X_rows, y_rows, w_rows = [], [], []
+            idx.append(header.index(name))
+        rows = []
         for rownum, rec in enumerate(reader):
-            def cell(name):
-                j = col_idx[name]
+            vals = []
+            for j, name in zip(idx, names):
                 if j >= len(rec):
                     raise ParseError(
                         f"{path}: row {rownum}: too few fields for column {name!r}"
@@ -290,20 +272,37 @@ def load_csv(path, column_map) -> Dataset:
                         f"{path}: row {rownum}, column {name!r}: "
                         f"non-finite value {raw!r}"
                     )
-                return val
-
-            X_rows.append([cell(c) for c in column_map.covariates])
-            y_rows.append(cell(column_map.outcome))
-            if column_map.treatment is not None:
-                wv = cell(column_map.treatment)
-                if wv not in (0.0, 1.0):
-                    raise DomainError(
-                        f"{path}: row {rownum}: treatment value {wv!r} "
-                        "is not 0 or 1"
-                    )
-                w_rows.append(int(wv))
-
-    if not X_rows:
+                vals.append(val)
+            rows.append(vals)
+    if not rows:
         raise SchemaError(f"{path}: no data rows (header only)")
-    w = np.asarray(w_rows) if column_map.treatment is not None else None
-    return Dataset(np.asarray(X_rows), np.asarray(y_rows), w)
+    return np.asarray(rows, dtype=float)
+
+
+def load_csv(path, column_map) -> Dataset:
+    """Parse a headered CSV file into a :class:`Dataset`.
+
+    ``column_map`` is a :class:`ColumnMap` or its dict form.  Errors are
+    those of :func:`read_csv_columns`, plus a :class:`DomainError`
+    naming the row when the treatment is not 0 or 1.
+    """
+    if isinstance(column_map, dict):
+        column_map = ColumnMap.from_dict(column_map)
+    names = list(column_map.covariates) + [column_map.outcome]
+    if column_map.treatment is not None:
+        names.append(column_map.treatment)
+    table = read_csv_columns(path, names)
+    d = len(column_map.covariates)
+    w = table[:, d + 1] if column_map.treatment is not None else None
+    return Dataset(table[:, :d], table[:, d], w)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a headered CSV; floats get 17 significant digits (exact round-trip)."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(
+                [format(float(v), ".17g") if isinstance(v, float) else v for v in row]
+            )

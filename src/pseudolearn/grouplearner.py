@@ -15,7 +15,6 @@ correction for adaptivity.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 
@@ -24,8 +23,9 @@ from scipy import stats
 from scipy.special import ndtri
 
 from . import rng as rngmod
-from .crossfit import evaluate_propensity
-from .data import Dataset, NuisanceEstimates
+from .config import FromDict
+from .crossfit import evaluate_propensity, fit_nuisance
+from .data import Dataset, NuisanceEstimates, write_csv
 from .errors import ConfigError, EstimationError, SchemaError
 from .iflearner import (
     IFLearnerConfig,
@@ -33,7 +33,6 @@ from .iflearner import (
     fit_if_learner,
     fit_plugin_learner,
 )
-from .learners import fit_learner, fit_probability
 from .pseudo import build_pseudo_outcomes, ht_pseudo
 
 __all__ = [
@@ -53,7 +52,7 @@ _HT_COMPATIBLE = ("cate_aipw", "cate_ht", "cate_plugin")
 
 
 @dataclass(frozen=True)
-class GroupConfig:
+class GroupConfig(FromDict):
     """Settings for one group-wise inference fit.
 
     ``seed`` governs the auxiliary/estimation split and the auxiliary
@@ -96,16 +95,6 @@ class GroupConfig:
                 "Horvitz-Thompson group averages are defined for treatment "
                 f"contrasts only, not target {self.if_config.pseudo.target!r}"
             )
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GroupConfig":
-        d = dict(d)
-        if isinstance(d.get("if_config"), dict):
-            d["if_config"] = IFLearnerConfig.from_dict(d["if_config"])
-        try:
-            return cls(**d)
-        except TypeError as e:
-            raise ConfigError(f"bad group config: {e}") from None
 
 
 def group_efficient_estimate(values) -> tuple[float, float]:
@@ -207,20 +196,15 @@ class GroupEstimates:
 
     def to_csv(self, path) -> None:
         """One row per group: g, n_g, psi_hat, var_hat, ci_lo, ci_hi."""
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(["g", "n_g", "psi_hat", "var_hat", "ci_lo", "ci_hi"])
-            for g in range(self.n_groups):
-                writer.writerow(
-                    [
-                        g + 1,
-                        int(self.n_g[g]),
-                        _g17(self.psi_hat[g]),
-                        _g17(self.var_hat[g]),
-                        _g17(self.ci_lo[g]),
-                        _g17(self.ci_hi[g]),
-                    ]
-                )
+        write_csv(
+            path,
+            ["g", "n_g", "psi_hat", "var_hat", "ci_lo", "ci_hi"],
+            (
+                [g + 1, int(self.n_g[g]), self.psi_hat[g], self.var_hat[g],
+                 self.ci_lo[g], self.ci_hi[g]]
+                for g in range(self.n_groups)
+            ),
+        )
 
     def to_json(self) -> str:
         payload = {
@@ -240,71 +224,6 @@ class GroupEstimates:
             "provenance": self.provenance,
         }
         return json.dumps(payload, sort_keys=True)
-
-
-def _g17(v: float) -> str:
-    # 17 significant digits round-trip a double exactly
-    return format(float(v), ".17g")
-
-
-def _fit_arm_model(icfg: IFLearnerConfig, X, y, arm: int, seed: int):
-    cf = icfg.crossfit
-    if X.shape[0] == 0:
-        raise EstimationError(
-            f"degenerate arm: auxiliary split has no rows with w={arm}"
-        )
-    if cf.binary_outcome:
-        return fit_probability(cf.outcome_spec, X, y, seed=seed, clip=cf.p_clip)
-    return fit_learner(cf.outcome_spec, X, y, seed=seed)
-
-
-def _estimation_propensity(
-    aux: Dataset,
-    est: Dataset,
-    cfg: GroupConfig,
-    pi_known_est: np.ndarray | None,
-) -> np.ndarray:
-    if pi_known_est is not None:
-        return pi_known_est
-    cf = cfg.if_config.crossfit
-    prop = fit_probability(
-        cf.propensity_spec,
-        aux.X,
-        aux.w.astype(float),
-        seed=rngmod.derive_seed(cfg.seed, "nuisance", "pi"),
-        clip=cf.eps_clip,
-    )
-    return prop.predict(est.X)
-
-
-def _aux_nuisances(
-    aux: Dataset,
-    est: Dataset,
-    cfg: GroupConfig,
-    pi_known_est: np.ndarray | None,
-) -> NuisanceEstimates:
-    """Fit nuisances on the auxiliary half, predict the estimation half."""
-    icfg = cfg.if_config
-    mask1 = aux.w == 1
-    m0 = _fit_arm_model(
-        icfg,
-        aux.X[~mask1],
-        aux.y[~mask1],
-        0,
-        rngmod.derive_seed(cfg.seed, "nuisance", "mu0"),
-    )
-    m1 = _fit_arm_model(
-        icfg,
-        aux.X[mask1],
-        aux.y[mask1],
-        1,
-        rngmod.derive_seed(cfg.seed, "nuisance", "mu1"),
-    )
-    return NuisanceEstimates(
-        mu0_hat=m0.predict(est.X),
-        mu1_hat=m1.predict(est.X),
-        pi_hat=_estimation_propensity(aux, est, cfg, pi_known_est),
-    )
 
 
 def fit_group_learner(
@@ -337,7 +256,7 @@ def fit_group_learner(
     pi_full = None
     if known_propensity is not None:
         pi_full = evaluate_propensity(
-            data, known_propensity, eps_clip=cfg.if_config.crossfit.eps_clip
+            data, known_propensity, eps_clip=cfg.if_config.pseudo.eps_clip
         )
     perm = rngmod.stream(cfg.seed, "split").permutation(n)
     aux_rows = np.sort(perm[:n_aux])
@@ -353,11 +272,28 @@ def fit_group_learner(
         scorer = fit_if_learner(aux, cfg.if_config, known_propensity=pi_known_aux)
     scores = scorer.predict(est.X)
 
+    def nuisance(name):
+        """Fit one nuisance on the auxiliary half, predict the estimation half."""
+        if name == "pi":
+            if pi_known_est is not None:
+                return pi_known_est
+            rows = np.arange(n_aux)
+        else:
+            rows = np.flatnonzero(aux.w == (1 if name == "mu1" else 0))
+        seed = rngmod.derive_seed(cfg.seed, "nuisance", name)
+        icfg = cfg.if_config
+        model = fit_nuisance(
+            name, aux, rows, icfg.crossfit, icfg.pseudo, seed, "the auxiliary half"
+        )
+        return model.predict(est.X)
+
     if cfg.second_stage_estimator == "ht":
-        pi_hat = _estimation_propensity(aux, est, cfg, pi_known_est)
+        pi_hat = nuisance("pi")
         d = np.asarray(ht_pseudo(est.y, est.w.astype(float), pi_hat), dtype=float)
     else:
-        nuis = _aux_nuisances(aux, est, cfg, pi_known_est)
+        nuis = NuisanceEstimates(
+            mu0_hat=nuisance("mu0"), mu1_hat=nuisance("mu1"), pi_hat=nuisance("pi")
+        )
         d = build_pseudo_outcomes(est, nuis, cfg.if_config.pseudo).d
 
     cutpoints = np.quantile(scores, np.arange(1, G) / G)

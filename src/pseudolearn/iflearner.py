@@ -23,10 +23,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as rngmod
-from .crossfit import CrossfitConfig, crossfit_nuisances, evaluate_propensity
+from .config import FromDict
+from .crossfit import (
+    CrossfitConfig,
+    crossfit_nuisances,
+    evaluate_nuisance,
+    evaluate_propensity,
+    fit_nuisance,
+)
 from .data import Dataset, FoldAssignment, NuisanceEstimates
-from .errors import ConfigError, DomainError, EstimationError, SchemaError
-from .learners import FittedModel, LearnerSpec, fit_learner, fit_probability
+from .errors import ConfigError, EstimationError, SchemaError
+from .learners import FittedModel, LearnerSpec, fit_learner
 from .pseudo import (
     PseudoOutcomeSpec,
     build_pseudo_outcomes,
@@ -57,15 +64,19 @@ def config_digest(cfg) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+# Clip floors and binary mode once lived under ``crossfit``; JSON configs
+# that still carry them there are moved onto ``pseudo`` when loaded.
+_LEGACY_CROSSFIT_KEYS = ("eps_clip", "p_clip", "binary_outcome")
+
+
 @dataclass(frozen=True)
-class IFLearnerConfig:
+class IFLearnerConfig(FromDict):
     """Everything one two-stage fit needs.
 
     ``seed`` drives only the second-stage fit; nuisance randomness
     (fold draws, per-fold learner seeds) is governed by
-    ``crossfit.seed``.  The clip floors and binary mode must agree
-    between the crossfit and pseudo-outcome halves, since the former
-    produces what the latter validates.
+    ``crossfit.seed``.  ``pseudo`` owns the clip floors and the
+    binary-outcome mode for both stages.
     """
 
     crossfit: CrossfitConfig = field(default_factory=CrossfitConfig)
@@ -75,36 +86,27 @@ class IFLearnerConfig:
     winsorize: float | None = None  # symmetric quantile, e.g. 0.01; off by default
 
     def __post_init__(self):
-        if self.crossfit.eps_clip != self.pseudo.eps_clip:
-            raise ConfigError(
-                "eps_clip differs between crossfit and pseudo-outcome configs"
-            )
-        if self.crossfit.p_clip != self.pseudo.p_clip:
-            raise ConfigError(
-                "p_clip differs between crossfit and pseudo-outcome configs"
-            )
-        if self.crossfit.binary_outcome != self.pseudo.binary_outcome:
-            raise ConfigError(
-                "binary_outcome flag differs between crossfit and pseudo configs"
-            )
         if self.winsorize is not None and not 0.0 < self.winsorize < 0.5:
             raise ConfigError(
                 f"winsorize quantile must be in (0, 0.5), got {self.winsorize}"
             )
 
     @classmethod
-    def from_dict(cls, d: dict) -> "IFLearnerConfig":
-        d = dict(d)
-        if isinstance(d.get("crossfit"), dict):
-            d["crossfit"] = CrossfitConfig.from_dict(d["crossfit"])
-        if isinstance(d.get("pseudo"), dict):
-            d["pseudo"] = PseudoOutcomeSpec.from_dict(d["pseudo"])
-        if isinstance(d.get("second_stage"), dict):
-            d["second_stage"] = LearnerSpec.from_dict(d["second_stage"])
-        try:
-            return cls(**d)
-        except TypeError as e:
-            raise ConfigError(f"bad learner config: {e}") from None
+    def _normalize(cls, d: dict) -> dict:
+        crossfit, pseudo = d.get("crossfit"), d.get("pseudo", {})
+        if isinstance(pseudo, PseudoOutcomeSpec):
+            pseudo = dataclasses.asdict(pseudo)
+        if not (isinstance(crossfit, dict) and isinstance(pseudo, dict)):
+            return d
+        legacy = {k: crossfit[k] for k in _LEGACY_CROSSFIT_KEYS if k in crossfit}
+        for key, value in legacy.items():
+            if key in pseudo and pseudo[key] != value:
+                raise ConfigError(
+                    f"{key} differs between crossfit ({value!r}) and "
+                    f"pseudo ({pseudo[key]!r}); set it under pseudo only"
+                )
+        crossfit = {k: v for k, v in crossfit.items() if k not in legacy}
+        return {**d, "crossfit": crossfit, "pseudo": {**pseudo, **legacy}}
 
 
 class TargetModel:
@@ -160,33 +162,21 @@ class TrueNuisances:
     pi: object = 0.5
 
     def as_estimates(self, data: Dataset, eps_clip: float) -> NuisanceEstimates:
-        def evaluate(spec):
-            if callable(spec):
-                return np.asarray([float(spec(x)) for x in data.X])
-            if np.isscalar(spec):
-                return np.full(data.n, float(spec))
-            arr = np.asarray(spec, dtype=float).ravel()
-            if arr.shape[0] != data.n:
-                raise SchemaError(
-                    f"true-nuisance array has length {arr.shape[0]}, "
-                    f"expected {data.n}"
-                )
-            return arr
-
-        pi = evaluate_propensity(data, self.pi, eps_clip)
         return NuisanceEstimates(
-            mu0_hat=evaluate(self.mu0), mu1_hat=evaluate(self.mu1), pi_hat=pi
+            mu0_hat=evaluate_nuisance(data, self.mu0, "true mu0"),
+            mu1_hat=evaluate_nuisance(data, self.mu1, "true mu1"),
+            pi_hat=evaluate_propensity(data, self.pi, eps_clip),
         )
 
 
-def _provenance(cfg, data: Dataset, target: str, variant: str) -> dict:
+def _provenance(cfg, data: Dataset, target: str, variant: str, seed: int) -> dict:
     return {
         "variant": variant,
         "target": target,
         "config_hash": config_digest(cfg),
         "n": data.n,
         "d": data.d,
-        "seed": getattr(cfg, "seed", None),
+        "seed": seed,
         "stream_version": rngmod.STREAM_VERSION,
     }
 
@@ -195,7 +185,9 @@ def _second_stage(cfg: IFLearnerConfig, data: Dataset, d: np.ndarray, variant: s
     if cfg.winsorize is not None:
         d = winsorize_values(d, cfg.winsorize)
     model = fit_learner(cfg.second_stage, data.X, d, seed=cfg.seed)
-    return TargetModel(model, _provenance(cfg, data, cfg.pseudo.target, variant))
+    return TargetModel(
+        model, _provenance(cfg, data, cfg.pseudo.target, variant, cfg.seed)
+    )
 
 
 def fit_if_learner(
@@ -222,7 +214,7 @@ def fit_if_learner(
             "(need n >= 2K)"
         )
     nuis = crossfit_nuisances(
-        data, cfg.crossfit, folds=folds, known_propensity=known_propensity
+        data, cfg.crossfit, cfg.pseudo, folds=folds, known_propensity=known_propensity
     )
     d = build_pseudo_outcomes(data, nuis, cfg.pseudo).d
     return _second_stage(cfg, data, d, "if_learner")
@@ -241,21 +233,18 @@ def fit_oracle_learner(
     D built from the real nuisance functions, so its error is purely
     second-stage regression error.
     """
-    cfg = IFLearnerConfig(
-        crossfit=CrossfitConfig(
-            eps_clip=pseudo.eps_clip,
-            p_clip=pseudo.p_clip,
-            binary_outcome=pseudo.binary_outcome,
-        ),
-        pseudo=pseudo,
-        second_stage=second_stage,
-        seed=seed,
-    )
     if pseudo.target == "regression_mean":
-        return _second_stage(cfg, data, np.array(data.y), "oracle")
-    nuis = true_nuisances.as_estimates(data, pseudo.eps_clip)
-    d = build_pseudo_outcomes(data, nuis, pseudo).d
-    return _second_stage(cfg, data, d, "oracle")
+        d = np.array(data.y)
+    else:
+        nuis = true_nuisances.as_estimates(data, pseudo.eps_clip)
+        d = build_pseudo_outcomes(data, nuis, pseudo).d
+    model = fit_learner(second_stage, data.X, d, seed=seed)
+    cfg = {
+        "pseudo": dataclasses.asdict(pseudo),
+        "second_stage": dataclasses.asdict(second_stage),
+        "seed": seed,
+    }
+    return TargetModel(model, _provenance(cfg, data, pseudo.target, "oracle", seed))
 
 
 class _FunctionalOfArms(FittedModel):
@@ -271,15 +260,6 @@ class _FunctionalOfArms(FittedModel):
         return np.asarray(
             self._combine(self._m0.predict(Xq), self._m1.predict(Xq)), dtype=float
         )
-
-
-class _SingleArmModel(FittedModel):
-    def __init__(self, m: FittedModel):
-        self._m = m
-        self.n_features = m.n_features
-
-    def predict(self, Xq) -> np.ndarray:
-        return self._m.predict(Xq)
 
 
 _PLUGIN_COMBINERS = {
@@ -304,27 +284,18 @@ def fit_plugin_learner(data: Dataset, cfg: IFLearnerConfig) -> TargetModel:
     cf = cfg.crossfit
 
     def fit_arm(rows, tag):
-        if rows.size == 0:
-            raise EstimationError("degenerate arm: no rows to fit the plug-in on")
         seed = rngmod.derive_seed(cfg.seed, "plugin", tag)
-        if cf.binary_outcome:
-            return fit_probability(
-                cf.outcome_spec, data.X[rows], data.y[rows], seed=seed, clip=cf.p_clip
-            )
-        return fit_learner(cf.outcome_spec, data.X[rows], data.y[rows], seed=seed)
+        return fit_nuisance(tag, data, rows, cf, cfg.pseudo, seed, "the plug-in fit")
 
     if target == "regression_mean":
-        model = fit_learner(
-            cf.outcome_spec, data.X, data.y, seed=rngmod.derive_seed(cfg.seed, "plugin", "all")
-        )
-        return TargetModel(_SingleArmModel(model), _provenance(cfg, data, target, "plugin"))
-    if data.w is None:
+        seed = rngmod.derive_seed(cfg.seed, "plugin", "all")
+        model = fit_learner(cf.outcome_spec, data.X, data.y, seed=seed)
+    elif data.w is None:
         raise SchemaError(f"target {target!r} needs an indicator column")
-    if target == "mar_mean":
-        observed = np.flatnonzero(data.w == 1)
-        model = fit_arm(observed, "mu")
-        return TargetModel(_SingleArmModel(model), _provenance(cfg, data, target, "plugin"))
-    m0 = fit_arm(np.flatnonzero(data.w == 0), "mu0")
-    m1 = fit_arm(np.flatnonzero(data.w == 1), "mu1")
-    combined = _FunctionalOfArms(m0, m1, _PLUGIN_COMBINERS[target])
-    return TargetModel(combined, _provenance(cfg, data, target, "plugin"))
+    elif target == "mar_mean":
+        model = fit_arm(np.flatnonzero(data.w == 1), "mu")
+    else:
+        m0 = fit_arm(np.flatnonzero(data.w == 0), "mu0")
+        m1 = fit_arm(np.flatnonzero(data.w == 1), "mu1")
+        model = _FunctionalOfArms(m0, m1, _PLUGIN_COMBINERS[target])
+    return TargetModel(model, _provenance(cfg, data, target, "plugin", cfg.seed))

@@ -36,6 +36,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from . import rng as rngmod
+from .config import FromDict
 from .data import make_folds
 from .errors import ConfigError, DomainError, SchemaError
 
@@ -56,7 +57,7 @@ DEFAULT_BANDWIDTH_GRID = (0.01, 0.02, 0.05, 0.1, 0.2, 0.35, 0.5)
 
 
 @dataclass(frozen=True)
-class LearnerSpec:
+class LearnerSpec(FromDict):
     """Declarative description of a regression learner.
 
     Only the fields relevant to ``kind`` are consulted; the rest keep
@@ -113,16 +114,6 @@ class LearnerSpec:
             raise ConfigError(
                 f"features_per_split must be >= 1, got {self.features_per_split}"
             )
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LearnerSpec":
-        d = dict(d)
-        if "bandwidth_grid" in d:
-            d["bandwidth_grid"] = tuple(d["bandwidth_grid"])
-        try:
-            return cls(**d)
-        except TypeError as e:
-            raise ConfigError(f"bad learner spec: {e}") from None
 
 
 def _as_matrix(Xq, d: int) -> np.ndarray:

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import FromDict
 from .data import EPS_CLIP_DEFAULT, P_CLIP_DEFAULT, Dataset, NuisanceEstimates
 from .errors import ConfigError, DomainError, SchemaError
 
@@ -64,8 +65,13 @@ _BINARY_TARGETS = ("risk_ratio", "odds_ratio")
 
 
 @dataclass(frozen=True)
-class PseudoOutcomeSpec:
-    """Selects the target functional and carries the clip floors."""
+class PseudoOutcomeSpec(FromDict):
+    """Selects the target functional; sole owner of the clip floors and binary mode.
+
+    The first stage clips fitted propensities to ``eps_clip`` and, with
+    ``binary_outcome``, fitted arm means to ``p_clip``;
+    :func:`build_pseudo_outcomes` checks that they arrived clipped.
+    """
 
     target: str = "cate_aipw"
     eps_clip: float = EPS_CLIP_DEFAULT
@@ -85,13 +91,6 @@ class PseudoOutcomeSpec:
                 f"target {self.target!r} is only defined for binary outcomes; "
                 "set binary_outcome=True"
             )
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PseudoOutcomeSpec":
-        try:
-            return cls(**d)
-        except TypeError as e:
-            raise ConfigError(f"bad pseudo-outcome spec: {e}") from None
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,8 @@ import numpy as np
 from scipy.special import expit
 
 from . import rng as rngmod
-from .data import Dataset
+from .config import FromDict
+from .data import Dataset, write_csv
 from .errors import ConfigError, DomainError, EstimationError, SchemaError
 from .grouplearner import GroupConfig, fit_group_learner
 from .iflearner import (
@@ -59,6 +60,7 @@ __all__ = [
     "keep_mask",
     "DISCARD_MSE_ABOVE",
     "RR_EVAL_MIN_P",
+    "SCORED_TARGETS",
     "BINARY_P_LO",
     "BINARY_P_HI",
 ]
@@ -143,7 +145,7 @@ def beta24_density(t):
 
 
 @dataclass(frozen=True)
-class Dgp1dConfig:
+class Dgp1dConfig(FromDict):
     """One-dimensional design: uniform covariate, zero treatment effect."""
 
     propensity: str = "constant_half"
@@ -163,16 +165,9 @@ class Dgp1dConfig:
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Dgp1dConfig":
-        try:
-            return cls(**d)
-        except TypeError as e:
-            raise ConfigError(f"bad 1-d dgp config: {e}") from None
-
 
 @dataclass(frozen=True)
-class Dgp10dConfig:
+class Dgp10dConfig(FromDict):
     """Ten-dimensional uniform design with optional confounding."""
 
     confounded: bool = False
@@ -188,12 +183,8 @@ class Dgp10dConfig:
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Dgp10dConfig":
-        try:
-            return cls(**d)
-        except TypeError as e:
-            raise ConfigError(f"bad 10-d dgp config: {e}") from None
+
+_DGP_KINDS = {"1d": Dgp1dConfig, "10d": Dgp10dConfig}
 
 
 @dataclass(frozen=True)
@@ -320,6 +311,8 @@ def sample(cfg) -> LabeledSample:
 
 
 _CATE_TARGETS = ("cate_aipw", "cate_ht", "cate_plugin")
+# the targets evaluate_mse has ground truth for
+SCORED_TARGETS = _CATE_TARGETS + ("risk_ratio",)
 
 
 def evaluate_mse(model, test: LabeledSample) -> float:
@@ -335,9 +328,11 @@ def evaluate_mse(model, test: LabeledSample) -> float:
             f"model produced {preds.shape} predictions for {test.n} test rows"
         )
     target = getattr(model, "provenance", {}).get("target", "cate_aipw")
+    if target not in SCORED_TARGETS:
+        raise ConfigError(f"no ground truth available for target {target!r}")
     if target in _CATE_TARGETS:
         truth = test.true_tau
-    elif target == "risk_ratio":
+    else:
         truth = test.true_rr
         mask = (test.true_mu0 >= RR_EVAL_MIN_P) & (test.true_mu1 >= RR_EVAL_MIN_P)
         if not np.any(mask):
@@ -346,14 +341,11 @@ def evaluate_mse(model, test: LabeledSample) -> float:
                 f"below {RR_EVAL_MIN_P}"
             )
         preds, truth = preds[mask], truth[mask]
-        return float(np.mean((preds - truth) ** 2))
-    else:
-        raise ConfigError(f"no ground truth available for target {target!r}")
     return float(np.mean((preds - truth) ** 2))
 
 
 @dataclass(frozen=True)
-class MethodSpec:
+class MethodSpec(FromDict):
     """One estimator entry in an experiment.
 
     For ``group_if_learner`` the grouping settings live in ``group``;
@@ -378,24 +370,15 @@ class MethodSpec:
             raise ConfigError(f"method {self.name!r} needs grouping settings")
 
     @classmethod
-    def from_dict(cls, d: dict) -> "MethodSpec":
-        d = dict(d)
-        if isinstance(d.get("if_config"), dict):
-            d["if_config"] = IFLearnerConfig.from_dict(d["if_config"])
-        if isinstance(d.get("group"), dict):
-            group = dict(d["group"])
-            group.setdefault(
-                "if_config", d.get("if_config", IFLearnerConfig())
-            )
-            d["group"] = GroupConfig.from_dict(group)
-        try:
-            return cls(**d)
-        except TypeError as e:
-            raise ConfigError(f"bad method spec: {e}") from None
+    def _normalize(cls, d: dict) -> dict:
+        group = d.get("group")
+        if isinstance(group, dict) and "if_config" not in group:
+            d["group"] = {**group, "if_config": d.get("if_config", IFLearnerConfig())}
+        return d
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(FromDict):
     """A full simulation experiment: design, methods, sizes, seeds."""
 
     experiment_id: str
@@ -426,32 +409,30 @@ class ExperimentConfig:
             raise ConfigError(f"replications must be >= 1, got {self.replications}")
         if self.n_test < 1:
             raise ConfigError(f"n_test must be >= 1, got {self.n_test}")
+        for m in self.methods:
+            target = m.if_config.pseudo.target
+            if target not in SCORED_TARGETS:
+                raise ConfigError(
+                    f"method {m.name!r}: simulate cannot score target {target!r}; "
+                    f"expected one of {SCORED_TARGETS}"
+                )
+            binary = getattr(self.dgp, "binary_outcome", False)
+            if target == "risk_ratio" and not binary:
+                raise ConfigError(
+                    f"method {m.name!r}: simulate cannot score risk_ratio "
+                    "on a design without binary outcomes"
+                )
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
+    def _normalize(cls, d: dict) -> dict:
         dgp = d.get("dgp")
         if isinstance(dgp, dict):
             dgp = dict(dgp)
             kind = dgp.pop("kind", None)
-            if kind == "1d":
-                d["dgp"] = Dgp1dConfig.from_dict(dgp)
-            elif kind == "10d":
-                d["dgp"] = Dgp10dConfig.from_dict(dgp)
-            else:
-                raise ConfigError(
-                    f"dgp.kind must be '1d' or '10d', got {kind!r}"
-                )
-        methods = d.get("methods")
-        if isinstance(methods, (list, tuple)):
-            d["methods"] = tuple(
-                MethodSpec.from_dict(m) if isinstance(m, dict) else m
-                for m in methods
-            )
-        try:
-            return cls(**d)
-        except TypeError as e:
-            raise ConfigError(f"bad experiment config: {e}") from None
+            if kind not in _DGP_KINDS:
+                raise ConfigError(f"dgp.kind must be '1d' or '10d', got {kind!r}")
+            d["dgp"] = _DGP_KINDS[kind].from_dict(dgp)
+        return d
 
 
 @dataclass(frozen=True)
@@ -471,19 +452,12 @@ class ResultTable:
     rows: tuple[ResultRow, ...]
 
     def to_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(
-                ["experiment_id", "method", "n", "replications_kept",
-                 "mean_mse", "se_mse"]
-            )
-            for r in self.rows:
-                writer.writerow(
-                    [r.experiment_id, r.method, r.n, r.replications_kept,
-                     format(r.mean_mse, ".17g"), format(r.se_mse, ".17g")]
-                )
+        write_csv(
+            path,
+            ["experiment_id", "method", "n", "replications_kept",
+             "mean_mse", "se_mse"],
+            (dataclasses.astuple(r) for r in self.rows),
+        )
 
 
 def _reseeded_method(m: MethodSpec, exp: ExperimentConfig, n: int, rep: int) -> MethodSpec:
@@ -551,9 +525,10 @@ def _run_one(exp: ExperimentConfig, n: int, rep: int) -> dict[str, float]:
 
 
 def keep_mask(per_rep_rows: list[dict[str, float]]) -> np.ndarray:
-    """True for replications kept; any method past the cap drops the row."""
+    """True for replications kept; any method past the cap or non-finite drops the row."""
+    # NaN fails every comparison, so a NaN MSE drops its row too
     return np.array(
-        [max(row.values()) <= DISCARD_MSE_ABOVE for row in per_rep_rows],
+        [all(v <= DISCARD_MSE_ABOVE for v in row.values()) for row in per_rep_rows],
         dtype=bool,
     )
 

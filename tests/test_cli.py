@@ -14,6 +14,7 @@ from pseudolearn.data import ColumnMap, load_csv
 from pseudolearn.errors import ConfigError
 from pseudolearn.iflearner import IFLearnerConfig, fit_if_learner
 from pseudolearn.learners import LearnerSpec, fit_learner
+from pseudolearn.simulate import Dgp1dConfig, sample_1d
 
 FAST_IF_DICT = {
     "crossfit": {
@@ -248,6 +249,15 @@ class TestFit:
         assert main(args + ["--query", str(q), "--grid", "0:1:3"]) == 2
         assert "exactly one of" in capsys.readouterr().err
 
+    def test_missing_data_file_is_validation_failure(self, tmp_path, capsys):
+        _, columns = self.rct_files(tmp_path)
+        cfg = write_json(
+            tmp_path / "fit.json", {"columns": columns, "if_config": FAST_IF_DICT}
+        )
+        missing = str(tmp_path / "missing.csv")
+        assert main(["fit", "--data", missing, "--config", cfg, "--grid", "0:1:3"]) == 2
+        assert "not found" in capsys.readouterr().err
+
     def test_schema_mismatch_in_data(self, tmp_path, capsys):
         data, _ = self.rct_files(tmp_path)
         blob = {
@@ -316,6 +326,34 @@ class TestGroup:
              "--known-propensity", "0.5"]
         ) == 1
         assert "grouping degenerate" in capsys.readouterr().err
+
+    def test_missing_data_file_is_validation_failure(self, tmp_path, capsys):
+        _, cfg = self.group_files(tmp_path)
+        missing = str(tmp_path / "missing.csv")
+        assert main(["group", "--data", missing, "--config", cfg]) == 2
+        assert "not found" in capsys.readouterr().err
+
+    def test_knn_k_above_arm_rows_is_runtime_failure(self, tmp_path, capsys):
+        # 148 control rows reach the plug-in scorer on the auxiliary half;
+        # that count depends on the realised split, not on the config
+        s = sample_1d(Dgp1dConfig(propensity="strong_selection", n=600, seed=1))
+        data = write_data_csv(
+            tmp_path / "data.csv", s.dataset.X, s.dataset.y, s.dataset.w
+        )
+        knn200 = {"kind": "knn", "k": 200}
+        blob = {
+            "columns": {"covariates": ["x1"], "outcome": "y", "treatment": "w"},
+            "group": {
+                "first_stage": "plugin",
+                "if_config": {
+                    "crossfit": {"outcome_spec": knn200, "propensity_spec": knn200},
+                    "second_stage": knn200,
+                },
+            },
+        }
+        cfg = write_json(tmp_path / "group.json", blob)
+        assert main(["group", "--data", data, "--config", cfg]) == 1
+        assert "mu0 in the plug-in fit has 148 training" in capsys.readouterr().err
 
     def test_seed_changes_split(self, tmp_path):
         data, cfg = self.group_files(tmp_path)

@@ -1,0 +1,99 @@
+"""The shared config loader behind every ``from_dict``."""
+
+import dataclasses
+
+import pytest
+
+from pseudolearn.crossfit import CrossfitConfig
+from pseudolearn.data import ColumnMap
+from pseudolearn.errors import ConfigError
+from pseudolearn.grouplearner import GroupConfig
+from pseudolearn.iflearner import IFLearnerConfig
+from pseudolearn.learners import LearnerSpec
+from pseudolearn.pseudo import PseudoOutcomeSpec
+from pseudolearn.simulate import (
+    Dgp1dConfig,
+    Dgp10dConfig,
+    ExperimentConfig,
+    MethodSpec,
+)
+
+CONFIG_CLASSES = [
+    LearnerSpec,
+    PseudoOutcomeSpec,
+    CrossfitConfig,
+    IFLearnerConfig,
+    GroupConfig,
+    ColumnMap,
+    Dgp1dConfig,
+    Dgp10dConfig,
+    MethodSpec,
+    ExperimentConfig,
+]
+
+
+@pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=lambda c: c.__name__)
+def test_unknown_key_names_the_class(cls):
+    unknown = rf"{cls.__name__}: unknown key\(s\) \['bogus'\]"
+    with pytest.raises(ConfigError, match=unknown):
+        cls.from_dict({"bogus": 1})
+
+
+def test_nested_unknown_key_names_the_nested_class():
+    with pytest.raises(ConfigError, match="LearnerSpec: unknown key"):
+        GroupConfig.from_dict(
+            {"if_config": {"crossfit": {"outcome_spec": {"neighbours": 3}}}}
+        )
+
+
+def test_missing_required_field_is_config_error():
+    with pytest.raises(ConfigError, match="MethodSpec"):
+        MethodSpec.from_dict({"name": "m"})
+
+
+def test_non_object_rejected():
+    with pytest.raises(ConfigError, match="LearnerSpec"):
+        LearnerSpec.from_dict(["knn"])
+    with pytest.raises(ConfigError, match="IFLearnerConfig.crossfit: expected an"):
+        IFLearnerConfig.from_dict({"crossfit": 5})
+    with pytest.raises(ConfigError, match="MethodSpec.group: expected an object"):
+        MethodSpec.from_dict({"name": "g", "kind": "group_if_learner", "group": 2})
+
+
+def test_nested_dicts_and_lists_load_as_configs_and_tuples():
+    cfg = GroupConfig.from_dict(
+        {
+            "n_groups": 3,
+            "if_config": {
+                "crossfit": {"outcome_spec": {"kind": "knn", "k": 4}},
+                "pseudo": {"target": "cate_ht"},
+                "second_stage": {"kind": "kernel", "bandwidth_grid": [0.1, 0.3]},
+            },
+        }
+    )
+    assert cfg.if_config.crossfit.outcome_spec == LearnerSpec(kind="knn", k=4)
+    assert cfg.if_config.pseudo.target == "cate_ht"
+    assert cfg.if_config.second_stage.bandwidth_grid == (0.1, 0.3)
+    # asdict output loads back to an equal object
+    assert GroupConfig.from_dict(dataclasses.asdict(cfg)) == cfg
+
+
+def test_group_inherits_method_if_config():
+    m = MethodSpec.from_dict(
+        {
+            "name": "g",
+            "kind": "group_if_learner",
+            "if_config": {"seed": 5, "pseudo": {"target": "cate_plugin"}},
+            "group": {"n_groups": 2},
+        }
+    )
+    assert m.group.if_config == m.if_config
+    own = MethodSpec.from_dict(
+        {
+            "name": "g",
+            "kind": "group_if_learner",
+            "if_config": {"seed": 5},
+            "group": {"n_groups": 2, "if_config": {"seed": 6}},
+        }
+    )
+    assert own.group.if_config.seed == 6

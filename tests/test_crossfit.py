@@ -7,7 +7,6 @@ from pseudolearn.crossfit import (
     CrossfitConfig,
     crossfit_nuisances,
     evaluate_propensity,
-    fixed_propensity,
     oob_nuisances,
 )
 from pseudolearn.data import Dataset, make_folds
@@ -18,6 +17,7 @@ from pseudolearn.errors import (
     SchemaError,
 )
 from pseudolearn.learners import LearnerSpec
+from pseudolearn.pseudo import PseudoOutcomeSpec
 
 KNN1 = LearnerSpec(kind="knn", k=1)
 MEAN = LearnerSpec(kind="mean")
@@ -35,10 +35,9 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
             CrossfitConfig(n_folds=1)
-        with pytest.raises(ConfigError):
-            CrossfitConfig(eps_clip=0.0)
-        with pytest.raises(ConfigError):
-            CrossfitConfig(p_clip=0.7)
+        # the clip floors live on PseudoOutcomeSpec only
+        with pytest.raises(TypeError):
+            CrossfitConfig(eps_clip=0.05)
 
 
 class TestCrossfit:
@@ -59,24 +58,18 @@ class TestCrossfit:
             np.arange(4.0).reshape(-1, 1), np.ones(4), [0, 1, 0, 1]
         )
         cfg = CrossfitConfig(
-            outcome_spec=KNN1,
-            propensity_spec=MEAN,
-            n_folds=2,
-            seed=1,
-            binary_outcome=True,
-            p_clip=0.05,
+            outcome_spec=KNN1, propensity_spec=MEAN, n_folds=2, seed=1
         )
-        nuis = crossfit_nuisances(ds, cfg)
+        pseudo = PseudoOutcomeSpec(binary_outcome=True, p_clip=0.05)
+        nuis = crossfit_nuisances(ds, cfg, pseudo)
         assert np.allclose(nuis.mu0_hat, 0.95)
         assert np.allclose(nuis.mu1_hat, 0.95)
 
     def test_binary_flag_rejects_continuous_y(self):
         ds = rct_dataset(n=40)
-        cfg = CrossfitConfig(
-            outcome_spec=KNN1, propensity_spec=MEAN, binary_outcome=True
-        )
+        cfg = CrossfitConfig(outcome_spec=KNN1, propensity_spec=MEAN)
         with pytest.raises(DomainError):
-            crossfit_nuisances(ds, cfg)
+            crossfit_nuisances(ds, cfg, PseudoOutcomeSpec(binary_outcome=True))
 
     def test_single_arm_errors(self):
         ds = Dataset(np.arange(10.0).reshape(-1, 1), np.zeros(10), np.ones(10))
@@ -145,6 +138,24 @@ class TestCrossfit:
             crossfit_nuisances(ds, cfg, folds=folds)
 
 
+class TestFitNuisance:
+    def test_too_few_rows_names_nuisance_and_fold(self):
+        # the realised arm/fold size, not the config, is at fault
+        w = np.zeros(20, dtype=int)
+        w[:5] = 1
+        ds = Dataset(np.arange(20.0).reshape(-1, 1), np.zeros(20), w)
+        knn_outcome = CrossfitConfig(
+            outcome_spec=LearnerSpec(kind="knn", k=6), propensity_spec=MEAN
+        )
+        with pytest.raises(EstimationError, match=r"mu1 in fold 0 has [0-5] training"):
+            crossfit_nuisances(ds, knn_outcome)
+        knn_pi = CrossfitConfig(
+            outcome_spec=MEAN, propensity_spec=LearnerSpec(kind="knn", k=17)
+        )
+        with pytest.raises(EstimationError, match="pi in fold 0 has 16 training"):
+            crossfit_nuisances(ds, knn_pi)
+
+
 class TestFoldHygiene:
     def test_no_model_predicts_its_own_training_rows(self):
         rng = np.random.default_rng(10)
@@ -202,7 +213,7 @@ class TestKnownPropensity:
 
     def test_constant_half(self):
         ds = rct_dataset(n=30, seed=6)
-        nuis = fixed_propensity(ds, 0.5, self.CFG)
+        nuis = crossfit_nuisances(ds, self.CFG, known_propensity=0.5)
         assert np.all(nuis.pi_hat == 0.5)
 
     def test_step_function_evaluated_rowwise(self):
@@ -238,8 +249,11 @@ class TestKnownPropensity:
     def test_outcomes_still_crossfitted(self):
         ds = rct_dataset(n=40, seed=13)
         records = []
-        fixed_propensity(
-            ds, 0.5, self.CFG, instrument=lambda *rec: records.append(rec)
+        crossfit_nuisances(
+            ds,
+            self.CFG,
+            known_propensity=0.5,
+            instrument=lambda *rec: records.append(rec),
         )
         names = {r[0] for r in records}
         assert names == {"mu0", "mu1"}  # no propensity model was fitted

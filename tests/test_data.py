@@ -71,9 +71,6 @@ class TestDataset:
 
     def test_row_and_subset(self):
         ds = toy_dataset(n=5)
-        ob = ds.row(2)
-        assert ob.y == ds.y[2]
-        assert ob.w == ds.w[2]
         sub = ds.subset([4, 0])
         assert sub.n == 2
         assert np.array_equal(sub.X[0], ds.X[4])

@@ -102,7 +102,6 @@ class TestGroupConfig:
 
     def test_ht_needs_contrast_target(self):
         rr = IFLearnerConfig(
-            crossfit=CrossfitConfig(binary_outcome=True),
             pseudo=PseudoOutcomeSpec(target="risk_ratio", binary_outcome=True),
         )
         with pytest.raises(ConfigError, match="contrast"):

@@ -49,16 +49,32 @@ def basic_config(second_stage=KERNEL03, target="cate_aipw", seed=3, **kw):
 
 class TestConfig:
     def test_clip_floor_agreement_enforced(self):
+        # floors still written under crossfit (the old JSON layout) must
+        # agree with the ones under pseudo
         with pytest.raises(ConfigError, match="eps_clip"):
-            IFLearnerConfig(
-                crossfit=CrossfitConfig(eps_clip=0.05),
-                pseudo=PseudoOutcomeSpec(eps_clip=0.01),
+            IFLearnerConfig.from_dict(
+                {"crossfit": {"eps_clip": 0.05}, "pseudo": {"eps_clip": 0.01}}
             )
         with pytest.raises(ConfigError, match="binary_outcome"):
-            IFLearnerConfig(
-                crossfit=CrossfitConfig(binary_outcome=True),
-                pseudo=PseudoOutcomeSpec(binary_outcome=False),
+            IFLearnerConfig.from_dict(
+                {
+                    "crossfit": {"binary_outcome": True},
+                    "pseudo": {"binary_outcome": False},
+                }
             )
+
+    def test_legacy_crossfit_floors_load_onto_pseudo(self):
+        floors = {"eps_clip": 0.05, "p_clip": 0.02, "binary_outcome": True}
+        pseudo = {"target": "risk_ratio", "binary_outcome": True}
+        legacy = IFLearnerConfig.from_dict(
+            {"crossfit": {"n_folds": 3, **floors}, "pseudo": pseudo}
+        )
+        current = IFLearnerConfig.from_dict(
+            {"crossfit": {"n_folds": 3}, "pseudo": {**pseudo, **floors}}
+        )
+        assert legacy == current
+        assert config_digest(legacy) == config_digest(current)
+        assert legacy.pseudo.eps_clip == 0.05 and legacy.pseudo.p_clip == 0.02
 
     def test_winsorize_range(self):
         with pytest.raises(ConfigError):

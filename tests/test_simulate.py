@@ -328,6 +328,24 @@ class TestExperimentConfigs:
             ExperimentConfig(**{**ok, "n_grid": ()})
         with pytest.raises(ConfigError, match="replications"):
             ExperimentConfig(**{**ok, "replications": 0})
+        # targets evaluate_mse has no ground truth for fail before any fit
+        for pseudo in (
+            PseudoOutcomeSpec(target="odds_ratio", binary_outcome=True),
+            PseudoOutcomeSpec(target="mar_mean"),
+        ):
+            unscorable = MethodSpec(
+                name="m", kind="if_learner", if_config=IFLearnerConfig(pseudo=pseudo)
+            )
+            with pytest.raises(ConfigError, match="cannot score"):
+                ExperimentConfig(**{**ok, "methods": (unscorable,)})
+        rr = IFLearnerConfig(
+            pseudo=PseudoOutcomeSpec(target="risk_ratio", binary_outcome=True)
+        )
+        rr_method = MethodSpec(name="rr", kind="plugin", if_config=rr)
+        with pytest.raises(ConfigError, match="without binary outcomes"):
+            ExperimentConfig(**{**ok, "methods": (rr_method,)})
+        binary = Dgp1dConfig(binary_outcome=True)
+        ExperimentConfig(**{**ok, "dgp": binary, "methods": (rr_method,)})
 
     def test_from_dict_round_trip(self):
         blob = {
@@ -379,6 +397,10 @@ class TestAggregation:
     def test_keep_mask(self):
         rows = [{"a": 0.1, "b": 0.2}, {"a": 1e6, "b": 0.1}, {"a": 0.2, "b": 0.3}]
         assert keep_mask(rows).tolist() == [True, False, True]
+        # a non-finite MSE drops its row whatever the dict order
+        nan = float("nan")
+        rows = [{"a": nan, "b": 1.0}, {"a": 1.0, "b": nan}, {"a": 1.0, "b": np.inf}]
+        assert keep_mask(rows).tolist() == [False, False, False]
 
     def test_discarded_rep_absent_from_every_method(self):
         rows = [
