@@ -168,27 +168,55 @@ class _KnnModel(FittedModel):
 
     def predict(self, Xq) -> np.ndarray:
         Xq = _as_matrix(Xq, self.n_features)
-        dist = cdist(Xq, self._X)
-        # stable sort: equal distances fall back to training-row order
-        nearest = np.argsort(dist, axis=1, kind="stable")[:, : self._k]
+        nearest = _nearest_rows(cdist(Xq, self._X), self._k)
         return self._y[nearest].mean(axis=1)
 
 
+def _nearest_rows(dist: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of the ``k`` smallest entries of each row, nearest first.
+
+    Equal to the first ``k`` columns of a stable argsort (equal distances
+    fall back to training-row order), but only ``k`` columns per row are
+    sorted.  A row whose k-th distance ties an unselected column, or is
+    NaN, takes the full stable sort.
+    """
+    if k >= dist.shape[1]:
+        return np.argsort(dist, axis=1, kind="stable")[:, :k]
+    # the k smallest in some order, then sorted by (distance, column)
+    cand = np.sort(np.argpartition(dist, k - 1, axis=1)[:, :k], axis=1)
+    d = np.take_along_axis(dist, cand, axis=1)
+    order = np.argsort(d, axis=1, kind="stable")
+    nearest = np.take_along_axis(cand, order, axis=1)
+    kth = np.take_along_axis(d, order[:, -1:], axis=1)
+    tied = np.count_nonzero(dist <= kth, axis=1) != k
+    if np.any(tied):
+        nearest[tied] = np.argsort(dist[tied], axis=1, kind="stable")[:, :k]
+    return nearest
+
+
 def _kernel_weights(dist: np.ndarray, bandwidth: float, shape: str) -> np.ndarray:
-    u = dist / bandwidth
+    """Kernel weights of a distance matrix, built in one new array."""
+    w = np.divide(dist, bandwidth)
+    np.multiply(w, w, out=w)
     if shape == "gaussian":
-        return np.exp(-0.5 * u * u)
+        # exp(-0.5 * u * u): halving is exact, so the order does not matter
+        np.multiply(w, -0.5, out=w)
+        return np.exp(w, out=w)
     # epanechnikov; the 3/4 constant cancels in the weighted mean
-    return np.maximum(0.0, 1.0 - u * u)
+    np.subtract(1.0, w, out=w)
+    return np.maximum(w, 0.0, out=w)
 
 
-def _nw_predict(Xq, Xt, yt, bandwidth, shape):
-    w = _kernel_weights(cdist(Xq, Xt), bandwidth, shape)
+def _nw_predict(dist, yt, bandwidth, shape):
+    """Nadaraya-Watson means for queries at ``dist`` (m, n) from the n training rows."""
+    w = _kernel_weights(dist, bandwidth, shape)
     tot = w.sum(axis=1)
-    out = np.empty(Xq.shape[0])
+    out = np.empty(dist.shape[0])
     dead = tot <= 0.0
     live = ~dead
-    if np.any(live):
+    if not np.any(dead):
+        out[:] = (w @ yt) / tot
+    elif np.any(live):
         out[live] = (w[live] @ yt) / tot[live]
     if np.any(dead):
         # query outside the kernel's reach: fall back to the train mean
@@ -206,7 +234,7 @@ class _KernelModel(FittedModel):
 
     def predict(self, Xq) -> np.ndarray:
         Xq = _as_matrix(Xq, self.n_features)
-        return _nw_predict(Xq, self._X, self._y, self.bandwidth, self._shape)
+        return _nw_predict(cdist(Xq, self._X), self._y, self.bandwidth, self._shape)
 
 
 def _cv_bandwidth(X, y, spec: LearnerSpec, seed: int) -> float:
@@ -220,14 +248,18 @@ def _cv_bandwidth(X, y, spec: LearnerSpec, seed: int) -> float:
     if n_folds < 2:
         return spec.bandwidth_grid[0]
     folds = make_folds(n, n_folds, seed=rngmod.derive_seed(seed, "bwcv"))
+    # one distance matrix per fold serves every bandwidth; each
+    # bandwidth's SSE still adds up its folds in fold order
+    sses = [0.0] * len(spec.bandwidth_grid)
+    for k in range(n_folds):
+        test = folds.rows_in_fold(k)
+        train = folds.train_rows(k)
+        dist = cdist(X[test], X[train])
+        for i, h in enumerate(spec.bandwidth_grid):
+            pred = _nw_predict(dist, y[train], h, spec.kernel_shape)
+            sses[i] += float(np.sum((pred - y[test]) ** 2))
     best_h, best_sse = None, math.inf
-    for h in spec.bandwidth_grid:
-        sse = 0.0
-        for k in range(n_folds):
-            test = folds.rows_in_fold(k)
-            train = folds.train_rows(k)
-            pred = _nw_predict(X[test], X[train], y[train], h, spec.kernel_shape)
-            sse += float(np.sum((pred - y[test]) ** 2))
+    for h, sse in zip(spec.bandwidth_grid, sses):
         if sse < best_sse:
             best_h, best_sse = h, sse
     return best_h

@@ -86,6 +86,31 @@ class TestKnn:
         model = fit_learner(LearnerSpec(kind="knn", k=1), X, y)
         assert np.allclose(model.predict(X), y)
 
+    def test_partial_selection_matches_stable_sort(self):
+        # integer grids tie many distances at the k-th place; uniform
+        # draws tie none; both must match the first k of a stable sort
+        from scipy.spatial.distance import cdist
+
+        from pseudolearn.learners import _nearest_rows
+
+        rng = np.random.default_rng(5)
+        for X, Xq in (
+            (col(rng.integers(0, 6, size=40)), col(rng.integers(0, 6, size=25))),
+            (rng.uniform(size=(60, 2)), rng.uniform(size=(30, 2))),
+        ):
+            dist = cdist(Xq, X)
+            full = np.argsort(dist, axis=1, kind="stable")
+            for k in (1, 2, 7, X.shape[0] - 1, X.shape[0]):
+                assert np.array_equal(_nearest_rows(dist, k), full[:, :k])
+
+    def test_nan_distance_takes_full_sort(self):
+        from pseudolearn.learners import _nearest_rows
+
+        dist = np.array([[np.nan, 0.5, 0.2, np.nan], [0.3, 0.1, 0.3, 0.2]])
+        full = np.argsort(dist, axis=1, kind="stable")
+        for k in (1, 2, 3):
+            assert np.array_equal(_nearest_rows(dist, k), full[:, :k])
+
 
 class TestKernel:
     def test_gaussian_hand_oracle(self):
