@@ -19,6 +19,7 @@ estimation failed at runtime, 2 invalid input or configuration.
 from __future__ import annotations
 
 import argparse
+import ast
 import dataclasses
 import json
 import sys
@@ -80,16 +81,68 @@ def _write_manifest(out_path: str, command: str, config: dict) -> None:
         f.write("\n")
 
 
+# the names and numpy functions a --known-propensity expression may use
+_NP_FUNCTIONS = (
+    "tanh", "exp", "log", "sqrt", "sin", "cos", "abs",
+    "minimum", "maximum", "clip", "where",
+)
+_EXPRESSION_NODES = (
+    ast.Expression, ast.BinOp, ast.UnaryOp, ast.BoolOp, ast.Compare, ast.IfExp,
+    ast.expr_context, ast.operator, ast.unaryop, ast.boolop, ast.cmpop,
+)
+
+
+def _check_expression(tree: ast.Expression, expr: str) -> None:
+    """Reject any syntax outside the arithmetic whitelist.
+
+    Allowed: numeric constants, ``x[...]``, ``abs(...)``,
+    ``np.<f>(...)`` for ``f`` in ``_NP_FUNCTIONS``, arithmetic,
+    comparisons, ``and``/``or``/``not`` and conditional expressions.
+    """
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            ok = (
+                isinstance(node.value, ast.Name)
+                and node.value.id == "np"
+                and node.attr in _NP_FUNCTIONS
+            )
+        elif isinstance(node, ast.Name):
+            ok = node.id in ("x", "np", "abs")
+        elif isinstance(node, ast.Constant):
+            ok = type(node.value) in (int, float, bool)
+        elif isinstance(node, ast.Subscript):
+            ok = isinstance(node.value, ast.Name) and node.value.id == "x"
+        elif isinstance(node, ast.Call):
+            ok = not node.keywords and (
+                isinstance(node.func, ast.Attribute)
+                or (isinstance(node.func, ast.Name) and node.func.id == "abs")
+            )
+        else:
+            ok = isinstance(node, _EXPRESSION_NODES)
+        if not ok:
+            raise ConfigError(
+                f"propensity expression {expr!r} uses {ast.unparse(node)!r}, "
+                "which is not allowed; use x[i], numbers, arithmetic, "
+                "comparisons, abs and "
+                f"np.{{{','.join(_NP_FUNCTIONS)}}}"
+            )
+
+
 def propensity_expression(expr: str):
     """Compile a --known-propensity expression into a row-wise callable.
 
     The expression sees the covariate row as ``x`` (a float array) and
-    ``np``; for example ``"0.1 + 0.8*(x[0] > 0)"``.
+    may call ``abs`` and a few elementwise ``np`` functions; for example
+    ``"0.1 + 0.8*(x[0] > 0)"``.  Anything else (other names, attribute
+    access, strings) is a ``ConfigError`` when the expression is
+    compiled.
     """
     try:
-        code = compile(expr, "<known-propensity>", "eval")
+        tree = ast.parse(expr, "<known-propensity>", mode="eval")
     except SyntaxError as e:
         raise ConfigError(f"bad propensity expression {expr!r}: {e}") from None
+    _check_expression(tree, expr)
+    code = compile(tree, "<known-propensity>", "eval")
 
     def pi(x):
         try:
@@ -154,6 +207,11 @@ def cmd_fit(args) -> int:
     variant = blob.get("variant", "if_learner")
     if variant not in FIT_VARIANTS:
         raise ConfigError(f"variant must be one of {FIT_VARIANTS}, got {variant!r}")
+    known = (
+        propensity_expression(args.known_propensity)
+        if args.known_propensity
+        else None
+    )
     data = load_csv(args.data, columns)
     if (args.query is None) == (args.grid is None):
         raise ConfigError("exactly one of --query or --grid is required")
@@ -161,11 +219,6 @@ def cmd_fit(args) -> int:
         Xq = read_csv_columns(args.query, columns.covariates)
     else:
         Xq = _parse_grid(args.grid, len(columns.covariates))
-    known = (
-        propensity_expression(args.known_propensity)
-        if args.known_propensity
-        else None
-    )
     if variant == "plugin":
         model = fit_plugin_learner(data, icfg)
     else:
@@ -206,12 +259,12 @@ def cmd_group(args) -> int:
             seed=args.seed,
             if_config=_seeded_if_config(gcfg.if_config, args.seed),
         )
-    data = load_csv(args.data, columns)
     known = (
         propensity_expression(args.known_propensity)
         if args.known_propensity
         else None
     )
+    data = load_csv(args.data, columns)
     estimates = fit_group_learner(data, gcfg, known_propensity=known)
     out = args.out or "group_report.csv"
     estimates.to_csv(out)

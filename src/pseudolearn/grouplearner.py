@@ -133,9 +133,10 @@ def _critical_values(cfg: GroupConfig, n_g: np.ndarray) -> np.ndarray:
 class GroupEstimates:
     """Per-group targets with variances and confidence intervals.
 
-    ``cutpoints`` are the empirical score quantiles separating the
-    groups; a score exactly equal to a cutpoint belongs to the lower
-    group.  Arrays are index-aligned, one entry per group.
+    ``cutpoints`` separate the groups: the empirical score quantiles,
+    merged where tied scores left a group with fewer than 2 rows (see
+    ``_group_cutpoints``).  A score exactly equal to a cutpoint belongs
+    to the lower group.  Arrays are index-aligned, one entry per group.
     """
 
     cutpoints: np.ndarray
@@ -226,6 +227,47 @@ class GroupEstimates:
         return json.dumps(payload, sort_keys=True)
 
 
+def _group_cutpoints(scores, G: int) -> np.ndarray:
+    """Score quantile cutpoints, merged until every group has 2+ rows.
+
+    The plain split at the G-quantiles is kept whenever each of its G
+    groups has at least 2 rows.  Tied scores (from step-function
+    learners) can make cutpoints coincide or leave a group too small;
+    then the first such group merges into its smaller neighbour (the
+    lower one on a tie) by dropping the cutpoint between them, until
+    every group has 2+ rows.  If that leaves a single group, the most
+    balanced split into two groups of 2+ rows is used instead; with no
+    such split the grouping fails.
+    """
+    n = scores.size
+    cuts = np.quantile(scores, np.arange(1, G) / G)
+    first_small = None
+    while cuts.size:
+        counts = np.bincount(
+            np.searchsorted(cuts, scores, side="left"), minlength=cuts.size + 1
+        )
+        small = np.flatnonzero(counts < 2)
+        if small.size == 0:
+            return cuts
+        g = int(small[0])
+        if first_small is None:
+            first_small = (g, int(counts[g]))
+        lower = g == cuts.size or (g > 0 and counts[g - 1] <= counts[g + 1])
+        cuts = np.delete(cuts, g - 1 if lower else g)
+    values, tally = np.unique(scores, return_counts=True)
+    below = np.cumsum(tally)[:-1]
+    ok = (below >= 2) & (n - below >= 2)
+    if not np.any(ok):
+        g, count = first_small
+        raise EstimationError(
+            f"grouping degenerate: group {g + 1} of {G} has {count} row(s) "
+            "after the quantile split, and no two groups of at least 2 rows "
+            "can be formed from the scores"
+        )
+    best = int(np.argmin(np.where(ok, np.abs(2 * below - n), np.inf)))
+    return values[best : best + 1]
+
+
 def fit_group_learner(
     data: Dataset,
     cfg: GroupConfig,
@@ -296,19 +338,14 @@ def fit_group_learner(
         )
         d = build_pseudo_outcomes(est, nuis, cfg.if_config.pseudo).d
 
-    cutpoints = np.quantile(scores, np.arange(1, G) / G)
+    cutpoints = _group_cutpoints(scores, G)
     gidx = np.searchsorted(cutpoints, scores, side="left")
-    counts = np.bincount(gidx, minlength=G)
-    for g in range(G):
-        if counts[g] < 2:
-            raise EstimationError(
-                f"grouping degenerate: group {g + 1} of {G} has "
-                f"{counts[g]} row(s) after the quantile split"
-            )
+    counts = np.bincount(gidx, minlength=cutpoints.size + 1)
+    n_realised = counts.size
 
-    psi = np.empty(G)
-    var = np.empty(G)
-    for g in range(G):
+    psi = np.empty(n_realised)
+    var = np.empty(n_realised)
+    for g in range(n_realised):
         psi[g], var[g] = group_efficient_estimate(d[gidx == g])
     crit = _critical_values(cfg, counts)
     half = crit * np.sqrt(var)
@@ -320,7 +357,8 @@ def fit_group_learner(
         "n": int(n),
         "n_aux": int(n_aux),
         "n_est": int(n_est),
-        "n_groups": int(G),
+        "n_groups": int(n_realised),
+        "n_groups_requested": int(G),
         "ci_level": float(cfg.ci_level),
         "pseudo_mean": float(d.mean()),
         "config_hash": config_digest(cfg),

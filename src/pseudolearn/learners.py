@@ -278,29 +278,38 @@ class _Tree:
     estimation_rows: np.ndarray
 
 
-def _best_split_for_feature(vals, ys, min_leaf):
-    """Best SSE-reducing cut on one feature, or None.
+def _best_split(block, ys, min_leaf):
+    """Best SSE-reducing cut over all columns of a node's block, or None.
 
-    Cuts sit at midpoints between consecutive distinct sorted values.
-    Returns (sse_reduction, threshold); the first maximal cut (lowest
-    threshold) wins on ties via argmax.
+    ``block`` is the node's rows x candidate-features matrix.  Cuts sit
+    at midpoints between consecutive distinct sorted values of a column.
+    Returns (sse_reduction, column, threshold) for a cut with positive
+    reduction.  Ties go to the lowest threshold within a column, then to
+    the lowest column (the first maximum of each argmax).
     """
-    order = np.argsort(vals, kind="stable")
-    v = vals[order]
-    s = ys[order]
-    n = v.shape[0]
-    csum = np.cumsum(s)
-    total = csum[-1]
-    n_left = np.arange(1, n)
-    ok = (v[1:] > v[:-1]) & (n_left >= min_leaf) & ((n - n_left) >= min_leaf)
-    if not np.any(ok):
+    n = block.shape[0]
+    if n < 2 * min_leaf:
         return None
-    s_left = csum[:-1]
+    cols = np.arange(block.shape[1])
+    order = np.argsort(block, axis=0, kind="stable")
+    v = block[order, cols]
+    csum = np.cumsum(ys[order], axis=0)
+    total = csum[-1]
+    # cut i (between sorted rows i and i+1) leaves i+1 rows on the left;
+    # only cuts min_leaf-1 .. n-min_leaf-1 leave min_leaf rows each side
+    lo, hi = min_leaf - 1, n - min_leaf
+    n_left = np.arange(min_leaf, n - min_leaf + 1)[:, None]
+    s_left = csum[lo:hi]
     score = s_left**2 / n_left + (total - s_left) ** 2 / (n - n_left)
-    score[~ok] = -np.inf
-    best = int(np.argmax(score))
-    threshold = 0.5 * (v[best] + v[best + 1])
-    return float(score[best] - total * total / n), float(threshold)
+    score[~(v[lo + 1 : hi + 1] > v[lo:hi])] = -np.inf  # equal (or NaN) values
+    best = np.argmax(score, axis=0)
+    reduction = score[best, cols] - total * total / n
+    reduction[~(reduction > 0.0)] = -np.inf
+    col = int(np.argmax(reduction))
+    if not reduction[col] > 0.0:
+        return None
+    c = lo + best[col]
+    return float(reduction[col]), col, float(0.5 * (v[c, col] + v[c + 1, col]))
 
 
 def _grow_tree(Xs, ys, min_leaf, mtry, tree_rng):
@@ -311,42 +320,32 @@ def _grow_tree(Xs, ys, min_leaf, mtry, tree_rng):
     """
     d = Xs.shape[1]
     feature, threshold, left, right = [], [], [], []
-    node_rows = []  # structure rows per node, kept for nothing after build
 
     def new_node():
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
-        node_rows.append(None)
         return len(feature) - 1
 
     root = new_node()
     stack = [(root, np.arange(Xs.shape[0]))]
     while stack:
         node, rows = stack.pop()
-        node_rows[node] = rows
         y_node = ys[rows]
         if rows.shape[0] < 2 * min_leaf or np.ptp(y_node) == 0.0:
             continue
-        if mtry >= d:
-            candidates = range(d)
-        else:
-            # sorted so the lowest-feature tie-break is scan order
+        block, candidates = Xs[rows], np.arange(d)
+        if mtry < d:
+            # sorted so the lowest-feature tie-break is column order
             candidates = np.sort(tree_rng.choice(d, size=mtry, replace=False))
-        best = None  # (reduction, feature, threshold)
-        for j in candidates:
-            found = _best_split_for_feature(Xs[rows, j], y_node, min_leaf)
-            if found is None:
-                continue
-            reduction, thr = found
-            if reduction > 0.0 and (best is None or reduction > best[0]):
-                best = (reduction, int(j), thr)
+            block = block[:, candidates]
+        best = _best_split(block, y_node, min_leaf)
         if best is None:
             continue
-        _, j, thr = best
-        go_left = Xs[rows, j] <= thr
-        feature[node] = j
+        _, col, thr = best
+        go_left = block[:, col] <= thr
+        feature[node] = int(candidates[col])
         threshold[node] = thr
         lid, rid = new_node(), new_node()
         left[node], right[node] = lid, rid

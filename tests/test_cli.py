@@ -403,3 +403,46 @@ class TestPropensityExpression:
         pi = propensity_expression("x[7]")
         with pytest.raises(ConfigError, match="failed"):
             pi(np.array([0.1]))
+
+    def test_whitelisted_syntax_compiles(self):
+        pi = propensity_expression(
+            "np.clip(abs(x[0]), 0.1, 0.9) if x[0] > 0 and not x[0] > 5 "
+            "else np.where(x[0] < -1, 0.2, 0.3)"
+        )
+        assert pi(np.array([0.5])) == 0.5
+        assert pi(np.array([-2.0])) == 0.2
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "np.save('p', x)",
+            "x.__class__",
+            "np.exp(x[0], out=x)",
+            "__import__('os')",
+            "(lambda: 0.5)()",
+            "x[0:1]",
+            "'0.5'",
+        ],
+    )
+    def test_outside_whitelist_rejected_when_compiled(self, expr):
+        with pytest.raises(ConfigError, match="not allowed"):
+            propensity_expression(expr)
+
+    @pytest.mark.parametrize("command", ["fit", "group"])
+    @pytest.mark.parametrize("expr", ["np.save('p', x)", "x.__class__"])
+    def test_cli_rejects_before_reading_data(
+        self, tmp_path, monkeypatch, capsys, command, expr
+    ):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_json(
+            tmp_path / "cfg.json",
+            {"columns": {"covariates": ["x1"], "outcome": "y", "treatment": "w"}},
+        )
+        argv = [command, "--data", str(tmp_path / "absent.csv"), "--config", cfg,
+                "--known-propensity", expr, "--out", "out.csv"]
+        if command == "fit":
+            argv.append("--grid=-1:1:3")
+        assert main(argv) == 2
+        # the expression is refused before the (missing) data file is opened
+        assert "not allowed" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]

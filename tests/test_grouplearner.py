@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from pseudolearn.crossfit import CrossfitConfig
@@ -12,6 +14,7 @@ from pseudolearn.errors import ConfigError, EstimationError, SchemaError
 from pseudolearn.grouplearner import (
     GroupConfig,
     GroupEstimates,
+    _group_cutpoints,
     fit_group_learner,
     group_efficient_estimate,
     group_ht_estimate,
@@ -19,6 +22,7 @@ from pseudolearn.grouplearner import (
 from pseudolearn.iflearner import IFLearnerConfig
 from pseudolearn.learners import LearnerSpec
 from pseudolearn.pseudo import PseudoOutcomeSpec, aipw_pseudo
+from pseudolearn.simulate import Dgp1dConfig, sample_1d
 
 Z95 = float(ndtri(0.975))
 
@@ -270,6 +274,80 @@ class TestFitGroupLearner:
         ds = Dataset(np.zeros((50, 1)), np.zeros(50))
         with pytest.raises(SchemaError, match="treatment"):
             fit_group_learner(ds, GroupConfig(if_config=FAST_IF))
+
+
+class TestTiedScores:
+    # a plug-in forest scorer on the 1-d design predicts a step function
+    # with a few heavily tied values
+    FOREST = LearnerSpec(kind="forest", n_trees=20, min_leaf=20)
+    CFG = GroupConfig(
+        n_groups=5,
+        first_stage="plugin",
+        if_config=IFLearnerConfig(
+            crossfit=CrossfitConfig(outcome_spec=FOREST, propensity_spec=FOREST),
+            second_stage=FOREST,
+        ),
+    )
+
+    @pytest.mark.parametrize("seed", [1, 3, 4])
+    def test_forest_scorer_groups_merge(self, seed):
+        ds = sample_1d(Dgp1dConfig(n=600, seed=seed)).dataset
+        est = fit_group_learner(ds, self.CFG, known_propensity=0.5)
+        assert 2 <= est.n_groups < 5
+        assert est.provenance["n_groups"] == est.n_groups
+        assert est.provenance["n_groups_requested"] == 5
+        assert np.all(est.n_g >= 2)
+        assert np.all(np.diff(est.cutpoints) > 0)
+        # the stored cutpoints reproduce the grouping of the estimation half
+        scores = est.scorer.predict(ds.X)
+        assert set(np.unique(est.assign(scores))) == set(range(est.n_groups))
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_constant_forest_scorer_still_fails(self, seed):
+        # too few rows per tree to split: every prediction is one value
+        ds = sample_1d(Dgp1dConfig(n=600, seed=seed)).dataset
+        with pytest.raises(EstimationError, match="no two groups"):
+            fit_group_learner(ds, self.CFG, known_propensity=0.5)
+
+    def test_untied_split_keeps_quantiles(self):
+        scores = np.arange(20.0)
+        cuts = _group_cutpoints(scores, 4)
+        assert np.array_equal(cuts, np.quantile(scores, [0.25, 0.5, 0.75]))
+
+    def test_one_heavy_value_splits_off_the_rest(self):
+        # every quantile cut lands on the heavy top value
+        scores = np.array([0.0, 0.0] + [1.0] * 100)
+        assert np.array_equal(_group_cutpoints(scores, 5), [0.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(2, 8).flatmap(
+            lambda G: st.tuples(
+                st.just(G),
+                st.lists(st.integers(0, 6), min_size=2 * G, max_size=60),
+            )
+        )
+    )
+    def test_groups_nonempty_when_two_values_repeat(self, case):
+        G, values = case
+        scores = np.array(values, dtype=float)
+        _, tally = np.unique(scores, return_counts=True)
+        try:
+            cuts = _group_cutpoints(scores, G)
+        except EstimationError:
+            assert np.sum(tally >= 2) < 2
+            return
+        counts = np.bincount(
+            np.searchsorted(cuts, scores, side="left"), minlength=cuts.size + 1
+        )
+        assert 2 <= counts.size <= G
+        assert np.all(counts >= 2)
+        quantile = np.quantile(scores, np.arange(1, G) / G)
+        plain = np.bincount(
+            np.searchsorted(quantile, scores, side="left"), minlength=G
+        )
+        if np.all(plain >= 2):
+            assert np.array_equal(cuts, quantile)
 
 
 class TestKnownPiUnbiasedness:

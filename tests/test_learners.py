@@ -1,10 +1,16 @@
 """Regression learners: hand oracles, invariants, determinism."""
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pseudolearn.errors import ConfigError, DomainError, SchemaError
-from pseudolearn.learners import LearnerSpec, fit_learner, fit_probability
+from pseudolearn.learners import LearnerSpec, _best_split, fit_learner, fit_probability
 
 
 def col(v):
@@ -357,6 +363,140 @@ class TestForest:
                 col([0, 1, 2]),
                 [0.0, 1.0, 2.0],
             )
+
+
+def _reference_best_split(block, ys, min_leaf):
+    """The per-feature split scan the block search replaced.
+
+    Scores one column at a time and keeps the first strictly larger
+    positive reduction, so it states the tie rules independently of
+    the vectorised search.
+    """
+    best = None
+    for j in range(block.shape[1]):
+        order = np.argsort(block[:, j], kind="stable")
+        v = block[order, j]
+        s = ys[order]
+        n = v.shape[0]
+        csum = np.cumsum(s)
+        total = csum[-1]
+        n_left = np.arange(1, n)
+        ok = (v[1:] > v[:-1]) & (n_left >= min_leaf) & ((n - n_left) >= min_leaf)
+        if not np.any(ok):
+            continue
+        s_left = csum[:-1]
+        score = s_left**2 / n_left + (total - s_left) ** 2 / (n - n_left)
+        score[~ok] = -np.inf
+        cut = int(np.argmax(score))
+        reduction = float(score[cut] - total * total / n)
+        if reduction > 0.0 and (best is None or reduction > best[0]):
+            best = (reduction, j, float(0.5 * (v[cut] + v[cut + 1])))
+    return best
+
+
+@st.composite
+def _split_blocks(draw):
+    n = draw(st.integers(2, 40))
+    k = draw(st.integers(1, 6))
+    # few distinct values per column and in y: many tied cuts and scores
+    levels = draw(st.integers(1, 5))
+    block = draw(arrays(float, (n, k), elements=st.integers(0, levels).map(float)))
+    ys = draw(
+        st.one_of(
+            arrays(float, n, elements=st.integers(0, 1).map(float)),
+            arrays(float, n, elements=st.floats(-100, 100, width=32)),
+        )
+    )
+    return block, ys, draw(st.integers(1, n))
+
+
+class TestBlockSplitSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(_split_blocks())
+    def test_matches_per_feature_scan(self, case):
+        block, ys, min_leaf = case
+        assert _best_split(block, ys, min_leaf) == _reference_best_split(
+            block, ys, min_leaf
+        )
+
+
+# sha256 prefixes of every tree's feature/threshold/left/right/value
+# arrays, keyed by (d, features_per_split, min_leaf, honest, binary y);
+# any change to how trees grow changes them
+_TREE_DIGESTS = {
+    (1, None, 1, True, True): "d681c7649990e6d7",
+    (1, None, 1, True, False): "ff311da5aa72f46f",
+    (1, None, 1, False, True): "8d85a8eb5c6c1442",
+    (1, None, 1, False, False): "a6a5bd44227338a6",
+    (1, None, 10, True, True): "16ce6f3e4bf6d69e",
+    (1, None, 10, True, False): "71d4844ea626edab",
+    (1, None, 10, False, True): "f6c7819164f1cb83",
+    (1, None, 10, False, False): "4c312a2d8d2fcf44",
+    (10, None, 1, True, True): "17bb3f93926e540d",
+    (10, 1, 1, True, True): "f78a6f3e4a504915",
+    (10, 5, 1, True, True): "815c22542b05a6e6",
+    (10, None, 1, True, False): "558762c5a01222e0",
+    (10, 1, 1, True, False): "f0c1d3c356735d65",
+    (10, 5, 1, True, False): "7f57d078c06035b1",
+    (10, None, 1, False, True): "86f7499f2d4490fd",
+    (10, 1, 1, False, True): "8a36080c5ad90c98",
+    (10, 5, 1, False, True): "f2adae558992453e",
+    (10, None, 1, False, False): "ea5a642f33a2d729",
+    (10, 1, 1, False, False): "5fa0fe6e7ed20a47",
+    (10, 5, 1, False, False): "225b6b4eb00b67e5",
+    (10, None, 10, True, True): "9b306268a99ef748",
+    (10, 1, 10, True, True): "79744355f9583883",
+    (10, 5, 10, True, True): "e395d44ac954898a",
+    (10, None, 10, True, False): "0364c1d2f3d367b7",
+    (10, 1, 10, True, False): "b85c39cd4f5863ea",
+    (10, 5, 10, True, False): "fc4852d9ea36dff2",
+    (10, None, 10, False, True): "f249f99c5e779c7a",
+    (10, 1, 10, False, True): "4b13a06f24e53cb4",
+    (10, 5, 10, False, True): "48d53103f826b218",
+    (10, None, 10, False, False): "e4e4f466baf10447",
+    (10, 1, 10, False, False): "f82929e310a47c33",
+    (10, 5, 10, False, False): "19151e43a9d43bcb",
+}
+
+
+def _tree_digest(model):
+    h = hashlib.sha256()
+    for tree in model._trees:
+        for arr, dtype in (
+            (tree.feature, "<i8"),
+            (tree.threshold, "<f8"),
+            (tree.left, "<i8"),
+            (tree.right, "<i8"),
+            (tree.value, "<f8"),
+        ):
+            h.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestTreeDigests:
+    @pytest.mark.parametrize(
+        "d,min_leaf,honest,binary",
+        list(itertools.product((1, 10), (1, 10), (True, False), (True, False))),
+    )
+    def test_trees_are_pinned(self, d, min_leaf, honest, binary):
+        rng = np.random.default_rng(1000 * d + min_leaf)
+        # one decimal: about eleven distinct values per covariate
+        X = rng.uniform(size=(150, d)).round(1)
+        if binary:
+            y = (rng.uniform(size=150) < 0.3 + 0.4 * X[:, 0]).astype(float)
+        else:
+            y = (X[:, 0] + X[:, -1] ** 2 + 0.5 * rng.normal(size=150)).round(1)
+        for fps in (None, 1, d // 2) if d > 1 else (None,):
+            spec = LearnerSpec(
+                kind="forest",
+                n_trees=4,
+                min_leaf=min_leaf,
+                features_per_split=fps,
+                honest=honest,
+            )
+            model = fit_learner(spec, X, y, seed=7)
+            key = (d, fps, min_leaf, honest, binary)
+            assert _tree_digest(model) == _TREE_DIGESTS[key], key
 
 
 class TestProbabilityFit:
