@@ -81,11 +81,12 @@ def _write_manifest(out_path: str, command: str, config: dict) -> None:
         f.write("\n")
 
 
-# the names and numpy functions a --known-propensity expression may use
-_NP_FUNCTIONS = (
-    "tanh", "exp", "log", "sqrt", "sin", "cos", "abs",
-    "minimum", "maximum", "clip", "where",
-)
+# the numpy functions a --known-propensity expression may call, with the
+# most positional arguments each takes (one more would be ``out``)
+_NP_FUNCTIONS = {
+    "tanh": 1, "exp": 1, "log": 1, "sqrt": 1, "sin": 1, "cos": 1, "abs": 1,
+    "minimum": 2, "maximum": 2, "clip": 3, "where": 3,
+}
 _EXPRESSION_NODES = (
     ast.Expression, ast.BinOp, ast.UnaryOp, ast.BoolOp, ast.Compare, ast.IfExp,
     ast.expr_context, ast.operator, ast.unaryop, ast.boolop, ast.cmpop,
@@ -114,7 +115,10 @@ def _check_expression(tree: ast.Expression, expr: str) -> None:
             ok = isinstance(node.value, ast.Name) and node.value.id == "x"
         elif isinstance(node, ast.Call):
             ok = not node.keywords and (
-                isinstance(node.func, ast.Attribute)
+                (
+                    isinstance(node.func, ast.Attribute)
+                    and len(node.args) <= _NP_FUNCTIONS.get(node.func.attr, 0)
+                )
                 or (isinstance(node.func, ast.Name) and node.func.id == "abs")
             )
         else:
@@ -128,14 +132,48 @@ def _check_expression(tree: ast.Expression, expr: str) -> None:
             )
 
 
+def _elementwise(tree: ast.Expression) -> bool:
+    """Whether the expression may see whole covariate columns as ``x[i]``.
+
+    It may when every ``x`` is indexed by an integer literal and nothing
+    takes the truth value of a number (``and``, ``or``, ``not``, a
+    conditional expression, a chained comparison): an array has none.
+    ``**`` also stays row-wise, since numpy's scalar and array powers
+    can differ in the last bit.
+    """
+    indexed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BoolOp, ast.Not, ast.IfExp, ast.Pow)) or (
+            isinstance(node, ast.Compare) and len(node.ops) > 1
+        ):
+            return False
+        if isinstance(node, ast.Subscript):
+            index = node.slice
+            if isinstance(index, ast.UnaryOp) and isinstance(index.op, ast.USub):
+                index = index.operand
+            if not (isinstance(index, ast.Constant) and type(index.value) is int):
+                return False
+            indexed.add(id(node.value))
+    return all(
+        id(node) in indexed
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "x"
+    )
+
+
 def propensity_expression(expr: str):
     """Compile a --known-propensity expression into a row-wise callable.
 
     The expression sees the covariate row as ``x`` (a float array) and
     may call ``abs`` and a few elementwise ``np`` functions; for example
     ``"0.1 + 0.8*(x[0] > 0)"``.  Anything else (other names, attribute
-    access, strings) is a ``ConfigError`` when the expression is
-    compiled.
+    access, strings, an ``out`` argument) is a ``ConfigError`` when the
+    expression is compiled.
+
+    The callable's ``on_rows(X)`` gives the values of all rows of ``X``.
+    It evaluates an elementwise expression once, on the columns of
+    ``X``, and any other once per row; the bits are those of the
+    row-wise calls either way.
     """
     try:
         tree = ast.parse(expr, "<known-propensity>", mode="eval")
@@ -143,10 +181,11 @@ def propensity_expression(expr: str):
         raise ConfigError(f"bad propensity expression {expr!r}: {e}") from None
     _check_expression(tree, expr)
     code = compile(tree, "<known-propensity>", "eval")
+    by_column = _elementwise(tree)
 
-    def pi(x):
+    def evaluate(x, convert):
         try:
-            return float(
+            return convert(
                 eval(code, {"__builtins__": {}}, {"x": x, "np": np, "abs": abs})
             )
         except PseudolearnError:
@@ -156,6 +195,21 @@ def propensity_expression(expr: str):
                 f"propensity expression {expr!r} failed: {e}"
             ) from None
 
+    def pi(x):
+        return evaluate(x, float)
+
+    def on_rows(X):
+        n = X.shape[0]
+        if not by_column or n == 0:
+            return np.asarray([pi(x) for x in X])
+
+        def column(v):
+            # a result that does not involve x holds for every row
+            return np.full(n, float(v)) if np.ndim(v) == 0 else np.asarray(v, float)
+
+        return evaluate(np.ascontiguousarray(X.T), column)
+
+    pi.on_rows = on_rows
     return pi
 
 

@@ -103,9 +103,13 @@ def evaluate_nuisance(data: Dataset, value, name: str) -> np.ndarray:
     """Per-row values of a nuisance given as a scalar, an array or a callable.
 
     An array must have one entry per row; a callable is applied to each
-    covariate row.
+    covariate row, or to all rows at once through its ``on_rows(X)``
+    method when it has one.
     """
     if callable(value):
+        on_rows = getattr(value, "on_rows", None)
+        if on_rows is not None:
+            return on_rows(data.X)
         return np.asarray([float(value(x)) for x in data.X])
     if np.isscalar(value):
         return np.full(data.n, float(value))
@@ -118,10 +122,10 @@ def evaluate_nuisance(data: Dataset, value, name: str) -> np.ndarray:
 
 
 def evaluate_propensity(data: Dataset, pi_fn, eps_clip: float) -> np.ndarray:
-    """Row-wise evaluation of a known propensity, validated then clipped.
+    """Per-row values of a known propensity, validated then clipped.
 
     ``pi_fn`` may be a scalar, an array of length n, or a callable
-    applied to each covariate row.  Values must lie strictly inside
+    (see :func:`evaluate_nuisance`).  Values must lie strictly inside
     (0, 1) before clipping; anything else is an overlap violation.
     """
     vals = evaluate_nuisance(data, pi_fn, "propensity")

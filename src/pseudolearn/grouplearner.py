@@ -255,6 +255,13 @@ def _group_cutpoints(scores, G: int) -> np.ndarray:
         lower = g == cuts.size or (g > 0 and counts[g - 1] <= counts[g + 1])
         cuts = np.delete(cuts, g - 1 if lower else g)
     values, tally = np.unique(scores, return_counts=True)
+    if values.size == 1:
+        raise EstimationError(
+            f"grouping degenerate: the scorer predicted one value "
+            f"({values[0]:.6g}) for all {n} estimation rows, so no two groups "
+            "can be formed (a forest whose structure half has fewer than "
+            "2*min_leaf rows never splits and predicts one value)"
+        )
     below = np.cumsum(tally)[:-1]
     ok = (below >= 2) & (n - below >= 2)
     if not np.any(ok):

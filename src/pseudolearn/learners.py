@@ -129,6 +129,45 @@ def _as_matrix(Xq, d: int) -> np.ndarray:
     return Xq
 
 
+# Pairwise work runs over blocks of query rows whose distance matrix holds
+# about this many float64 entries (512 KiB), so each pass over a block
+# stays in cache and memory is O(block + m + n) rather than O(m * n).
+_BLOCK_ENTRIES = 2**16
+
+
+def _row_blocks(m: int, n: int):
+    """Slices covering query rows 0..m, about ``_BLOCK_ENTRIES / n`` rows each.
+
+    Block lengths are multiples of 8 and a 1-row tail joins the block
+    before it.  OpenBLAS then gives every row of a blocked matrix-vector
+    product the same bits as the product over all m rows (a block of 2
+    or 3 rows, or a lone last row, would not).
+    """
+    step = max(8, _BLOCK_ENTRIES // max(n, 1) // 8 * 8)
+    start = 0
+    while start < m:
+        stop = start + step
+        if m - stop <= 1:
+            stop = m
+        yield slice(start, stop)
+        start = stop
+
+
+def _distances(Xq: np.ndarray, Xt: np.ndarray) -> np.ndarray:
+    """Euclidean distances (m, n), equal to ``cdist`` bit for bit.
+
+    With one feature ``sqrt((a - b)**2)`` on the outer difference skips
+    cdist's per-pair overhead; it over- and underflows exactly as cdist
+    does (``abs(a - b)`` would not: it keeps 2e170 and 3e-170).
+    """
+    if Xq.shape[1] != 1:
+        return cdist(Xq, Xt)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        dist = np.subtract.outer(Xq[:, 0], Xt[:, 0])
+        np.multiply(dist, dist, out=dist)
+    return np.sqrt(dist, out=dist)
+
+
 class FittedModel:
     """A frozen regression fit: ``predict`` maps (m, d) points to (m,).
 
@@ -168,8 +207,11 @@ class _KnnModel(FittedModel):
 
     def predict(self, Xq) -> np.ndarray:
         Xq = _as_matrix(Xq, self.n_features)
-        nearest = _nearest_rows(cdist(Xq, self._X), self._k)
-        return self._y[nearest].mean(axis=1)
+        out = np.empty(Xq.shape[0])
+        for rows in _row_blocks(Xq.shape[0], self._X.shape[0]):
+            nearest = _nearest_rows(_distances(Xq[rows], self._X), self._k)
+            out[rows] = self._y[nearest].mean(axis=1)
+        return out
 
 
 def _nearest_rows(dist: np.ndarray, k: int) -> np.ndarray:
@@ -194,34 +236,51 @@ def _nearest_rows(dist: np.ndarray, k: int) -> np.ndarray:
     return nearest
 
 
-def _kernel_weights(dist: np.ndarray, bandwidth: float, shape: str) -> np.ndarray:
-    """Kernel weights of a distance matrix, built in one new array."""
-    w = np.divide(dist, bandwidth)
+def _kernel_weights(dist, bandwidth: float, shape: str, out: np.ndarray) -> None:
+    """Kernel weights of a distance matrix, written to ``out`` (may be ``dist``)."""
+    w = np.divide(dist, bandwidth, out=out)
     np.multiply(w, w, out=w)
     if shape == "gaussian":
         # exp(-0.5 * u * u): halving is exact, so the order does not matter
         np.multiply(w, -0.5, out=w)
-        return np.exp(w, out=w)
-    # epanechnikov; the 3/4 constant cancels in the weighted mean
-    np.subtract(1.0, w, out=w)
-    return np.maximum(w, 0.0, out=w)
+        np.exp(w, out=w)
+    else:
+        # epanechnikov; the 3/4 constant cancels in the weighted mean
+        np.subtract(1.0, w, out=w)
+        np.maximum(w, 0.0, out=w)
 
 
-def _nw_predict(dist, yt, bandwidth, shape):
-    """Nadaraya-Watson means for queries at ``dist`` (m, n) from the n training rows."""
-    w = _kernel_weights(dist, bandwidth, shape)
-    tot = w.sum(axis=1)
-    out = np.empty(dist.shape[0])
-    dead = tot <= 0.0
-    live = ~dead
-    if not np.any(dead):
-        out[:] = (w @ yt) / tot
-    elif np.any(live):
-        out[live] = (w[live] @ yt) / tot[live]
-    if np.any(dead):
-        # query outside the kernel's reach: fall back to the train mean
-        out[dead] = yt.mean()
-    return out
+def _nw_predict(Xq, Xt, yt, bandwidths, shape) -> list:
+    """Nadaraya-Watson means at the queries ``Xq``, one vector per bandwidth.
+
+    Each row block's distances are computed once and serve every
+    bandwidth.  A query with zero total weight is outside the kernel's
+    reach and gets the training mean.
+    """
+    m = Xq.shape[0]
+    preds = [np.empty(m) for _ in bandwidths]
+    tots = [np.empty(m) for _ in bandwidths]
+    # queries without weight divide 0 by 0 here; they are overwritten below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for rows in _row_blocks(m, Xt.shape[0]):
+            dist = _distances(Xq[rows], Xt)
+            # one bandwidth turns the distances into weights in place
+            w = dist if len(bandwidths) == 1 else np.empty_like(dist)
+            for h, pred, tot in zip(bandwidths, preds, tots):
+                _kernel_weights(dist, h, shape, out=w)
+                np.sum(w, axis=1, out=tot[rows])
+                np.divide(w @ yt, tot[rows], out=pred[rows])
+    for h, pred, tot in zip(bandwidths, preds, tots):
+        dead = tot <= 0.0
+        if np.any(dead):
+            live = ~dead
+            if np.any(live):
+                # a row's BLAS product can depend on the rows multiplied
+                # with it: redo the live rows without the dead ones, so
+                # their bits do not depend on where the blocks cut
+                (pred[live],) = _nw_predict(Xq[live], Xt, yt, (h,), shape)
+            pred[dead] = yt.mean()
+    return preds
 
 
 class _KernelModel(FittedModel):
@@ -234,7 +293,26 @@ class _KernelModel(FittedModel):
 
     def predict(self, Xq) -> np.ndarray:
         Xq = _as_matrix(Xq, self.n_features)
-        return _nw_predict(cdist(Xq, self._X), self._y, self.bandwidth, self._shape)
+        (pred,) = _nw_predict(Xq, self._X, self._y, (self.bandwidth,), self._shape)
+        return pred
+
+
+def _cv_sses(X, y, spec: LearnerSpec, seed: int, n_folds: int) -> list:
+    """Held-out SSE of each grid bandwidth over ``n_folds`` CV folds.
+
+    Each bandwidth's SSE adds up its folds in fold order.
+    """
+    folds = make_folds(X.shape[0], n_folds, seed=rngmod.derive_seed(seed, "bwcv"))
+    sses = [0.0] * len(spec.bandwidth_grid)
+    for k in range(n_folds):
+        test = folds.rows_in_fold(k)
+        train = folds.train_rows(k)
+        preds = _nw_predict(
+            X[test], X[train], y[train], spec.bandwidth_grid, spec.kernel_shape
+        )
+        for i, pred in enumerate(preds):
+            sses[i] += float(np.sum((pred - y[test]) ** 2))
+    return sses
 
 
 def _cv_bandwidth(X, y, spec: LearnerSpec, seed: int) -> float:
@@ -243,23 +321,11 @@ def _cv_bandwidth(X, y, spec: LearnerSpec, seed: int) -> float:
     Ties (exact SSE equality) resolve to the smallest bandwidth because
     the grid is scanned in ascending order with a strict comparison.
     """
-    n = X.shape[0]
-    n_folds = min(spec.cv_folds, n)
+    n_folds = min(spec.cv_folds, X.shape[0])
     if n_folds < 2:
         return spec.bandwidth_grid[0]
-    folds = make_folds(n, n_folds, seed=rngmod.derive_seed(seed, "bwcv"))
-    # one distance matrix per fold serves every bandwidth; each
-    # bandwidth's SSE still adds up its folds in fold order
-    sses = [0.0] * len(spec.bandwidth_grid)
-    for k in range(n_folds):
-        test = folds.rows_in_fold(k)
-        train = folds.train_rows(k)
-        dist = cdist(X[test], X[train])
-        for i, h in enumerate(spec.bandwidth_grid):
-            pred = _nw_predict(dist, y[train], h, spec.kernel_shape)
-            sses[i] += float(np.sum((pred - y[test]) ** 2))
     best_h, best_sse = None, math.inf
-    for h, sse in zip(spec.bandwidth_grid, sses):
+    for h, sse in zip(spec.bandwidth_grid, _cv_sses(X, y, spec, seed, n_folds)):
         if sse < best_sse:
             best_h, best_sse = h, sse
     return best_h

@@ -12,6 +12,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 from scipy.integrate import quad
 
 from pseudolearn.cli import main as cli_main
@@ -50,6 +51,9 @@ from pseudolearn.simulate import (
     sample_10d,
     xi,
 )
+
+# the unit suite alone: pytest -m "not acceptance"
+pytestmark = pytest.mark.acceptance
 
 CV_KERNEL = LearnerSpec(kind="kernel")  # bandwidth picked by cross-validation
 

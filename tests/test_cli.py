@@ -1,5 +1,6 @@
 """Subcommand behavior, exit codes, output files, and determinism."""
 
+import ast
 import csv
 import json
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from pseudolearn.cli import main, propensity_expression
+from pseudolearn.cli import _NP_FUNCTIONS, _elementwise, main, propensity_expression
 from pseudolearn.data import ColumnMap, load_csv
 from pseudolearn.errors import ConfigError
 from pseudolearn.iflearner import IFLearnerConfig, fit_if_learner
@@ -327,6 +328,36 @@ class TestGroup:
         ) == 1
         assert "grouping degenerate" in capsys.readouterr().err
 
+    def test_constant_scorer_is_runtime_failure_naming_the_cause(
+        self, tmp_path, capsys
+    ):
+        # too few structure rows per tree for a split: one predicted value
+        ds = sample_1d(Dgp1dConfig(n=600, seed=0)).dataset
+        data = write_data_csv(tmp_path / "data.csv", ds.X, ds.y, ds.w)
+        forest = {"kind": "forest", "n_trees": 20, "min_leaf": 20}
+        cfg = write_json(
+            tmp_path / "group.json",
+            {
+                "columns": {"covariates": ["x1"], "outcome": "y", "treatment": "w"},
+                "group": {
+                    "n_groups": 5,
+                    "first_stage": "plugin",
+                    "if_config": {
+                        "crossfit": {"outcome_spec": forest, "propensity_spec": forest},
+                        "second_stage": forest,
+                    },
+                },
+            },
+        )
+        assert main(
+            ["group", "--data", data, "--config", cfg,
+             "--known-propensity", "0.5", "--out", str(tmp_path / "r.csv")]
+        ) == 1
+        err = capsys.readouterr().err
+        assert "predicted one value" in err
+        assert "for all 300 estimation rows" in err
+        assert "2*min_leaf" in err
+
     def test_missing_data_file_is_validation_failure(self, tmp_path, capsys):
         _, cfg = self.group_files(tmp_path)
         missing = str(tmp_path / "missing.csv")
@@ -427,6 +458,55 @@ class TestPropensityExpression:
     def test_outside_whitelist_rejected_when_compiled(self, expr):
         with pytest.raises(ConfigError, match="not allowed"):
             propensity_expression(expr)
+
+    def test_positional_out_rejected(self):
+        for expr in ("np.exp(x[0], x)", "np.minimum(x[0], x[1], x)",
+                     "np.clip(x[0], 0.1, 0.9, x)"):
+            with pytest.raises(ConfigError, match="not allowed"):
+                propensity_expression(expr)
+
+    @pytest.mark.parametrize(
+        "expr,by_column",
+        [
+            ("0.1 + 0.8*(x[0] > 0)", True),
+            ("0.5", True),
+            ("np.clip(x[-1], 0.1, 0.9)", True),
+            ("0.2 if x[0] > 0 else 0.3", False),
+            ("0.5 + 0.1*(x[0] > 0 and x[1] > 0)", False),
+            ("0.5 + 0.1*(not x[0] > 0)", False),
+            ("0.5 + 0.1*(0 < x[0] < 1)", False),
+            ("0.5 + 0.01*x[0]**2", False),
+            ("0.5 + 0.0*x", False),
+        ],
+    )
+    def test_elementwise_expressions_take_columns(self, expr, by_column):
+        assert _elementwise(ast.parse(expr, mode="eval")) == by_column
+
+    def test_columns_equal_rows_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(400, 3)) * 10.0 ** rng.integers(-3, 4, size=(400, 1))
+        X[:4, 0] = [0.0, -0.0, 1e-300, -750.0]
+        exprs = [f"np.{f}(x[0])" for f, arity in _NP_FUNCTIONS.items() if arity == 1]
+        exprs += [
+            "np.minimum(x[0], x[1])",
+            "np.maximum(x[0], 0.5)",
+            "np.clip(x[0], x[1], x[2])",
+            "np.where(x[0] > x[1], x[2], 0.25)",
+            "abs(x[-1]) / (1 + abs(x[-1]))",
+            "0.1 + 0.8*(x[0] > 0) - x[1] // 3 + x[2] % 2",
+            "0.5",
+            "0.2 if x[0] > 0 else 0.3",
+        ]
+        with np.errstate(all="ignore"):
+            for expr in exprs:
+                pi = propensity_expression(expr)
+                rows = np.asarray([pi(x) for x in X])
+                assert pi.on_rows(X).tobytes() == rows.tobytes(), expr
+
+    def test_column_errors_keep_their_class(self):
+        X = np.zeros((5, 1))
+        with pytest.raises(ConfigError, match="failed"):
+            propensity_expression("x[7]").on_rows(X)
 
     @pytest.mark.parametrize("command", ["fit", "group"])
     @pytest.mark.parametrize("expr", ["np.save('p', x)", "x.__class__"])

@@ -267,7 +267,7 @@ class TestFitGroupLearner:
             seed=7,
         )
         cfg = GroupConfig(n_groups=3, if_config=flat, seed=12)
-        with pytest.raises(EstimationError, match="group 2 of 3"):
+        with pytest.raises(EstimationError, match="predicted one value"):
             fit_group_learner(ds, cfg, known_propensity=known_pi)
 
     def test_missing_treatment_column(self):
@@ -307,6 +307,15 @@ class TestTiedScores:
         # too few rows per tree to split: every prediction is one value
         ds = sample_1d(Dgp1dConfig(n=600, seed=seed)).dataset
         with pytest.raises(EstimationError, match="no two groups"):
+            fit_group_learner(ds, self.CFG, known_propensity=0.5)
+
+    def test_constant_scorer_names_the_cause(self):
+        ds = sample_1d(Dgp1dConfig(n=600, seed=0)).dataset
+        with pytest.raises(
+            EstimationError,
+            match=r"the scorer predicted one value \(\S+\) for all 300 "
+            r"estimation rows.*fewer than 2\*min_leaf rows never splits",
+        ):
             fit_group_learner(ds, self.CFG, known_propensity=0.5)
 
     def test_untied_split_keeps_quantiles(self):

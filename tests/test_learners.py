@@ -2,15 +2,30 @@
 
 import hashlib
 import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import cdist
 
+from pseudolearn import learners
+from pseudolearn import rng as rngmod
+from pseudolearn.data import make_folds
 from pseudolearn.errors import ConfigError, DomainError, SchemaError
-from pseudolearn.learners import LearnerSpec, _best_split, fit_learner, fit_probability
+from pseudolearn.learners import (
+    LearnerSpec,
+    _best_split,
+    _cv_bandwidth,
+    _cv_sses,
+    _distances,
+    _row_blocks,
+    fit_learner,
+    fit_probability,
+)
 
 
 def col(v):
@@ -194,6 +209,192 @@ class TestKernel:
             LearnerSpec(kind="kernel", bandwidth=1e-6), X, y
         )
         assert np.allclose(model.predict(X), y, atol=1e-6)
+
+
+# -- row-blocked kernel and k-NN prediction ----------------------------------
+# The _reference_* functions compute on one dense (m, n) distance matrix;
+# the blocked computations must reproduce them bit for bit.  Matrices stay
+# below OpenBLAS's threading threshold (m*n < 460800), where a
+# matrix-vector product does not depend on the number of BLAS threads.
+
+
+def _reference_nw_predict(dist, yt, bandwidth, shape):
+    u2 = (dist / bandwidth) ** 2
+    w = np.exp(-0.5 * u2) if shape == "gaussian" else np.maximum(1.0 - u2, 0.0)
+    tot = w.sum(axis=1)
+    out = np.empty(dist.shape[0])
+    dead = tot <= 0.0
+    live = ~dead
+    if not np.any(dead):
+        out[:] = (w @ yt) / tot
+    elif np.any(live):
+        out[live] = (w[live] @ yt) / tot[live]
+    out[dead] = yt.mean()
+    return out
+
+
+def _reference_kernel_predict(X, y, Xq, bandwidth, shape):
+    return _reference_nw_predict(cdist(Xq, X), y, bandwidth, shape)
+
+
+def _reference_cv_sses(X, y, spec, seed, n_folds):
+    folds = make_folds(X.shape[0], n_folds, seed=rngmod.derive_seed(seed, "bwcv"))
+    sses = [0.0] * len(spec.bandwidth_grid)
+    for k in range(n_folds):
+        test, train = folds.rows_in_fold(k), folds.train_rows(k)
+        dist = cdist(X[test], X[train])
+        for i, h in enumerate(spec.bandwidth_grid):
+            pred = _reference_nw_predict(dist, y[train], h, spec.kernel_shape)
+            sses[i] += float(np.sum((pred - y[test]) ** 2))
+    return sses
+
+
+def _reference_knn_predict(X, y, Xq, k):
+    return y[np.argsort(cdist(Xq, X), axis=1, kind="stable")[:, :k]].mean(axis=1)
+
+
+def _block_rows(n):
+    return next(_row_blocks(10**9, n)).stop
+
+
+@st.composite
+def _pairwise_cases(draw):
+    """A small block budget, n training rows, m queries and a data seed.
+
+    m covers 1, fewer than 8, one more than a multiple of the block's row
+    count (a 1-row tail) and anything up to three blocks.
+    """
+    entries = draw(st.sampled_from((64, 256)))
+    d = draw(st.sampled_from((1, 3)))
+    n = draw(st.integers(1, 12))
+    with mock.patch.object(learners, "_BLOCK_ENTRIES", entries):
+        step = _block_rows(n)
+    m = draw(
+        st.one_of(
+            st.integers(1, 7),
+            st.integers(1, 3).map(lambda j: j * step + 1),
+            st.integers(1, 3 * step + 2),
+        )
+    )
+    return entries, d, n, m, draw(st.integers(0, 2**32 - 1))
+
+
+def _pairwise_data(d, n, m, seed):
+    """Training points on a half-integer grid (tied distances), queries
+    spread well beyond them (queries no kernel weight reaches)."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(-4, 5, size=(n, d)) / 2.0
+    y = rng.normal(size=n)
+    Xq = np.where(
+        rng.uniform(size=(m, 1)) < 0.5,
+        rng.integers(-8, 9, size=(m, d)) / 2.0,
+        rng.uniform(-8.0, 8.0, size=(m, d)),
+    )
+    return X, y, Xq
+
+
+class TestRowBlocks:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 3000), st.integers(1, 20000))
+    def test_blocks_tile_the_rows(self, m, n):
+        blocks = list(_row_blocks(m, n))
+        step = _block_rows(n)
+        assert step % 8 == 0
+        assert step * n <= max(learners._BLOCK_ENTRIES, 8 * n)
+        assert [b.start for b in blocks] == [i * step for i in range(len(blocks))]
+        assert (blocks[-1].stop if blocks else 0) == m
+        for b in blocks[:-1]:
+            assert b.stop - b.start == step
+        if m > 1:
+            assert blocks[-1].stop - blocks[-1].start >= 2
+
+    def test_one_feature_distances_equal_cdist_at_extremes(self):
+        mags = 10.0 ** np.arange(-170, 171, 5)
+        v = np.concatenate([mags, -mags, 3.0 * mags, [0.0, -0.0, 1.0]])
+        got = _distances(v.reshape(-1, 1), v.reshape(-1, 1))
+        want = cdist(v.reshape(-1, 1), v.reshape(-1, 1))
+        assert got.tobytes() == want.tobytes()
+        # |a - b| keeps the differences that squaring over- or underflows
+        assert not np.array_equal(np.abs(np.subtract.outer(v, v)), want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        _pairwise_cases(),
+        st.sampled_from(("gaussian", "epanechnikov")),
+        st.sampled_from((0.05, 0.3, 1.0, 5.0)),
+    )
+    def test_kernel_predict_matches_dense(self, case, shape, h):
+        entries, d, n, m, seed = case
+        X, y, Xq = _pairwise_data(d, n, m, seed)
+        spec = LearnerSpec(kind="kernel", bandwidth=h, kernel_shape=shape)
+        with mock.patch.object(learners, "_BLOCK_ENTRIES", entries):
+            got = fit_learner(spec, X, y).predict(Xq)
+        want = _reference_kernel_predict(X, y, Xq, h, shape)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_pairwise_cases(), st.integers(1, 12))
+    def test_knn_predict_matches_dense(self, case, k):
+        entries, d, n, m, seed = case
+        X, y, Xq = _pairwise_data(d, n, m, seed)
+        k = min(k, n)
+        with mock.patch.object(learners, "_BLOCK_ENTRIES", entries):
+            got = fit_learner(LearnerSpec(kind="knn", k=k), X, y).predict(Xq)
+        assert got.tobytes() == _reference_knn_predict(X, y, Xq, k).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from((64, 256)),
+        st.sampled_from((1, 3)),
+        st.integers(2, 80),
+        st.sampled_from(("gaussian", "epanechnikov")),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_cv_matches_dense(self, entries, d, n, shape, seed):
+        X, y, _ = _pairwise_data(d, n, 1, seed)
+        X = X + np.random.default_rng(seed).uniform(-0.2, 0.2, size=X.shape)
+        spec = LearnerSpec(
+            kind="kernel", kernel_shape=shape, bandwidth_grid=(0.05, 0.3, 1.0, 5.0)
+        )
+        n_folds = min(spec.cv_folds, n)
+        with mock.patch.object(learners, "_BLOCK_ENTRIES", entries):
+            got = _cv_sses(X, y, spec, seed, n_folds)
+            chosen = _cv_bandwidth(X, y, spec, seed)
+        want = _reference_cv_sses(X, y, spec, seed, n_folds)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert chosen == spec.bandwidth_grid[int(np.argmin(want))]
+
+    @pytest.mark.parametrize("shape", ["gaussian", "epanechnikov"])
+    def test_full_size_blocks_match_dense(self, shape):
+        # the module's own block size, three blocks with a 1-row tail
+        n = 5
+        X, y, Xq = _pairwise_data(1, n, 2 * _block_rows(n) + 1, seed=3)
+        spec = LearnerSpec(kind="kernel", bandwidth=0.3, kernel_shape=shape)
+        got = fit_learner(spec, X, y).predict(Xq)
+        want = _reference_kernel_predict(X, y, Xq, 0.3, shape)
+        assert got.tobytes() == want.tobytes()
+        got = fit_learner(LearnerSpec(kind="knn", k=2), X, y).predict(Xq)
+        assert got.tobytes() == _reference_knn_predict(X, y, Xq, 2).tobytes()
+
+
+class TestPredictMemory:
+    @pytest.mark.parametrize(
+        "spec",
+        [LearnerSpec(kind="kernel", bandwidth=0.1), LearnerSpec(kind="knn", k=5)],
+        ids=["kernel", "knn"],
+    )
+    def test_peak_stays_small_at_6000_by_6000(self, spec):
+        # the dense 6000 x 6000 float64 distance matrix alone is 275 MiB
+        rng = np.random.default_rng(0)
+        X, Xq = col(rng.uniform(-1, 1, 6000)), col(rng.uniform(-1, 1, 6000))
+        model = fit_learner(spec, X, rng.normal(size=6000))
+        tracemalloc.start()
+        try:
+            model.predict(Xq)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestForest:
