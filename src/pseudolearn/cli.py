@@ -182,12 +182,13 @@ def propensity_expression(expr: str):
     _check_expression(tree, expr)
     code = compile(tree, "<known-propensity>", "eval")
     by_column = _elementwise(tree)
+    # one globals dict for every row: it holds the warnings registry, so a
+    # numpy warning repeated on many rows is shown once
+    env = {"__builtins__": {}}
 
     def evaluate(x, convert):
         try:
-            return convert(
-                eval(code, {"__builtins__": {}}, {"x": x, "np": np, "abs": abs})
-            )
+            return convert(eval(code, env, {"x": x, "np": np, "abs": abs}))
         except PseudolearnError:
             raise
         except Exception as e:

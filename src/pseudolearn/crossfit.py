@@ -1,9 +1,9 @@
 """K-fold cross-fitting of nuisance models.
 
 Produces strictly out-of-fold predictions: every row's nuisance values
-come from models that never saw that row.  Arm-conditional outcome
-models are fitted on one arm's rows only; the propensity model is
-fitted on all training rows with the indicator as target.
+come from models that never saw that row, and only for the nuisances
+the target reads (``pseudo.NUISANCES``).  Outcome models are fitted on
+one arm's rows, the propensity on all training rows (:func:`arm_rows`).
 
 The fold loop is deterministic given (data, config): fold draws and
 per-fold learner seeds all derive from ``config.seed``, so the K fits
@@ -27,7 +27,7 @@ from .config import FromDict
 from .data import Dataset, FoldAssignment, NuisanceEstimates, make_folds
 from .errors import ConfigError, DomainError, EstimationError, SchemaError
 from .learners import FittedModel, LearnerSpec, fit_learner, fit_probability
-from .pseudo import PseudoOutcomeSpec
+from .pseudo import NUISANCES, PseudoOutcomeSpec
 
 __all__ = [
     "CrossfitConfig",
@@ -97,6 +97,42 @@ def fit_nuisance(
     if pseudo.binary_outcome:
         return fit_probability(spec, X, data.y[rows], seed=seed, clip=pseudo.p_clip)
     return fit_learner(spec, X, data.y[rows], seed=seed)
+
+
+def arm_rows(name: str, w: np.ndarray, pool: np.ndarray) -> np.ndarray:
+    """Rows of ``pool`` to fit ``name`` on: all for pi, w = 0 for mu0, else w = 1."""
+    if name == "pi":
+        return pool
+    return pool[w[pool] == (0 if name == "mu0" else 1)]
+
+
+def fit_then_predict(
+    data, train, test, cfg, pseudo, seed_of, where, known_pi=None, instrument=None
+) -> dict:
+    """Fit the nuisances the target reads on ``train`` rows; predict ``test`` rows.
+
+    Returns the predictions keyed by :class:`NuisanceEstimates` field.
+    ``known_pi`` (one value per row of ``data``) stands in for a fitted
+    pi; ``instrument(name, rows)`` sees each model's training rows.
+    """
+    preds = {}
+    for name in NUISANCES[pseudo.target]:
+        if name == "pi" and known_pi is not None:
+            preds["pi_hat"] = known_pi[test]
+            continue
+        rows = arm_rows(name, data.w, train)
+        model = fit_nuisance(name, data, rows, cfg, pseudo, seed_of(name), where)
+        preds[f"{name}_hat"] = model.predict(data.X[test])
+        if instrument is not None:
+            instrument(name, rows)
+    return preds
+
+
+def known_pi_values(data: Dataset, known_propensity, pseudo: PseudoOutcomeSpec):
+    """The known propensity's row values; None if absent or the target reads no pi."""
+    if known_propensity is None or "pi" not in NUISANCES[pseudo.target]:
+        return None
+    return evaluate_propensity(data, known_propensity, pseudo.eps_clip)
 
 
 def evaluate_nuisance(data: Dataset, value, name: str) -> np.ndarray:
@@ -219,37 +255,23 @@ def crossfit_nuisances(
                 "without one arm"
             )
 
-    mu0_hat = np.empty(n)
-    mu1_hat = np.empty(n)
-    if known_propensity is None:
-        pi_hat = np.empty(n)
-    else:
-        pi_hat = evaluate_propensity(data, known_propensity, pseudo.eps_clip)
+    known = known_pi_values(data, known_propensity, pseudo)
+    out = {f"{name}_hat": np.empty(n) for name in NUISANCES[pseudo.target]}
     train_rows = []
     for k in range(cfg.n_folds):
         test = folds.rows_in_fold(k)
         train = folds.train_rows(k)
         train_rows.append(train)
-        fits = [
-            ("mu0", mu0_hat, train[w[train] == 0]),
-            ("mu1", mu1_hat, train[w[train] == 1]),
-        ]
-        if known_propensity is None:
-            fits.append(("pi", pi_hat, train))
-        for name, out, rows in fits:
-            seed = rngmod.derive_seed(cfg.seed, name, k)
-            model = fit_nuisance(name, data, rows, cfg, pseudo, seed, f"fold {k}")
-            out[test] = model.predict(data.X[test])
-            if instrument is not None:
-                instrument(name, k, rows, test)
+        hook = instrument and (lambda name, rows: instrument(name, k, rows, test))
+        preds = fit_then_predict(
+            data, train, test, cfg, pseudo,
+            seed_of=lambda name: rngmod.derive_seed(cfg.seed, name, k),
+            where=f"fold {k}", known_pi=known, instrument=hook,
+        )
+        for key, values in preds.items():
+            out[key][test] = values
 
-    return NuisanceEstimates(
-        mu0_hat=mu0_hat,
-        mu1_hat=mu1_hat,
-        pi_hat=pi_hat,
-        fold_of=folds.fold_of,
-        train_rows=tuple(train_rows),
-    )
+    return NuisanceEstimates(**out, fold_of=folds.fold_of, train_rows=tuple(train_rows))
 
 
 def oob_nuisances(
@@ -275,22 +297,16 @@ def oob_nuisances(
     if w.sum() in (0, n):
         raise EstimationError("degenerate arm: all rows share one indicator value")
 
-    def fit(name, rows):
+    known = known_pi_values(data, known_propensity, pseudo)
+    out = {"pi_hat": known}
+    for name in NUISANCES[pseudo.target]:
+        if name == "pi" and known is not None:
+            continue
+        own = arm_rows(name, w, np.arange(n))
+        other = np.setdiff1d(np.arange(n), own)
         seed = rngmod.derive_seed(cfg.seed, name)
-        return fit_nuisance(name, data, rows, cfg, pseudo, seed, "the out-of-bag fit")
-
-    rows0 = np.flatnonzero(w == 0)
-    rows1 = np.flatnonzero(w == 1)
-    mu = {}
-    for name, own, other in (("mu0", rows0, rows1), ("mu1", rows1, rows0)):
-        m = fit(name, own)
-        mu[name] = np.empty(n)
-        mu[name][own] = m.predict_oob()
-        mu[name][other] = m.predict(data.X[other])
-
-    if known_propensity is not None:
-        pi_hat = evaluate_propensity(data, known_propensity, pseudo.eps_clip)
-    else:
-        pi_hat = fit("pi", np.arange(n)).predict_oob()
-
-    return NuisanceEstimates(mu0_hat=mu["mu0"], mu1_hat=mu["mu1"], pi_hat=pi_hat)
+        model = fit_nuisance(name, data, own, cfg, pseudo, seed, "the out-of-bag fit")
+        values = out[f"{name}_hat"] = np.empty(n)
+        values[own] = model.predict_oob()
+        values[other] = model.predict(data.X[other])
+    return NuisanceEstimates(**out)

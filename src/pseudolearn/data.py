@@ -173,36 +173,39 @@ class NuisanceEstimates:
 
     ``mu0_hat`` and ``mu1_hat`` are the arm-conditional outcome means,
     ``pi_hat`` the propensity, all aligned with the dataset rows they
-    were computed for.  ``fold_of`` / ``train_rows`` record, when the
-    estimates come from cross-fitting, which fold each row fell in and
-    which rows each fold's models were trained on; they exist so that
-    fold hygiene can be audited.
+    were computed for.  Only the vectors the target reads are fitted
+    (``pseudo.NUISANCES``); the others are ``None``.  ``fold_of`` /
+    ``train_rows`` record, when the estimates come from cross-fitting,
+    which fold each row fell in and which rows each fold's models were
+    trained on; they exist so that fold hygiene can be audited.
     """
 
-    mu0_hat: np.ndarray
-    mu1_hat: np.ndarray
-    pi_hat: np.ndarray
+    mu0_hat: np.ndarray | None = None
+    mu1_hat: np.ndarray | None = None
+    pi_hat: np.ndarray | None = None
     fold_of: np.ndarray | None = None
     train_rows: tuple | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        mu0 = np.asarray(self.mu0_hat, dtype=float)
-        mu1 = np.asarray(self.mu1_hat, dtype=float)
-        pi = np.asarray(self.pi_hat, dtype=float)
-        if not (mu0.shape == mu1.shape == pi.shape):
+        vectors = {
+            name: np.asarray(getattr(self, name), dtype=float)
+            for name in ("mu0_hat", "mu1_hat", "pi_hat")
+            if getattr(self, name) is not None
+        }
+        if len({arr.shape for arr in vectors.values()}) > 1:
             raise SchemaError("nuisance vectors must have identical length")
-        for name, arr in (("mu0_hat", mu0), ("mu1_hat", mu1), ("pi_hat", pi)):
+        for name, arr in vectors.items():
             if not np.all(np.isfinite(arr)):
                 raise DomainError(f"non-finite value in {name}")
-        if np.any(pi <= 0.0) or np.any(pi >= 1.0):
+            object.__setattr__(self, name, arr)
+        pi = self.pi_hat
+        if pi is not None and (np.any(pi <= 0.0) or np.any(pi >= 1.0)):
             raise DomainError("pi_hat must lie strictly inside (0, 1)")
-        object.__setattr__(self, "mu0_hat", mu0)
-        object.__setattr__(self, "mu1_hat", mu1)
-        object.__setattr__(self, "pi_hat", pi)
 
     @property
     def n(self) -> int:
-        return self.pi_hat.shape[0]
+        present = (self.mu0_hat, self.mu1_hat, self.pi_hat, self.fold_of)
+        return next((v.shape[0] for v in present if v is not None), 0)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ correction for adaptivity.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import stats
@@ -24,7 +24,7 @@ from scipy.special import ndtri
 
 from . import rng as rngmod
 from .config import FromDict
-from .crossfit import evaluate_propensity, fit_nuisance
+from .crossfit import fit_then_predict, known_pi_values
 from .data import Dataset, NuisanceEstimates, write_csv
 from .errors import ConfigError, EstimationError, SchemaError
 from .iflearner import (
@@ -33,7 +33,7 @@ from .iflearner import (
     fit_if_learner,
     fit_plugin_learner,
 )
-from .pseudo import build_pseudo_outcomes, ht_pseudo
+from .pseudo import CONTRAST_TARGETS, build_pseudo_outcomes, ht_pseudo
 
 __all__ = [
     "GroupConfig",
@@ -45,10 +45,6 @@ __all__ = [
 
 FIRST_STAGES = ("plugin", "if_learner")
 SECOND_STAGE_ESTIMATORS = ("eif", "ht")
-
-# contrast-style targets for which a Horvitz-Thompson group average
-# is meaningful
-_HT_COMPATIBLE = ("cate_aipw", "cate_ht", "cate_plugin")
 
 
 @dataclass(frozen=True)
@@ -89,7 +85,7 @@ class GroupConfig(FromDict):
             raise ConfigError(f"ci_level must be in (0, 1), got {self.ci_level}")
         if (
             self.second_stage_estimator == "ht"
-            and self.if_config.pseudo.target not in _HT_COMPATIBLE
+            and self.if_config.pseudo.target not in CONTRAST_TARGETS
         ):
             raise ConfigError(
                 "Horvitz-Thompson group averages are defined for treatment "
@@ -302,48 +298,31 @@ def fit_group_learner(
             f"grouping degenerate: estimation split has {n_est} rows, "
             f"needs at least 2 per group for {G} groups"
         )
-    pi_full = None
-    if known_propensity is not None:
-        pi_full = evaluate_propensity(
-            data, known_propensity, eps_clip=cfg.if_config.pseudo.eps_clip
-        )
+    # the estimation half's signal: the target's own, or the
+    # Horvitz-Thompson contrast, which reads only pi
+    pseudo = cfg.if_config.pseudo
+    if cfg.second_stage_estimator == "ht":
+        pseudo = replace(pseudo, target="cate_ht")
+    pi_full = known_pi_values(data, known_propensity, pseudo)
     perm = rngmod.stream(cfg.seed, "split").permutation(n)
     aux_rows = np.sort(perm[:n_aux])
     est_rows = np.sort(perm[n_aux:])
     aux = data.subset(aux_rows)
     est = data.subset(est_rows)
-    pi_known_aux = pi_full[aux_rows] if pi_full is not None else None
-    pi_known_est = pi_full[est_rows] if pi_full is not None else None
 
     if cfg.first_stage == "plugin":
         scorer = fit_plugin_learner(aux, cfg.if_config)
     else:
-        scorer = fit_if_learner(aux, cfg.if_config, known_propensity=pi_known_aux)
+        known_aux = pi_full[aux_rows] if pi_full is not None else None
+        scorer = fit_if_learner(aux, cfg.if_config, known_propensity=known_aux)
     scores = scorer.predict(est.X)
 
-    def nuisance(name):
-        """Fit one nuisance on the auxiliary half, predict the estimation half."""
-        if name == "pi":
-            if pi_known_est is not None:
-                return pi_known_est
-            rows = np.arange(n_aux)
-        else:
-            rows = np.flatnonzero(aux.w == (1 if name == "mu1" else 0))
-        seed = rngmod.derive_seed(cfg.seed, "nuisance", name)
-        icfg = cfg.if_config
-        model = fit_nuisance(
-            name, aux, rows, icfg.crossfit, icfg.pseudo, seed, "the auxiliary half"
-        )
-        return model.predict(est.X)
-
-    if cfg.second_stage_estimator == "ht":
-        pi_hat = nuisance("pi")
-        d = np.asarray(ht_pseudo(est.y, est.w.astype(float), pi_hat), dtype=float)
-    else:
-        nuis = NuisanceEstimates(
-            mu0_hat=nuisance("mu0"), mu1_hat=nuisance("mu1"), pi_hat=nuisance("pi")
-        )
-        d = build_pseudo_outcomes(est, nuis, cfg.if_config.pseudo).d
+    preds = fit_then_predict(
+        data, aux_rows, est_rows, cfg.if_config.crossfit, pseudo,
+        seed_of=lambda name: rngmod.derive_seed(cfg.seed, "nuisance", name),
+        where="the auxiliary half", known_pi=pi_full,
+    )
+    d = build_pseudo_outcomes(est, NuisanceEstimates(**preds), pseudo).d
 
     cutpoints = _group_cutpoints(scores, G)
     gidx = np.searchsorted(cutpoints, scores, side="left")

@@ -26,18 +26,22 @@ from . import rng as rngmod
 from .config import FromDict
 from .crossfit import (
     CrossfitConfig,
+    arm_rows,
     crossfit_nuisances,
     evaluate_nuisance,
-    evaluate_propensity,
     fit_nuisance,
+    known_pi_values,
 )
 from .data import Dataset, FoldAssignment, NuisanceEstimates
 from .errors import ConfigError, EstimationError, SchemaError
 from .learners import FittedModel, LearnerSpec, fit_learner
 from .pseudo import (
+    CONTRAST_TARGETS,
+    NUISANCES,
     PseudoOutcomeSpec,
     build_pseudo_outcomes,
     odds_ratio_value,
+    plugin_cate,
     risk_ratio_value,
 )
 
@@ -152,21 +156,22 @@ class TrueNuisances:
     """Ground-truth nuisance functions (or precomputed per-row arrays).
 
     Each field may be a callable applied row-wise to a covariate
-    vector, a scalar, or an array aligned with the dataset.  For
-    missing-data targets ``mu1`` holds the observed-outcome regression
-    and ``mu0`` may be anything (it is ignored).
+    vector, a scalar, or an array aligned with the dataset.  Only the
+    fields the target reads are evaluated; for missing-data targets
+    ``mu1`` holds the observed-outcome regression and ``mu0`` is unused.
     """
 
     mu0: object = 0.0
     mu1: object = 0.0
     pi: object = 0.5
 
-    def as_estimates(self, data: Dataset, eps_clip: float) -> NuisanceEstimates:
-        return NuisanceEstimates(
-            mu0_hat=evaluate_nuisance(data, self.mu0, "true mu0"),
-            mu1_hat=evaluate_nuisance(data, self.mu1, "true mu1"),
-            pi_hat=evaluate_propensity(data, self.pi, eps_clip),
-        )
+    def as_estimates(self, data: Dataset, pseudo: PseudoOutcomeSpec):
+        values = {"pi_hat": known_pi_values(data, self.pi, pseudo)}
+        for m in NUISANCES[pseudo.target]:
+            if m != "pi":
+                value = getattr(self, m)
+                values[f"{m}_hat"] = evaluate_nuisance(data, value, f"true {m}")
+        return NuisanceEstimates(**values)
 
 
 def _provenance(cfg, data: Dataset, target: str, variant: str, seed: int) -> dict:
@@ -233,11 +238,8 @@ def fit_oracle_learner(
     D built from the real nuisance functions, so its error is purely
     second-stage regression error.
     """
-    if pseudo.target == "regression_mean":
-        d = np.array(data.y)
-    else:
-        nuis = true_nuisances.as_estimates(data, pseudo.eps_clip)
-        d = build_pseudo_outcomes(data, nuis, pseudo).d
+    nuis = true_nuisances.as_estimates(data, pseudo)
+    d = build_pseudo_outcomes(data, nuis, pseudo).d
     model = fit_learner(second_stage, data.X, d, seed=seed)
     cfg = {
         "pseudo": dataclasses.asdict(pseudo),
@@ -263,9 +265,7 @@ class _FunctionalOfArms(FittedModel):
 
 
 _PLUGIN_COMBINERS = {
-    "cate_aipw": lambda m0, m1: m1 - m0,
-    "cate_ht": lambda m0, m1: m1 - m0,
-    "cate_plugin": lambda m0, m1: m1 - m0,
+    **dict.fromkeys(CONTRAST_TARGETS, plugin_cate),
     "risk_ratio": risk_ratio_value,
     "odds_ratio": odds_ratio_value,
 }
@@ -283,8 +283,9 @@ def fit_plugin_learner(data: Dataset, cfg: IFLearnerConfig) -> TargetModel:
     target = cfg.pseudo.target
     cf = cfg.crossfit
 
-    def fit_arm(rows, tag):
+    def fit_arm(tag):
         seed = rngmod.derive_seed(cfg.seed, "plugin", tag)
+        rows = arm_rows(tag, data.w, np.arange(data.n))
         return fit_nuisance(tag, data, rows, cf, cfg.pseudo, seed, "the plug-in fit")
 
     if target == "regression_mean":
@@ -293,9 +294,9 @@ def fit_plugin_learner(data: Dataset, cfg: IFLearnerConfig) -> TargetModel:
     elif data.w is None:
         raise SchemaError(f"target {target!r} needs an indicator column")
     elif target == "mar_mean":
-        model = fit_arm(np.flatnonzero(data.w == 1), "mu")
+        model = fit_arm("mu")
     else:
-        m0 = fit_arm(np.flatnonzero(data.w == 0), "mu0")
-        m1 = fit_arm(np.flatnonzero(data.w == 1), "mu1")
-        model = _FunctionalOfArms(m0, m1, _PLUGIN_COMBINERS[target])
+        model = _FunctionalOfArms(
+            fit_arm("mu0"), fit_arm("mu1"), _PLUGIN_COMBINERS[target]
+        )
     return TargetModel(model, _provenance(cfg, data, target, "plugin", cfg.seed))

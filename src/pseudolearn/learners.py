@@ -38,7 +38,7 @@ from scipy.spatial.distance import cdist
 from . import rng as rngmod
 from .config import FromDict
 from .data import make_folds
-from .errors import ConfigError, DomainError, SchemaError
+from .errors import ConfigError, DomainError, EstimationError, SchemaError
 
 __all__ = [
     "LearnerSpec",
@@ -328,6 +328,11 @@ def _cv_bandwidth(X, y, spec: LearnerSpec, seed: int) -> float:
     for h, sse in zip(spec.bandwidth_grid, _cv_sses(X, y, spec, seed, n_folds)):
         if sse < best_sse:
             best_h, best_sse = h, sse
+    if best_h is None:
+        raise EstimationError(
+            "bandwidth CV failed: no grid bandwidth has a finite held-out SSE "
+            "(an outcome is non-finite or the squared errors overflow)"
+        )
     return best_h
 
 

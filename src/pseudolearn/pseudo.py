@@ -36,6 +36,8 @@ from .errors import ConfigError, DomainError, SchemaError
 
 __all__ = [
     "TARGETS",
+    "NUISANCES",
+    "CONTRAST_TARGETS",
     "PseudoOutcomeSpec",
     "PseudoOutcomes",
     "aipw_pseudo",
@@ -51,15 +53,19 @@ __all__ = [
     "odds_ratio_partials",
 ]
 
-TARGETS = (
-    "cate_aipw",
-    "cate_ht",
-    "cate_plugin",
-    "risk_ratio",
-    "odds_ratio",
-    "mar_mean",
-    "regression_mean",
-)
+# The nuisances each target's signal reads, in fit order (mar_mean's
+# observed-outcome regression sits in the mu1 slot).
+NUISANCES = {
+    "cate_aipw": ("mu0", "mu1", "pi"),
+    "cate_ht": ("pi",),
+    "cate_plugin": ("mu0", "mu1"),
+    "risk_ratio": ("mu0", "mu1", "pi"),
+    "odds_ratio": ("mu0", "mu1", "pi"),
+    "mar_mean": ("mu1", "pi"),
+    "regression_mean": (),
+}
+TARGETS = tuple(NUISANCES)
+CONTRAST_TARGETS = ("cate_aipw", "cate_ht", "cate_plugin")  # mu1(x) - mu0(x)
 
 _BINARY_TARGETS = ("risk_ratio", "odds_ratio")
 
@@ -256,9 +262,9 @@ def build_pseudo_outcomes(
 ) -> PseudoOutcomes:
     """Vectorised pseudo-outcome construction for a whole dataset.
 
-    Enforces the configured clip floors on the nuisance vectors (they are
-    produced clipped; arriving outside the floor means a wiring bug)
-    and the binary-outcome mode where the target needs it.
+    Reads the vectors ``NUISANCES`` lists for the target and enforces the
+    clip floors on them (they are produced clipped; arriving outside the
+    floor means a wiring bug) and the binary-outcome mode where needed.
     ``regression_mean`` needs no nuisances and simply passes y through.
     """
     if spec.target == "regression_mean":
@@ -267,17 +273,18 @@ def build_pseudo_outcomes(
         raise SchemaError(
             f"target {spec.target!r} needs a treatment/observation indicator"
         )
-    if nuisances is None:
-        raise SchemaError(f"target {spec.target!r} needs nuisance estimates")
+    reads = NUISANCES[spec.target]
+    missing = [m for m in reads if getattr(nuisances, f"{m}_hat", None) is None]
+    if missing:
+        raise SchemaError(f"target {spec.target!r} needs nuisance estimates {missing}")
     if nuisances.n != data.n:
         raise SchemaError(
             f"nuisances cover {nuisances.n} rows, dataset has {data.n}"
         )
-    pi = nuisances.pi_hat
-    if np.any(pi < spec.eps_clip) or np.any(pi > 1.0 - spec.eps_clip):
+    pi, lo = nuisances.pi_hat, spec.eps_clip
+    if "pi" in reads and (np.any(pi < lo) or np.any(pi > 1.0 - lo)):
         raise DomainError(
-            f"pi_hat outside [{spec.eps_clip}, {1.0 - spec.eps_clip}]; "
-            "propensities must arrive clipped"
+            f"pi_hat outside [{lo}, {1.0 - lo}]; propensities must arrive clipped"
         )
     if spec.binary_outcome:
         if not np.all(np.isin(data.y, (0.0, 1.0))):

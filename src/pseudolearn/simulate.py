@@ -37,6 +37,7 @@ from .iflearner import (
     fit_oracle_learner,
     fit_plugin_learner,
 )
+from .pseudo import CONTRAST_TARGETS
 
 __all__ = [
     "Dgp1dConfig",
@@ -310,9 +311,8 @@ def sample(cfg) -> LabeledSample:
     raise ConfigError(f"not a design config: {type(cfg).__name__}")
 
 
-_CATE_TARGETS = ("cate_aipw", "cate_ht", "cate_plugin")
 # the targets evaluate_mse has ground truth for
-SCORED_TARGETS = _CATE_TARGETS + ("risk_ratio",)
+SCORED_TARGETS = CONTRAST_TARGETS + ("risk_ratio",)
 
 
 def evaluate_mse(model, test: LabeledSample) -> float:
@@ -330,7 +330,7 @@ def evaluate_mse(model, test: LabeledSample) -> float:
     target = getattr(model, "provenance", {}).get("target", "cate_aipw")
     if target not in SCORED_TARGETS:
         raise ConfigError(f"no ground truth available for target {target!r}")
-    if target in _CATE_TARGETS:
+    if target in CONTRAST_TARGETS:
         truth = test.true_tau
     else:
         truth = test.true_rr
@@ -344,13 +344,20 @@ def evaluate_mse(model, test: LabeledSample) -> float:
     return float(np.mean((preds - truth) ** 2))
 
 
+def _unseeded(icfg: IFLearnerConfig) -> IFLearnerConfig:
+    """``icfg`` without the seeds the harness rewrites per replication."""
+    return dataclasses.replace(
+        icfg, seed=0, crossfit=dataclasses.replace(icfg.crossfit, seed=0)
+    )
+
+
 @dataclass(frozen=True)
 class MethodSpec(FromDict):
     """One estimator entry in an experiment.
 
     For ``group_if_learner`` the grouping settings live in ``group``;
-    its embedded estimator config is kept in sync with ``if_config``
-    by the harness, which also rewrites all seeds per replication.
+    its embedded estimator config must equal ``if_config`` apart from
+    the seeds, which the harness rewrites per replication.
     """
 
     name: str
@@ -368,6 +375,12 @@ class MethodSpec(FromDict):
             )
         if self.kind == "group_if_learner" and self.group is None:
             raise ConfigError(f"method {self.name!r} needs grouping settings")
+        group_if = None if self.group is None else _unseeded(self.group.if_config)
+        if group_if is not None and group_if != _unseeded(self.if_config):
+            raise ConfigError(
+                f"method {self.name!r}: group.if_config differs from if_config; "
+                "the group learner is fitted with if_config, so set it there"
+            )
 
     @classmethod
     def _normalize(cls, d: dict) -> dict:

@@ -5,6 +5,7 @@ import csv
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -434,6 +435,23 @@ class TestPropensityExpression:
         pi = propensity_expression("x[7]")
         with pytest.raises(ConfigError, match="failed"):
             pi(np.array([0.1]))
+
+    def test_rowwise_warning_shown_once(self):
+        expr = "np.sqrt(x[0]) ** 1"  # the power keeps it row by row
+        X = np.linspace(-1, 1, 1000).reshape(-1, 1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            values = propensity_expression(expr).on_rows(X)
+        assert len(caught) == 1
+        with np.errstate(invalid="ignore"):
+            # a fresh globals dict per row, as before the warning fix
+            reference = np.asarray(
+                [
+                    float(eval(expr, {"__builtins__": {}}, {"x": x, "np": np}))
+                    for x in X
+                ]
+            )
+        assert values.tobytes() == reference.tobytes()
 
     def test_whitelisted_syntax_compiles(self):
         pi = propensity_expression(

@@ -97,3 +97,25 @@ def test_group_inherits_method_if_config():
         }
     )
     assert own.group.if_config.seed == 6
+
+
+def test_group_if_config_must_match_method():
+    blob = {
+        "name": "g",
+        "kind": "group_if_learner",
+        "if_config": {"second_stage": {"kind": "knn", "k": 7}},
+        "group": {
+            "n_groups": 2,
+            "if_config": {"second_stage": {"kind": "knn", "k": 99}},
+        },
+    }
+    with pytest.raises(ConfigError, match="method 'g': group.if_config differs"):
+        MethodSpec.from_dict(blob)
+    icfg = IFLearnerConfig(second_stage=LearnerSpec(kind="knn", k=7))
+    with pytest.raises(ConfigError, match="method 'g'"):
+        MethodSpec(name="g", kind="group_if_learner", if_config=icfg,
+                   group=GroupConfig(n_groups=2))
+    blob["group"]["if_config"]["second_stage"]["k"] = 7
+    assert MethodSpec.from_dict(blob).group.if_config == IFLearnerConfig.from_dict(
+        blob["if_config"]
+    )

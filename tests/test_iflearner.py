@@ -133,6 +133,17 @@ class TestFitIfLearner:
         assert np.all(np.isfinite(known))
         assert not np.array_equal(known, estimated)
 
+    def test_overflowing_cv_sse_is_estimation_error(self):
+        # squared errors of outcomes at +-1e200 overflow in every bandwidth
+        rng = np.random.default_rng(5)
+        ds = rct_dataset(n=100, seed=5)
+        y = np.where(rng.uniform(size=100) < 0.5, 1e200, -1e200)
+        big = Dataset(ds.X, y, ds.w)
+        with np.errstate(over="ignore"), pytest.raises(
+            EstimationError, match="no grid bandwidth has a finite"
+        ):
+            fit_if_learner(big, IFLearnerConfig(), known_propensity=0.5)
+
     def test_recovers_constant_effect_loosely(self):
         ds = rct_dataset(n=600, seed=6, tau=2.0)
         model = fit_if_learner(ds, basic_config(), known_propensity=0.5)

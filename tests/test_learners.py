@@ -15,7 +15,7 @@ from scipy.spatial.distance import cdist
 from pseudolearn import learners
 from pseudolearn import rng as rngmod
 from pseudolearn.data import make_folds
-from pseudolearn.errors import ConfigError, DomainError, SchemaError
+from pseudolearn.errors import ConfigError, DomainError, EstimationError, SchemaError
 from pseudolearn.learners import (
     LearnerSpec,
     _best_split,
@@ -181,6 +181,13 @@ class TestKernel:
             LearnerSpec(kind="kernel", bandwidth_grid=(0.1, 0.3, 0.9)), X, y, seed=0
         )
         assert model.bandwidth == 0.1
+
+    def test_cv_without_finite_sse_is_estimation_error(self):
+        # one NaN outcome makes every bandwidth's held-out SSE NaN
+        y = np.zeros(30)
+        y[7] = np.nan
+        with pytest.raises(EstimationError, match="no grid bandwidth has a finite"):
+            fit_learner(LearnerSpec(kind="kernel"), np.linspace(0, 1, 30), y)
 
     def test_cv_deterministic_in_seed(self):
         rng = np.random.default_rng(3)
