@@ -43,7 +43,6 @@ from .grouplearner import (
     GroupEstimates,
     fit_group_learner,
     group_efficient_estimate,
-    group_ht_estimate,
 )
 from .iflearner import (
     IFLearnerConfig,
@@ -53,7 +52,6 @@ from .iflearner import (
     fit_if_learner,
     fit_oracle_learner,
     fit_plugin_learner,
-    predict_target,
     winsorize_values,
 )
 from .learners import FittedModel, LearnerSpec, fit_learner, fit_probability
@@ -106,14 +104,12 @@ __all__ = [
     "fit_plugin_learner",
     "fit_probability",
     "group_efficient_estimate",
-    "group_ht_estimate",
     "ht_pseudo",
     "load_csv",
     "make_folds",
     "mar_pseudo",
     "oob_nuisances",
     "plugin_cate",
-    "predict_target",
     "rr_pseudo",
     "stream",
     "transform_pseudo",

@@ -280,7 +280,7 @@ def oob_nuisances(
     pseudo: PseudoOutcomeSpec = _DEFAULT_PSEUDO,
     known_propensity=None,
 ) -> NuisanceEstimates:
-    """Out-of-bag alternative to fold splitting, for forest nuisances.
+    """Out-of-bag alternative to fold splitting; every nuisance it fits is a forest.
 
     Each arm's outcome forest predicts its own training rows out-of-bag
     and the opposite arm's rows with the full forest; the propensity
@@ -288,9 +288,10 @@ def oob_nuisances(
     """
     if data.w is None:
         raise SchemaError("out-of-bag nuisances need an indicator column")
-    if cfg.outcome_spec.kind != "forest":
+    reads = NUISANCES[pseudo.target]
+    if {"mu0", "mu1"} & set(reads) and cfg.outcome_spec.kind != "forest":
         raise ConfigError("oob_nuisances requires a forest outcome_spec")
-    if known_propensity is None and cfg.propensity_spec.kind != "forest":
+    if "pi" in reads and known_propensity is None and cfg.propensity_spec.kind != "forest":
         raise ConfigError("oob_nuisances requires a forest propensity_spec")
     w = data.w
     n = data.n
@@ -299,7 +300,7 @@ def oob_nuisances(
 
     known = known_pi_values(data, known_propensity, pseudo)
     out = {"pi_hat": known}
-    for name in NUISANCES[pseudo.target]:
+    for name in reads:
         if name == "pi" and known is not None:
             continue
         own = arm_rows(name, w, np.arange(n))

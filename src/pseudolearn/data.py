@@ -97,10 +97,6 @@ class Dataset:
     def d(self) -> int:
         return self.X.shape[1]
 
-    @property
-    def has_treatment(self) -> bool:
-        return self.w is not None
-
     def subset(self, idx) -> "Dataset":
         """New dataset from the given row indices (order preserved)."""
         idx = np.asarray(idx)

@@ -33,14 +33,13 @@ from .iflearner import (
     fit_if_learner,
     fit_plugin_learner,
 )
-from .pseudo import CONTRAST_TARGETS, build_pseudo_outcomes, ht_pseudo
+from .pseudo import CONTRAST_TARGETS, build_pseudo_outcomes
 
 __all__ = [
     "GroupConfig",
     "GroupEstimates",
     "fit_group_learner",
     "group_efficient_estimate",
-    "group_ht_estimate",
 ]
 
 FIRST_STAGES = ("plugin", "if_learner")
@@ -110,12 +109,6 @@ def group_efficient_estimate(values) -> tuple[float, float]:
     psi = float(v.mean())
     var = float(np.sum((v - psi) ** 2) / (n * (n - 1)))
     return psi, var
-
-
-def group_ht_estimate(y, w, pi) -> tuple[float, float]:
-    """Horvitz-Thompson mean and variance-of-the-mean for one group."""
-    d = np.atleast_1d(np.asarray(ht_pseudo(y, w, pi), dtype=float))
-    return group_efficient_estimate(d)
 
 
 def _critical_values(cfg: GroupConfig, n_g: np.ndarray) -> np.ndarray:

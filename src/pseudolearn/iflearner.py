@@ -52,7 +52,6 @@ __all__ = [
     "fit_if_learner",
     "fit_oracle_learner",
     "fit_plugin_learner",
-    "predict_target",
     "winsorize_values",
     "config_digest",
 ]
@@ -131,22 +130,8 @@ class TargetModel:
         )
 
 
-def predict_target(model: TargetModel, x) -> float:
-    """Pointwise estimate at a single covariate vector x."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        x = x.reshape(1)
-    if x.ndim != 1 or x.shape[0] != model.n_features:
-        raise SchemaError(
-            f"query point has shape {x.shape}, expected ({model.n_features},)"
-        )
-    return float(model.predict(x.reshape(1, -1))[0])
-
-
 def winsorize_values(d: np.ndarray, q: float) -> np.ndarray:
     """Clip to the empirical [q, 1-q] quantile range (symmetric)."""
-    if not 0.0 < q < 0.5:
-        raise ConfigError(f"winsorize quantile must be in (0, 0.5), got {q}")
     lo, hi = np.quantile(d, [q, 1.0 - q])
     return np.clip(d, lo, hi)
 

@@ -13,8 +13,9 @@ Available kinds
     Predicts the training mean everywhere.  Baseline and degenerate
     fallback.
 ``knn``
-    k-nearest-neighbour average, Euclidean metric.  Distance ties are
-    broken by training-row index.
+    k-nearest-neighbour average, Euclidean metric; ties go to the lower
+    training row.  One feature: O(log n + k) per query from the sorted
+    training values, with the dense search's neighbours, ties and bits.
 ``kernel``
     Nadaraya-Watson smoother with a radial gaussian or epanechnikov
     kernel.  ``bandwidth=None`` selects the bandwidth by K-fold
@@ -162,8 +163,13 @@ def _distances(Xq: np.ndarray, Xt: np.ndarray) -> np.ndarray:
     """
     if Xq.shape[1] != 1:
         return cdist(Xq, Xt)
+    return _gaps(Xq[:, :1], Xt[:, 0])
+
+
+def _gaps(a, b) -> np.ndarray:
+    """``sqrt((a - b)**2)`` with broadcasting: one-feature distances."""
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        dist = np.subtract.outer(Xq[:, 0], Xt[:, 0])
+        dist = np.subtract(a, b)
         np.multiply(dist, dist, out=dist)
     return np.sqrt(dist, out=dist)
 
@@ -204,14 +210,51 @@ class _KnnModel(FittedModel):
         self._y = y
         self.n_features = X.shape[1]
         self._k = int(k)
+        if self.n_features == 1:
+            self._order = np.argsort(X[:, 0], kind="stable")
+            # sorted values, then +inf: xs[-1] and xs[n] lie beyond every row
+            self._xs = np.append(X[self._order, 0], np.inf)
 
     def predict(self, Xq) -> np.ndarray:
         Xq = _as_matrix(Xq, self.n_features)
         out = np.empty(Xq.shape[0])
-        for rows in _row_blocks(Xq.shape[0], self._X.shape[0]):
+        dense = np.arange(Xq.shape[0])
+        if self.n_features == 1:
+            dense = dense[~self._window_predict(Xq[:, 0], out)]
+        for rows in _row_blocks(dense.shape[0], self._X.shape[0]):
+            rows = dense[rows]
             nearest = _nearest_rows(_distances(Xq[rows], self._X), self._k)
             out[rows] = self._y[nearest].mean(axis=1)
         return out
+
+    def _window_predict(self, q: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Writes the means of 1-d queries to ``out``; returns which are right.
+
+        Distances do not rise along the sorted training values up to a
+        query and do not fall after it, so its k nearest are a run of k
+        sorted rows.  Ordered by (distance, row), the run is ``_nearest_rows``'
+        choice unless a row beside it is not strictly farther than the k-th
+        (a tie, or a non-finite query or distance); those take the dense path.
+        """
+        xs, k, n = self._xs, self._k, self._X.shape[0]
+        ok = np.empty(q.shape[0], dtype=bool)
+        # a block holds a few k-wide temporaries per query
+        for rows in _row_blocks(q.shape[0], 4 * k):
+            qb = q[rows]
+            # the run's start: the first in [lo, hi] no farther than the row after it
+            pos = np.searchsorted(xs[:n], qb)
+            lo, hi = np.maximum(pos - k, 0), np.minimum(pos, n - k)
+            for _ in range(k.bit_length()):
+                mid = (lo + hi) // 2
+                keep = (mid >= hi) | (_gaps(qb, xs[mid]) <= _gaps(qb, xs[mid + k]))
+                hi, lo = np.where(keep, mid, hi), np.where(keep, lo, mid + 1)
+            cand = np.sort(self._order[lo[:, None] + np.arange(k)], axis=1)
+            dist = _gaps(qb[:, None], self._X[cand, 0])
+            order = np.argsort(dist, axis=1, kind="stable")
+            out[rows] = self._y[np.take_along_axis(cand, order, axis=1)].mean(axis=1)
+            beside = _gaps(qb[:, None], xs[lo[:, None] + [-1, k]])
+            ok[rows] = np.all(beside > dist.max(axis=1)[:, None], axis=1)
+        return ok
 
 
 def _nearest_rows(dist: np.ndarray, k: int) -> np.ndarray:
@@ -331,7 +374,7 @@ def _cv_bandwidth(X, y, spec: LearnerSpec, seed: int) -> float:
     if best_h is None:
         raise EstimationError(
             "bandwidth CV failed: no grid bandwidth has a finite held-out SSE "
-            "(an outcome is non-finite or the squared errors overflow)"
+            "(the squared errors overflow)"
         )
     return best_h
 
@@ -538,7 +581,7 @@ class _ClippedModel(FittedModel):
         return np.clip(self._base.predict_oob(), self._lo, self._hi)
 
 
-def _training_arrays(X, y):
+def _training_arrays(X, y, kind: str):
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X.reshape(-1, 1)
@@ -549,12 +592,18 @@ def _training_arrays(X, y):
         )
     if X.shape[0] == 0:
         raise SchemaError("cannot fit a learner on zero rows")
+    bad = ~(np.isfinite(y) & np.isfinite(X).all(axis=1))
+    if np.any(bad):
+        raise EstimationError(
+            f"cannot fit a {kind} learner: training row {int(np.argmax(bad))} "
+            "has a non-finite outcome or covariate"
+        )
     return X, y
 
 
 def fit_learner(spec: LearnerSpec, X, y, seed: int = 0) -> FittedModel:
     """Fit ``spec`` on (X, y); deterministic in ``seed``."""
-    X, y = _training_arrays(X, y)
+    X, y = _training_arrays(X, y, spec.kind)
     if spec.kind == "mean":
         model = _MeanModel(X, y)
     elif spec.kind == "knn":

@@ -269,6 +269,20 @@ class TestOutOfBag:
         with pytest.raises(ConfigError):
             oob_nuisances(ds, CrossfitConfig(outcome_spec=self.FOREST, propensity_spec=KNN1))
 
+    @pytest.mark.parametrize(
+        "target, outcome, propensity, fitted",
+        [
+            ("cate_ht", KNN1, FOREST, ("pi",)),
+            ("cate_plugin", FOREST, KNN1, ("mu0", "mu1")),
+        ],
+    )
+    def test_only_read_nuisances_need_forests(self, target, outcome, propensity, fitted):
+        ds = rct_dataset(n=60, seed=15)
+        cfg = CrossfitConfig(outcome_spec=outcome, propensity_spec=propensity, seed=2)
+        nuis = oob_nuisances(ds, cfg, PseudoOutcomeSpec(target=target))
+        for name in ("mu0", "mu1", "pi"):
+            assert (getattr(nuis, f"{name}_hat") is None) == (name not in fitted)
+
     def test_known_propensity_waives_forest_requirement(self):
         ds = rct_dataset(n=60, seed=15)
         cfg = CrossfitConfig(outcome_spec=self.FOREST, propensity_spec=KNN1, seed=2)

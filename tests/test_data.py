@@ -26,7 +26,6 @@ class TestDataset:
     def test_basic_shapes(self):
         ds = toy_dataset(n=7, d=3)
         assert ds.n == 7 and ds.d == 3 and len(ds) == 7
-        assert ds.has_treatment
 
     def test_arrays_are_immutable(self):
         ds = toy_dataset()

@@ -17,11 +17,10 @@ from pseudolearn.grouplearner import (
     _group_cutpoints,
     fit_group_learner,
     group_efficient_estimate,
-    group_ht_estimate,
 )
 from pseudolearn.iflearner import IFLearnerConfig
 from pseudolearn.learners import LearnerSpec
-from pseudolearn.pseudo import PseudoOutcomeSpec, aipw_pseudo
+from pseudolearn.pseudo import PseudoOutcomeSpec, aipw_pseudo, ht_pseudo
 from pseudolearn.simulate import Dgp1dConfig, sample_1d
 
 Z95 = float(ndtri(0.975))
@@ -74,12 +73,13 @@ class TestGroupEfficientEstimate:
 
 
 class TestGroupHtEstimate:
+    # a group's HT estimate is the efficient estimate of its HT pseudo-outcomes
     def test_constant_doubled_outcomes(self):
-        psi, var = group_ht_estimate([1.0, 1.0], [1.0, 1.0], 0.5)
+        psi, var = group_efficient_estimate(ht_pseudo([1.0, 1.0], [1.0, 1.0], 0.5))
         assert psi == 2.0 and var == 0.0
 
     def test_hand_mixed_group(self):
-        psi, _ = group_ht_estimate([1.0, 1.0], [1.0, 0.0], 0.25)
+        psi, _ = group_efficient_estimate(ht_pseudo([1.0, 1.0], [1.0, 0.0], 0.25))
         assert psi == pytest.approx((4.0 - 4.0 / 3.0) / 2.0)
 
     def test_matches_eif_at_zero_regressions(self):
@@ -88,7 +88,8 @@ class TestGroupHtEstimate:
         w = rng.integers(0, 2, size=40).astype(float)
         pi = rng.uniform(0.2, 0.8, size=40)
         d = aipw_pseudo(y, w, pi, np.zeros(40), np.zeros(40))
-        assert group_ht_estimate(y, w, pi) == group_efficient_estimate(d)
+        ht = group_efficient_estimate(ht_pseudo(y, w, pi))
+        assert ht == group_efficient_estimate(d)
 
 
 class TestGroupConfig:

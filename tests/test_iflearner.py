@@ -13,7 +13,6 @@ from pseudolearn.iflearner import (
     fit_if_learner,
     fit_oracle_learner,
     fit_plugin_learner,
-    predict_target,
     winsorize_values,
 )
 from pseudolearn.learners import LearnerSpec, fit_learner
@@ -183,7 +182,7 @@ class TestWinsorize:
 
     def test_bad_quantile(self):
         with pytest.raises(ConfigError):
-            winsorize_values(np.arange(5.0), 0.6)
+            IFLearnerConfig(winsorize=0.6)
 
 
 class TestOracle:
@@ -277,22 +276,11 @@ class TestPluginLearner:
 
 
 class TestPredictTarget:
-    def test_scalar_contract(self):
-        ds = rct_dataset(n=60, seed=16)
-        cfg = basic_config(target="regression_mean", second_stage=MEAN)
-        model = fit_if_learner(ds, cfg)
-        val = predict_target(model, [0.2])
-        assert isinstance(val, float)
-        assert val == pytest.approx(ds.y.mean())
-        # scalar shorthand for 1-D models
-        assert predict_target(model, 0.2) == val
-
     def test_constant_pseudo_outcomes_give_constant_model(self):
         ds = Dataset(np.linspace(0, 1, 20).reshape(-1, 1), np.full(20, 2.5))
         cfg = basic_config(target="regression_mean", second_stage=KNN2)
         model = fit_if_learner(ds, cfg)
-        for x in (0.1, 0.5, 0.9):
-            assert predict_target(model, x) == pytest.approx(2.5)
+        assert model.predict([0.1, 0.5, 0.9]) == pytest.approx(2.5)
 
     def test_dimension_mismatch(self):
         ds = rct_dataset(n=60, seed=17)
@@ -300,7 +288,7 @@ class TestPredictTarget:
             ds, basic_config(target="regression_mean", second_stage=MEAN)
         )
         with pytest.raises(SchemaError):
-            predict_target(model, [0.1, 0.2])
+            model.predict([[0.1, 0.2]])
 
     def test_second_stage_permutation_invariance(self):
         # knn/kernel stages do not care about training row order

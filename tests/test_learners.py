@@ -183,11 +183,11 @@ class TestKernel:
         assert model.bandwidth == 0.1
 
     def test_cv_without_finite_sse_is_estimation_error(self):
-        # one NaN outcome makes every bandwidth's held-out SSE NaN
-        y = np.zeros(30)
-        y[7] = np.nan
-        with pytest.raises(EstimationError, match="no grid bandwidth has a finite"):
-            fit_learner(LearnerSpec(kind="kernel"), np.linspace(0, 1, 30), y)
+        # outcomes of +-1e200 overflow every bandwidth's held-out SSE
+        y = np.where(np.arange(30) % 2 == 0, 1e200, -1e200)
+        with np.errstate(over="ignore"):
+            with pytest.raises(EstimationError, match="no grid bandwidth has a finite"):
+                fit_learner(LearnerSpec(kind="kernel"), np.linspace(0, 1, 30), y)
 
     def test_cv_deterministic_in_seed(self):
         rng = np.random.default_rng(3)
@@ -300,6 +300,40 @@ def _pairwise_data(d, n, m, seed):
     return X, y, Xq
 
 
+@st.composite
+def _window_cases(draw):
+    """A block budget, n <= 300 one-feature training rows, k in 1..n, m
+    queries, whether the training points sit on a grid, and a data seed."""
+    entries = draw(st.sampled_from((64, 256, 2**16)))
+    n = draw(st.integers(1, 300))
+    k = draw(st.integers(1, n))
+    m = draw(st.integers(1, 40))
+    return entries, n, k, m, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+def _window_data(n, m, grid, seed):
+    """Training points on a half-integer grid (many duplicates, so the
+    k-th distance often ties a row outside the run) or continuous draws;
+    queries on a quarter grid (equidistant from two grid points) or
+    continuous, inside and beyond the training range; some +-inf or NaN."""
+    rng = np.random.default_rng(seed)
+    if grid:
+        X = col(rng.integers(-4, 5, size=n) / 2.0)
+    else:
+        X = col(rng.uniform(-2.0, 2.0, size=n))
+    y = rng.normal(size=n)
+    Xq = col(
+        np.where(
+            rng.uniform(size=m) < 0.5,
+            rng.integers(-16, 17, size=m) / 4.0,
+            rng.uniform(-6.0, 6.0, size=m),
+        )
+    )
+    odd = rng.uniform(size=m) < 0.15
+    Xq[odd, 0] = rng.choice([np.inf, -np.inf, np.nan], size=int(odd.sum()))
+    return X, y, Xq
+
+
 class TestRowBlocks:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 3000), st.integers(1, 20000))
@@ -348,6 +382,30 @@ class TestRowBlocks:
         with mock.patch.object(learners, "_BLOCK_ENTRIES", entries):
             got = fit_learner(LearnerSpec(kind="knn", k=k), X, y).predict(Xq)
         assert got.tobytes() == _reference_knn_predict(X, y, Xq, k).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_window_cases())
+    def test_one_feature_knn_window_matches_dense(self, case):
+        entries, n, k, m, grid, seed = case
+        X, y, Xq = _window_data(n, m, grid, seed)
+        with mock.patch.object(learners, "_BLOCK_ENTRIES", entries):
+            got = fit_learner(LearnerSpec(kind="knn", k=k), X, y).predict(Xq)
+        assert got.tobytes() == _reference_knn_predict(X, y, Xq, k).tobytes()
+
+    def test_continuous_one_feature_knn_skips_dense_distances(self):
+        rng = np.random.default_rng(8)
+        X, y = col(rng.uniform(-1, 1, 500)), rng.normal(size=500)
+        Xq = col(rng.uniform(-1.5, 1.5, 700))
+        with mock.patch.object(learners, "_distances", wraps=_distances) as dense:
+            for k in (1, 20, 499, 500):
+                got = fit_learner(LearnerSpec(kind="knn", k=k), X, y).predict(Xq)
+                want = _reference_knn_predict(X, y, Xq, k)
+                assert got.tobytes() == want.tobytes()
+            assert dense.call_count == 0
+            # a grid ties the k-th distance outside the run: dense fallback
+            grid = col(np.arange(500) % 10)
+            fit_learner(LearnerSpec(kind="knn", k=20), grid, y).predict(Xq)
+            assert dense.call_count > 0
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -785,3 +843,14 @@ class TestQueryShapes:
     def test_empty_training_rejected(self):
         with pytest.raises(SchemaError):
             fit_learner(LearnerSpec(kind="mean"), np.zeros((0, 1)), [])
+
+    @pytest.mark.parametrize("kind", ["mean", "knn", "kernel", "forest"])
+    @pytest.mark.parametrize("bad", ["nan_outcome", "inf_covariate"])
+    def test_nonfinite_training_row_is_estimation_error(self, kind, bad):
+        X, y = np.zeros((30, 2)), np.zeros(30)
+        if bad == "nan_outcome":
+            y[7] = np.nan
+        else:
+            X[7, 1] = -np.inf
+        with pytest.raises(EstimationError, match=f"{kind} learner: training row 7 "):
+            fit_learner(LearnerSpec(kind=kind), X, y)
