@@ -23,12 +23,14 @@ import ast
 import dataclasses
 import json
 import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy
 
 from . import __version__
 from . import rng as rngmod
+from .config import FromDict
 from .data import ColumnMap, load_csv, read_csv_columns, write_csv
 from .errors import ConfigError, EstimationError, ParseError, PseudolearnError
 from .grouplearner import GroupConfig, fit_group_learner
@@ -68,7 +70,8 @@ def _versions() -> dict:
     }
 
 
-def _write_manifest(out_path: str, command: str, config: dict) -> None:
+def _write_manifest(out_path: str, command: str, config: dict, summary: str) -> None:
+    """Write ``<out_path>.manifest.json`` and report the output on stdout."""
     manifest = {
         "command": command,
         "config": config,
@@ -79,6 +82,7 @@ def _write_manifest(out_path: str, command: str, config: dict) -> None:
     with open(f"{out_path}.manifest.json", "w") as f:
         json.dump(manifest, f, sort_keys=True, indent=2)
         f.write("\n")
+    print(f"wrote {out_path} ({summary})")
 
 
 # the numpy functions a --known-propensity expression may call, with the
@@ -238,102 +242,91 @@ def cmd_simulate(args) -> int:
     table = run_replications(exp, jobs=args.jobs)
     out = args.out or f"{exp.experiment_id}_results.csv"
     table.to_csv(out)
-    _write_manifest(out, "simulate", dataclasses.asdict(exp))
-    print(f"wrote {out} ({len(table.rows)} result rows)")
+    summary = f"{len(table.rows)} result rows"
+    _write_manifest(out, "simulate", dataclasses.asdict(exp), summary)
     return 0
 
 
-def _seeded_if_config(icfg: IFLearnerConfig, seed: int | None) -> IFLearnerConfig:
-    if seed is None:
-        return icfg
-    return dataclasses.replace(
-        icfg, seed=seed, crossfit=dataclasses.replace(icfg.crossfit, seed=seed)
-    )
+@dataclass(frozen=True)
+class FitFile(FromDict):
+    """The ``fit`` config file: the data columns, the learner and its variant."""
+
+    columns: ColumnMap
+    if_config: IFLearnerConfig = field(default_factory=IFLearnerConfig)
+    variant: str = "if_learner"
+
+    def __post_init__(self):
+        if self.variant not in FIT_VARIANTS:
+            raise ConfigError(
+                f"variant must be one of {FIT_VARIANTS}, got {self.variant!r}"
+            )
+
+    def reseeded(self, seed: int) -> "FitFile":
+        return dataclasses.replace(self, if_config=self.if_config.reseeded(seed, seed))
+
+
+@dataclass(frozen=True)
+class GroupFile(FromDict):
+    """The ``group`` config file: the data columns and the grouping settings."""
+
+    columns: ColumnMap
+    group: GroupConfig = field(default_factory=GroupConfig)
+
+    def reseeded(self, seed: int) -> "GroupFile":
+        icfg = self.group.if_config.reseeded(seed, seed)
+        group = dataclasses.replace(self.group, seed=seed, if_config=icfg)
+        return dataclasses.replace(self, group=group)
+
+
+def _load_file(args, file_class):
+    """The config file with ``--seed`` applied, and the propensity callable."""
+    cfg = file_class.from_dict(_load_json(args.config))
+    if args.seed is not None:
+        cfg = cfg.reseeded(args.seed)
+    expr = args.known_propensity
+    return cfg, propensity_expression(expr) if expr else None
+
+
+def _write_file_manifest(args, command, out, cfg, summary, **inputs) -> None:
+    """Write the manifest of ``fit`` or ``group``: the config file plus the inputs."""
+    inputs.update(data=str(args.data), known_propensity=args.known_propensity)
+    _write_manifest(out, command, {**dataclasses.asdict(cfg), **inputs}, summary)
 
 
 def cmd_fit(args) -> int:
-    blob = _load_json(args.config)
-    if "columns" not in blob:
-        raise ConfigError("fit config needs a 'columns' mapping")
-    columns = ColumnMap.from_dict(blob["columns"])
-    icfg = _seeded_if_config(
-        IFLearnerConfig.from_dict(blob.get("if_config", {})), args.seed
-    )
-    variant = blob.get("variant", "if_learner")
-    if variant not in FIT_VARIANTS:
-        raise ConfigError(f"variant must be one of {FIT_VARIANTS}, got {variant!r}")
-    known = (
-        propensity_expression(args.known_propensity)
-        if args.known_propensity
-        else None
-    )
-    data = load_csv(args.data, columns)
+    cfg, known = _load_file(args, FitFile)
+    covariates = cfg.columns.covariates
     if (args.query is None) == (args.grid is None):
         raise ConfigError("exactly one of --query or --grid is required")
     if args.query is not None:
-        Xq = read_csv_columns(args.query, columns.covariates)
+        Xq = read_csv_columns(args.query, covariates)
     else:
-        Xq = _parse_grid(args.grid, len(columns.covariates))
-    if variant == "plugin":
-        model = fit_plugin_learner(data, icfg)
+        Xq = _parse_grid(args.grid, len(covariates))
+    data = load_csv(args.data, cfg.columns)
+    if cfg.variant == "plugin":
+        model = fit_plugin_learner(data, cfg.if_config)
     else:
-        model = fit_if_learner(data, icfg, known_propensity=known)
+        model = fit_if_learner(data, cfg.if_config, known_propensity=known)
     preds = model.predict(Xq)
     out = args.out or "predictions.csv"
     write_csv(
         out,
-        list(columns.covariates) + ["psi_hat"],
+        list(covariates) + ["psi_hat"],
         (list(row) + [p] for row, p in zip(Xq, preds)),
     )
-    _write_manifest(
-        out,
-        "fit",
-        {
-            "data": str(args.data),
-            "columns": dataclasses.asdict(columns),
-            "if_config": dataclasses.asdict(icfg),
-            "variant": variant,
-            "known_propensity": args.known_propensity,
-            "query": str(args.query) if args.query else None,
-            "grid": args.grid,
-        },
-    )
-    print(f"wrote {out} ({Xq.shape[0]} predictions)")
+    query = str(args.query) if args.query else None
+    summary = f"{len(Xq)} predictions"
+    _write_file_manifest(args, "fit", out, cfg, summary, query=query, grid=args.grid)
     return 0
 
 
 def cmd_group(args) -> int:
-    blob = _load_json(args.config)
-    if "columns" not in blob:
-        raise ConfigError("group config needs a 'columns' mapping")
-    columns = ColumnMap.from_dict(blob["columns"])
-    gcfg = GroupConfig.from_dict(blob.get("group", {}))
-    if args.seed is not None:
-        gcfg = dataclasses.replace(
-            gcfg,
-            seed=args.seed,
-            if_config=_seeded_if_config(gcfg.if_config, args.seed),
-        )
-    known = (
-        propensity_expression(args.known_propensity)
-        if args.known_propensity
-        else None
-    )
-    data = load_csv(args.data, columns)
-    estimates = fit_group_learner(data, gcfg, known_propensity=known)
+    cfg, known = _load_file(args, GroupFile)
+    data = load_csv(args.data, cfg.columns)
+    estimates = fit_group_learner(data, cfg.group, known_propensity=known)
     out = args.out or "group_report.csv"
     estimates.to_csv(out)
-    _write_manifest(
-        out,
-        "group",
-        {
-            "data": str(args.data),
-            "columns": dataclasses.asdict(columns),
-            "group": dataclasses.asdict(gcfg),
-            "known_propensity": args.known_propensity,
-        },
-    )
-    print(f"wrote {out} ({estimates.n_groups} groups)")
+    _write_file_manifest(args, "group", out, cfg, f"{estimates.n_groups} groups")
     return 0
 
 
@@ -351,28 +344,26 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--out", default=None, help="results CSV path")
     ps.set_defaults(func=cmd_simulate)
 
-    pf = sub.add_parser("fit", help="fit a learner on a CSV, predict at queries")
-    pf.add_argument("--data", required=True, help="training data CSV")
-    pf.add_argument("--config", required=True, help="fit JSON config")
-    pf.add_argument("--query", default=None, help="query-point CSV")
-    pf.add_argument("--grid", default=None, help="1-D query grid, 'lo:hi:count'")
-    pf.add_argument(
+    on_data = argparse.ArgumentParser(add_help=False)
+    on_data.add_argument("--data", required=True, help="data CSV")
+    on_data.add_argument("--config", required=True, help="fit or group JSON config")
+    on_data.add_argument(
         "--known-propensity", default=None,
         help="expression for a known propensity, e.g. '0.1 + 0.8*(x[0] > 0)'",
     )
-    pf.add_argument("--seed", type=int, default=None)
-    pf.add_argument("--out", default=None, help="predictions CSV path")
+    on_data.add_argument("--seed", type=int, default=None)
+    on_data.add_argument("--out", default=None, help="output CSV path")
+
+    pf = sub.add_parser(
+        "fit", parents=[on_data], help="fit a learner on a CSV, predict at queries"
+    )
+    pf.add_argument("--query", default=None, help="query-point CSV")
+    pf.add_argument("--grid", default=None, help="1-D query grid, 'lo:hi:count'")
     pf.set_defaults(func=cmd_fit)
 
-    pg = sub.add_parser("group", help="group-wise inference report from a CSV")
-    pg.add_argument("--data", required=True, help="data CSV")
-    pg.add_argument("--config", required=True, help="group JSON config")
-    pg.add_argument(
-        "--known-propensity", default=None,
-        help="expression for a known propensity",
+    pg = sub.add_parser(
+        "group", parents=[on_data], help="group-wise inference report from a CSV"
     )
-    pg.add_argument("--seed", type=int, default=None)
-    pg.add_argument("--out", default=None, help="report CSV path")
     pg.set_defaults(func=cmd_group)
     return p
 

@@ -4,8 +4,10 @@ Config dataclasses inherit :class:`FromDict`.  Loading a JSON-style dict
 resolves the field types with :func:`typing.get_type_hints`, loads
 nested config dicts recursively, turns lists into tuples where the
 field is a tuple, and rejects unknown keys with a :class:`ConfigError`
-naming the class.  A class rewrites its own dict first by overriding
-``_normalize`` (discriminators, inherited settings, legacy keys).
+naming the class, as it does a scalar of the wrong type (an int is a
+float and stays an int; a bool is neither).  A class rewrites its own
+dict first by overriding ``_normalize`` (discriminators, inherited
+settings, legacy keys).
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import typing
 from .errors import ConfigError
 
 __all__ = ["FromDict"]
+
+_SCALARS = (bool, int, float, str, type(None))  # field types whose values are checked
 
 
 class FromDict:
@@ -48,7 +52,7 @@ class FromDict:
 
 
 def _convert(where: str, tp, value):
-    """Load ``value`` as the annotated type ``tp`` where it is a config or tuple."""
+    """Load ``value`` as the annotated type ``tp``: a config, a tuple or a scalar."""
     union = typing.get_origin(tp) in (typing.Union, types.UnionType)
     allowed = typing.get_args(tp) if union else (tp,)  # X | None allows X and None
     config = next(
@@ -62,4 +66,14 @@ def _convert(where: str, tp, value):
     elif isinstance(value, list) and (tp is tuple or typing.get_origin(tp) is tuple):
         item = (typing.get_args(tp) or (object,))[0]
         return tuple(_convert(where, item, v) for v in value)
+    elif set(allowed) <= set(_SCALARS) and not any(_is_a(value, a) for a in allowed):
+        name = getattr(tp, "__name__", tp)  # e.g. int, or float | None
+        raise ConfigError(f"{where}: expected {name}, got {value!r}")
     return value
+
+
+def _is_a(value, tp) -> bool:
+    """Whether a JSON scalar loads as ``tp``: a bool is no number, an int is a float."""
+    if isinstance(value, bool):
+        return tp is bool
+    return isinstance(value, (int, float) if tp is float else tp)

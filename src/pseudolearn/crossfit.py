@@ -83,12 +83,11 @@ def fit_nuisance(
     :class:`EstimationError` naming the nuisance and ``where`` it was fit.
     """
     spec = cfg.propensity_spec if name == "pi" else cfg.outcome_spec
-    need = {"knn": spec.k, "forest": spec.min_leaf}.get(spec.kind, 1)
-    if rows.size < need:
+    if rows.size < spec.min_rows:
         what = "degenerate arm" if rows.size == 0 else "too few rows"
         raise EstimationError(
             f"{what}: {name} in {where} has {rows.size} training row(s); "
-            f"{spec.kind} needs at least {need}"
+            f"{spec.kind} needs at least {spec.min_rows}"
         )
     X = data.X[rows]
     if name == "pi":

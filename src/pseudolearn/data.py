@@ -36,6 +36,13 @@ EPS_CLIP_DEFAULT = 0.01
 P_CLIP_DEFAULT = 0.01
 
 
+def read_only_copy(a, dtype=float) -> np.ndarray:
+    """A read-only copy of ``a``, which a later write to ``a`` cannot reach."""
+    a = np.array(a, dtype=dtype)
+    a.flags.writeable = False
+    return a
+
+
 class Dataset:
     """Immutable sample of n observations with d covariates each.
 
@@ -51,8 +58,8 @@ class Dataset:
     """
 
     def __init__(self, X, y, w=None):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        y = np.asarray(y, dtype=float).ravel()
+        X = read_only_copy(np.atleast_2d(X))
+        y = read_only_copy(np.ravel(y))
         if X.shape[0] != y.shape[0]:
             raise SchemaError(
                 f"X has {X.shape[0]} rows but y has {y.shape[0]} entries"
@@ -79,12 +86,7 @@ class Dataset:
                     "treatment indicator must be 0 or 1; "
                     f"row {bad} has {w[bad].item()!r}"
                 )
-            w = wf.astype(np.int64)
-            w.flags.writeable = False
-        X = X.copy()
-        y = y.copy()
-        X.flags.writeable = False
-        y.flags.writeable = False
+            w = read_only_copy(wf, np.int64)
         self.X = X
         self.y = y
         self.w = w
@@ -119,8 +121,7 @@ class FoldAssignment:
     n_folds: int
 
     def __post_init__(self):
-        fold_of = np.asarray(self.fold_of, dtype=np.int64)
-        fold_of.flags.writeable = False
+        fold_of = read_only_copy(self.fold_of, np.int64)
         object.__setattr__(self, "fold_of", fold_of)
         counts = np.bincount(fold_of, minlength=self.n_folds)
         if counts.size != self.n_folds or np.any(counts == 0):
@@ -184,7 +185,7 @@ class NuisanceEstimates:
 
     def __post_init__(self):
         vectors = {
-            name: np.asarray(getattr(self, name), dtype=float)
+            name: read_only_copy(getattr(self, name))
             for name in ("mu0_hat", "mu1_hat", "pi_hat")
             if getattr(self, name) is not None
         }

@@ -25,7 +25,7 @@ from scipy.special import ndtri
 from . import rng as rngmod
 from .config import FromDict
 from .crossfit import fit_then_predict, known_pi_values
-from .data import Dataset, NuisanceEstimates, write_csv
+from .data import Dataset, NuisanceEstimates, read_only_copy, write_csv
 from .errors import ConfigError, EstimationError, SchemaError
 from .iflearner import (
     IFLearnerConfig,
@@ -140,15 +140,11 @@ class GroupEstimates:
 
     def __post_init__(self):
         for name in ("cutpoints", "psi_hat", "var_hat", "ci_lo", "ci_hi"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = read_only_copy(getattr(self, name))
             if not np.all(np.isfinite(arr)):
                 raise SchemaError(f"{name} must be finite")
-            arr = arr.copy()
-            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        counts = np.asarray(self.n_g, dtype=np.int64).copy()
-        counts.flags.writeable = False
-        object.__setattr__(self, "n_g", counts)
+        object.__setattr__(self, "n_g", read_only_copy(self.n_g, np.int64))
         g = self.psi_hat.size
         if g < 1 or self.cutpoints.size != g - 1:
             raise SchemaError(

@@ -111,6 +111,11 @@ class IFLearnerConfig(FromDict):
         crossfit = {k: v for k, v in crossfit.items() if k not in legacy}
         return {**d, "crossfit": crossfit, "pseudo": {**pseudo, **legacy}}
 
+    def reseeded(self, seed: int, crossfit_seed: int) -> "IFLearnerConfig":
+        """This config with its second-stage and cross-fitting seeds replaced."""
+        crossfit = dataclasses.replace(self.crossfit, seed=crossfit_seed)
+        return dataclasses.replace(self, seed=seed, crossfit=crossfit)
+
 
 class TargetModel:
     """A fitted target-function estimate with provenance."""

@@ -116,6 +116,11 @@ class LearnerSpec(FromDict):
                 f"features_per_split must be >= 1, got {self.features_per_split}"
             )
 
+    @property
+    def min_rows(self) -> int:
+        """Training rows a fit needs (fewer is an EstimationError): k or min_leaf."""
+        return {"knn": self.k, "forest": self.min_leaf}.get(self.kind, 1)
+
 
 def _as_matrix(Xq, d: int) -> np.ndarray:
     """Coerce query points to shape (m, d)."""
@@ -202,10 +207,6 @@ class _KnnModel(FittedModel):
     """k-nearest-neighbour mean."""
 
     def __init__(self, X, y, k: int):
-        if k > X.shape[0]:
-            raise ConfigError(
-                f"knn needs k <= n; got k={k} with {X.shape[0]} training rows"
-            )
         self._X = X
         self._y = y
         self.n_features = X.shape[1]
@@ -491,10 +492,6 @@ class _ForestModel(FittedModel):
 
     def __init__(self, X, y, spec: LearnerSpec, seed: int):
         n, d = X.shape
-        if spec.min_leaf > n:
-            raise ConfigError(
-                f"forest needs min_leaf <= n; got min_leaf={spec.min_leaf}, n={n}"
-            )
         if spec.features_per_split is not None and spec.features_per_split > d:
             raise ConfigError(
                 f"features_per_split={spec.features_per_split} exceeds d={d}"
@@ -604,6 +601,11 @@ def _training_arrays(X, y, kind: str):
 def fit_learner(spec: LearnerSpec, X, y, seed: int = 0) -> FittedModel:
     """Fit ``spec`` on (X, y); deterministic in ``seed``."""
     X, y = _training_arrays(X, y, spec.kind)
+    if X.shape[0] < spec.min_rows:
+        raise EstimationError(
+            f"too few rows: a {spec.kind} learner needs at least {spec.min_rows} "
+            f"training rows, got {X.shape[0]}"
+        )
     if spec.kind == "mean":
         model = _MeanModel(X, y)
     elif spec.kind == "knn":

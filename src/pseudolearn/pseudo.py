@@ -31,7 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import FromDict
-from .data import EPS_CLIP_DEFAULT, P_CLIP_DEFAULT, Dataset, NuisanceEstimates
+from .data import (
+    EPS_CLIP_DEFAULT, P_CLIP_DEFAULT, Dataset, NuisanceEstimates, read_only_copy
+)
 from .errors import ConfigError, DomainError, SchemaError
 
 __all__ = [
@@ -106,10 +108,9 @@ class PseudoOutcomes:
     d: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.d, dtype=float).ravel()
+        d = read_only_copy(np.ravel(self.d))
         if not np.all(np.isfinite(d)):
             raise DomainError("pseudo-outcomes contain a non-finite value")
-        d.flags.writeable = False
         object.__setattr__(self, "d", d)
 
     @property

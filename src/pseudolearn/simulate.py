@@ -27,7 +27,7 @@ from scipy.special import expit
 
 from . import rng as rngmod
 from .config import FromDict
-from .data import Dataset, write_csv
+from .data import Dataset, read_only_copy, write_csv
 from .errors import ConfigError, DomainError, EstimationError, SchemaError
 from .grouplearner import GroupConfig, fit_group_learner
 from .iflearner import (
@@ -208,13 +208,11 @@ class LabeledSample:
     def __post_init__(self):
         n = self.dataset.n
         for name in ("true_mu0", "true_mu1", "true_pi", "nominal_pi"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = read_only_copy(getattr(self, name))
             if arr.shape != (n,):
                 raise SchemaError(f"{name} must have shape ({n},), got {arr.shape}")
             if not np.all(np.isfinite(arr)):
                 raise SchemaError(f"{name} must be finite")
-            arr = arr.copy()
-            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         for name in ("true_pi", "nominal_pi"):
             arr = getattr(self, name)
@@ -344,13 +342,6 @@ def evaluate_mse(model, test: LabeledSample) -> float:
     return float(np.mean((preds - truth) ** 2))
 
 
-def _unseeded(icfg: IFLearnerConfig) -> IFLearnerConfig:
-    """``icfg`` without the seeds the harness rewrites per replication."""
-    return dataclasses.replace(
-        icfg, seed=0, crossfit=dataclasses.replace(icfg.crossfit, seed=0)
-    )
-
-
 @dataclass(frozen=True)
 class MethodSpec(FromDict):
     """One estimator entry in an experiment.
@@ -375,8 +366,8 @@ class MethodSpec(FromDict):
             )
         if self.kind == "group_if_learner" and self.group is None:
             raise ConfigError(f"method {self.name!r} needs grouping settings")
-        group_if = None if self.group is None else _unseeded(self.group.if_config)
-        if group_if is not None and group_if != _unseeded(self.if_config):
+        unseeded = self.if_config.reseeded(0, 0)
+        if self.group is not None and self.group.if_config.reseeded(0, 0) != unseeded:
             raise ConfigError(
                 f"method {self.name!r}: group.if_config differs from if_config; "
                 "the group learner is fitted with if_config, so set it there"
@@ -476,12 +467,8 @@ class ResultTable:
 def _reseeded_method(m: MethodSpec, exp: ExperimentConfig, n: int, rep: int) -> MethodSpec:
     """Give every random component its own replication-specific stream."""
     base = (exp.seed, exp.experiment_id, n, rep, m.name)
-    icfg = dataclasses.replace(
-        m.if_config,
-        seed=rngmod.derive_seed(*base, "stage2"),
-        crossfit=dataclasses.replace(
-            m.if_config.crossfit, seed=rngmod.derive_seed(*base, "crossfit")
-        ),
+    icfg = m.if_config.reseeded(
+        rngmod.derive_seed(*base, "stage2"), rngmod.derive_seed(*base, "crossfit")
     )
     group = m.group
     if group is not None:

@@ -259,6 +259,36 @@ class TestFit:
         missing = str(tmp_path / "missing.csv")
         assert main(["fit", "--data", missing, "--config", cfg, "--grid", "0:1:3"]) == 2
         assert "not found" in capsys.readouterr().err
+        # the query/grid check comes before the data file is opened
+        assert main(["fit", "--data", missing, "--config", cfg]) == 2
+        assert "exactly one of --query or --grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "blob, message",
+        [
+            ({"if_confg": {}}, r"FitFile: unknown key(s) ['if_confg']"),
+            ({"variant": "plug-in"}, "variant must be one of"),
+            ({"if_config": {"second_stage": {"kind": "forest", "n_trees": 1.5}}},
+             "LearnerSpec.n_trees: expected int, got 1.5"),
+            ({"columns": None}, "FitFile.columns: expected an object"),
+            ({"columns": {}}, "ColumnMap: "),
+        ],
+    )
+    def test_bad_config_file_is_validation_failure(
+        self, tmp_path, capsys, blob, message
+    ):
+        data, columns = self.rct_files(tmp_path)
+        cfg = write_json(tmp_path / "fit.json", {"columns": columns, **blob})
+        assert main(["fit", "--data", data, "--config", cfg, "--grid", "0:1:3"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "predictions.csv").exists()
+
+    def test_config_file_needs_columns(self, tmp_path, capsys):
+        data, _ = self.rct_files(tmp_path)
+        cfg = write_json(tmp_path / "fit.json", {"if_config": FAST_IF_DICT})
+        assert main(["fit", "--data", data, "--config", cfg, "--grid", "0:1:3"]) == 2
+        err = capsys.readouterr().err
+        assert "FitFile" in err and "'columns'" in err
 
     def test_schema_mismatch_in_data(self, tmp_path, capsys):
         data, _ = self.rct_files(tmp_path)
@@ -364,6 +394,27 @@ class TestGroup:
         missing = str(tmp_path / "missing.csv")
         assert main(["group", "--data", missing, "--config", cfg]) == 2
         assert "not found" in capsys.readouterr().err
+
+    def test_misspelt_key_is_validation_failure(self, tmp_path, capsys):
+        data, _ = self.group_files(tmp_path)
+        blob = json.loads((tmp_path / "group.json").read_text())
+        blob["groups"] = blob.pop("group")
+        cfg = write_json(tmp_path / "group.json", blob)
+        assert main(["group", "--data", data, "--config", cfg]) == 2
+        assert "GroupFile: unknown key(s) ['groups']" in capsys.readouterr().err
+
+    def test_scorer_on_too_few_auxiliary_rows_is_runtime_failure(
+        self, tmp_path, capsys
+    ):
+        # the if_learner scorer's k = 40 second stage sees the 30-row auxiliary half
+        data, _ = self.group_files(tmp_path, n=60)
+        blob = json.loads((tmp_path / "group.json").read_text())
+        blob["group"]["first_stage"] = "if_learner"
+        blob["group"]["if_config"]["second_stage"]["k"] = 40
+        cfg = write_json(tmp_path / "group.json", blob)
+        assert main(["group", "--data", data, "--config", cfg,
+                     "--known-propensity", "0.5"]) == 1
+        assert "needs at least 40 training rows, got 30" in capsys.readouterr().err
 
     def test_knn_k_above_arm_rows_is_runtime_failure(self, tmp_path, capsys):
         # 148 control rows reach the plug-in scorer on the auxiliary half;

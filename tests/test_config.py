@@ -119,3 +119,32 @@ def test_group_if_config_must_match_method():
     assert MethodSpec.from_dict(blob).group.if_config == IFLearnerConfig.from_dict(
         blob["if_config"]
     )
+
+
+@pytest.mark.parametrize(
+    "cls, blob, where",
+    [
+        (LearnerSpec, {"kind": "forest", "n_trees": 1.5}, "LearnerSpec.n_trees"),
+        (LearnerSpec, {"k": 2.5}, "LearnerSpec.k"),
+        (LearnerSpec, {"k": True}, "LearnerSpec.k"),
+        (LearnerSpec, {"k": None}, "LearnerSpec.k"),
+        (LearnerSpec, {"honest": 1}, "LearnerSpec.honest"),
+        (LearnerSpec, {"bandwidth": True}, "LearnerSpec.bandwidth"),
+        (LearnerSpec, {"bandwidth": "0.1"}, "LearnerSpec.bandwidth"),
+        (CrossfitConfig, {"seed": "3"}, "CrossfitConfig.seed"),
+        (PseudoOutcomeSpec, {"target": 3}, "PseudoOutcomeSpec.target"),
+        (IFLearnerConfig, {"crossfit": {"n_folds": 2.0}}, "CrossfitConfig.n_folds"),
+        (GroupConfig, {"n_groups": 5.0}, "GroupConfig.n_groups"),
+        (ColumnMap, {"covariates": ["x"], "outcome": None}, "ColumnMap.outcome"),
+    ],
+)
+def test_mistyped_scalar_names_the_field(cls, blob, where):
+    with pytest.raises(ConfigError, match=rf"^{where}: expected "):
+        cls.from_dict(blob)
+
+
+def test_scalars_load_unconverted():
+    spec = LearnerSpec.from_dict({"bandwidth": 1, "subsample_fraction": 1})
+    assert type(spec.bandwidth) is int and type(spec.subsample_fraction) is int
+    assert LearnerSpec.from_dict({"bandwidth": None}).bandwidth is None
+    assert IFLearnerConfig.from_dict({"winsorize": 0.1}).winsorize == 0.1

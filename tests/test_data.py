@@ -1,4 +1,4 @@
-"""Dataset, fold assignment and CSV loading."""
+"""Dataset, fold assignment, read-only value objects and CSV loading."""
 
 import numpy as np
 import pytest
@@ -12,6 +12,9 @@ from pseudolearn.data import (
     make_folds,
 )
 from pseudolearn.errors import ConfigError, DomainError, ParseError, SchemaError
+from pseudolearn.grouplearner import GroupEstimates
+from pseudolearn.pseudo import PseudoOutcomes
+from pseudolearn.simulate import LabeledSample
 
 
 def toy_dataset(n=10, d=2, seed=0, treated=True):
@@ -160,6 +163,53 @@ class TestNuisanceEstimates:
                 mu1_hat=np.array([np.nan, 0.0]),
                 pi_hat=np.full(2, 0.5),
             )
+
+
+def _labeled(a):
+    ds = Dataset(np.zeros((4, 1)), np.zeros(4), [0, 1, 0, 1])
+    return LabeledSample(ds, np.zeros(4), np.zeros(4), a, np.full(4, 0.5))
+
+
+def _group_estimates(psi_hat=(0.0, 1.0), n_g=(2, 2)):
+    return GroupEstimates([0.0], psi_hat, [1.0, 1.0], [-2.0, -1.0], [2.0, 3.0], n_g)
+
+
+# (build the object from the caller's array, the attribute holding it, the array)
+HOLDERS = {
+    "Dataset.X": (lambda a: Dataset(a, np.zeros(4)), "X", np.zeros((4, 1))),
+    "Dataset.y": (lambda a: Dataset(np.zeros((4, 1)), a), "y", np.zeros(4)),
+    "Dataset.w": (
+        lambda a: Dataset(np.zeros((4, 1)), np.zeros(4), a), "w", np.zeros(4, int)
+    ),
+    "FoldAssignment.fold_of": (
+        lambda a: FoldAssignment(a, 2), "fold_of", np.array([0, 1, 0, 1])
+    ),
+    "NuisanceEstimates.pi_hat": (
+        lambda a: NuisanceEstimates(pi_hat=a), "pi_hat", np.full(4, 0.5)
+    ),
+    "NuisanceEstimates.mu0_hat": (
+        lambda a: NuisanceEstimates(mu0_hat=a), "mu0_hat", np.zeros(4)
+    ),
+    "PseudoOutcomes.d": (lambda a: PseudoOutcomes(d=a), "d", np.zeros(4)),
+    "LabeledSample.true_pi": (_labeled, "true_pi", np.full(4, 0.5)),
+    "GroupEstimates.psi_hat": (
+        lambda a: _group_estimates(psi_hat=a), "psi_hat", np.array([0.0, 1.0])
+    ),
+    "GroupEstimates.n_g": (
+        lambda a: _group_estimates(n_g=a), "n_g", np.array([2, 2])
+    ),
+}
+
+
+@pytest.mark.parametrize("holder", HOLDERS)
+def test_value_objects_keep_a_read_only_copy(holder):
+    build, name, a = HOLDERS[holder]
+    held = getattr(build(a), name)
+    before = held.copy()
+    assert a.flags.writeable and not held.flags.writeable
+    # an invalid value written afterwards must not get behind the validation
+    a[...] = np.nan if a.dtype.kind == "f" else 1
+    assert np.array_equal(held, before)
 
 
 class TestLoadCsv:

@@ -253,6 +253,15 @@ class TestFitGroupLearner:
         preds = est.predict(grid)
         assert set(np.unique(preds)) <= set(est.psi_hat)
 
+    def test_scorer_on_too_few_auxiliary_rows_is_estimation_error(self):
+        # the if_learner scorer's second stage trains on the 30-row auxiliary half
+        mean = CrossfitConfig(outcome_spec=LearnerSpec(kind="mean"), n_folds=2)
+        knn40 = LearnerSpec(kind="knn", k=40)
+        icfg = IFLearnerConfig(crossfit=mean, second_stage=knn40)
+        cfg = GroupConfig(n_groups=2, if_config=icfg, seed=1)
+        with pytest.raises(EstimationError, match="needs at least 40 .* got 30"):
+            fit_group_learner(selection_dgp(60, 3), cfg, known_pi)
+
     def test_estimation_split_too_small(self):
         ds = selection_dgp(60, seed=10)
         cfg = GroupConfig(n_groups=20, if_config=FAST_IF, seed=11)

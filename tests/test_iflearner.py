@@ -123,6 +123,12 @@ class TestFitIfLearner:
         b = fit_if_learner(ds, cfg).predict(grid)
         assert np.array_equal(a, b)
 
+    def test_second_stage_with_too_few_rows_is_estimation_error(self):
+        ds = rct_dataset(n=60, seed=5)
+        cfg = basic_config(second_stage=LearnerSpec(kind="knn", k=100))
+        with pytest.raises(EstimationError, match="needs at least 100 .* got 60"):
+            fit_if_learner(ds, cfg)
+
     def test_known_propensity_routing(self):
         ds = rct_dataset(n=120, seed=4)
         cfg = basic_config()

@@ -92,7 +92,7 @@ class TestKnn:
         assert model.predict(col([1.0]))[0] == pytest.approx(5.0)
 
     def test_k_larger_than_n_rejected(self):
-        with pytest.raises(ConfigError, match="k <= n"):
+        with pytest.raises(EstimationError, match="knn learner needs at least 10"):
             fit_learner(LearnerSpec(kind="knn", k=10), col([0, 1, 2]), [3.0, 6.0, 9.0])
 
     def test_k_equal_n_is_global_mean(self):
@@ -615,7 +615,7 @@ class TestForest:
         assert np.allclose(model.predict(col([0.0, 5.0])), 4.0)
 
     def test_min_leaf_above_n_rejected(self):
-        with pytest.raises(ConfigError, match="min_leaf"):
+        with pytest.raises(EstimationError, match="forest learner needs at least 5"):
             fit_learner(
                 LearnerSpec(kind="forest", n_trees=1, min_leaf=5),
                 col([0, 1]),
