@@ -20,7 +20,9 @@ Available kinds
     Nadaraya-Watson smoother with a radial gaussian or epanechnikov
     kernel.  ``bandwidth=None`` selects the bandwidth by K-fold
     cross-validation over ``bandwidth_grid`` (ascending; ties go to
-    the smallest bandwidth).
+    the smallest bandwidth).  Gaussian weights send no exponent below
+    -700 to ``exp``, which keeps numpy on its fast path at small
+    bandwidths; every weight has the plain ``exp`` call's bits.
 ``forest``
     Subsampled regression forest with variance-reduction splits.  When
     ``honest`` each tree's subsample is halved: one half chooses the
@@ -280,18 +282,47 @@ def _nearest_rows(dist: np.ndarray, k: int) -> np.ndarray:
     return nearest
 
 
-def _kernel_weights(dist, bandwidth: float, shape: str, out: np.ndarray) -> None:
-    """Kernel weights of a distance matrix, written to ``out`` (may be ``dist``)."""
+# numpy's SIMD exp leaves its fast path for any input below about -708,
+# whatever the result, and exp(x) is exactly +0.0 for every x < -745.14
+_EXP_FAST_MIN = -700.0
+_EXP_ZERO_BELOW = -746.0
+
+
+def _kernel_weights(dist, bandwidth: float, shape: str, out, far) -> None:
+    """Kernel weights of a distance matrix, written to ``out`` (may be ``dist``).
+
+    ``far`` is the largest entry of ``dist`` (NaN if any entry is NaN).
+    """
     w = np.divide(dist, bandwidth, out=out)
     np.multiply(w, w, out=w)
     if shape == "gaussian":
         # exp(-0.5 * u * u): halving is exact, so the order does not matter
         np.multiply(w, -0.5, out=w)
-        np.exp(w, out=w)
+        # the transform is monotone, so this is the block's smallest exponent
+        u = far / bandwidth
+        if -0.5 * u * u >= _EXP_FAST_MIN:
+            np.exp(w, out=w)
+        else:
+            _clamped_exp(w)
     else:
         # epanechnikov; the 3/4 constant cancels in the weighted mean
         np.subtract(1.0, w, out=w)
         np.maximum(w, 0.0, out=w)
+
+
+def _clamped_exp(x: np.ndarray) -> None:
+    """``np.exp(x, out=x)`` bit for bit, sending ``exp`` no input below -700.
+
+    A 0/1 mask gives the entries under -746 exp's +0.0 (NaN stays NaN), and
+    the band from -746 to -700 is redone on its gathered entries.
+    """
+    keep = x >= _EXP_ZERO_BELOW
+    band = np.flatnonzero(keep & (x < _EXP_FAST_MIN))
+    exact = np.exp(np.take(x, band))
+    np.maximum(x, _EXP_FAST_MIN, out=x)
+    np.exp(x, out=x)
+    np.multiply(x, keep, out=x)
+    np.put(x, band, exact)
 
 
 def _nw_predict(Xq, Xt, yt, bandwidths, shape) -> list:
@@ -304,14 +335,19 @@ def _nw_predict(Xq, Xt, yt, bandwidths, shape) -> list:
     m = Xq.shape[0]
     preds = [np.empty(m) for _ in bandwidths]
     tots = [np.empty(m) for _ in bandwidths]
+    # with one feature a query's largest distance is to an end of the training range
+    reach = None
+    if Xt.shape[1] == 1:
+        reach = _distances(Xq, np.array([[Xt.min()], [Xt.max()]])).max(axis=1)
     # queries without weight divide 0 by 0 here; they are overwritten below
     with np.errstate(divide="ignore", invalid="ignore"):
         for rows in _row_blocks(m, Xt.shape[0]):
             dist = _distances(Xq[rows], Xt)
+            far = float(dist.max() if reach is None else reach[rows].max())
             # one bandwidth turns the distances into weights in place
             w = dist if len(bandwidths) == 1 else np.empty_like(dist)
             for h, pred, tot in zip(bandwidths, preds, tots):
-                _kernel_weights(dist, h, shape, out=w)
+                _kernel_weights(dist, h, shape, out=w, far=far)
                 np.sum(w, axis=1, out=tot[rows])
                 np.divide(w @ yt, tot[rows], out=pred[rows])
     for h, pred, tot in zip(bandwidths, preds, tots):

@@ -272,6 +272,10 @@ class TestFit:
              "LearnerSpec.n_trees: expected int, got 1.5"),
             ({"columns": None}, "FitFile.columns: expected an object"),
             ({"columns": {}}, "ColumnMap: "),
+            ({"columns": {"covariates": "x1", "outcome": "y", "treatment": "w"}},
+             "ColumnMap.covariates: expected a list, got 'x1'"),
+            ({"if_config": {"second_stage": {"kind": "kernel", "bandwidth_grid": 0.5}}},
+             "LearnerSpec.bandwidth_grid: expected a list, got 0.5"),
         ],
     )
     def test_bad_config_file_is_validation_failure(

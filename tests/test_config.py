@@ -143,6 +143,28 @@ def test_mistyped_scalar_names_the_field(cls, blob, where):
         cls.from_dict(blob)
 
 
+@pytest.mark.parametrize(
+    "cls, blob, message",
+    [
+        (ColumnMap, {"covariates": "x1", "outcome": "y"},
+         "ColumnMap.covariates: expected a list, got 'x1'"),
+        # a one-letter name used to load as a one-column tuple by accident
+        (ColumnMap, {"covariates": "x", "outcome": "y"},
+         "ColumnMap.covariates: expected a list, got 'x'"),
+        (LearnerSpec, {"bandwidth_grid": 0.5},
+         "LearnerSpec.bandwidth_grid: expected a list, got 0.5"),
+        (ExperimentConfig, {"n_grid": 100},
+         "ExperimentConfig.n_grid: expected a list, got 100"),
+        (ExperimentConfig, {"methods": {"name": "m", "kind": "plugin"}},
+         "ExperimentConfig.methods: expected a list, got {'name'"),
+    ],
+)
+def test_tuple_field_needs_a_list(cls, blob, message):
+    with pytest.raises(ConfigError) as err:
+        cls.from_dict(blob)
+    assert str(err.value).startswith(message)
+
+
 def test_scalars_load_unconverted():
     spec = LearnerSpec.from_dict({"bandwidth": 1, "subsample_fraction": 1})
     assert type(spec.bandwidth) is int and type(spec.subsample_fraction) is int

@@ -19,9 +19,11 @@ from pseudolearn.errors import ConfigError, DomainError, EstimationError, Schema
 from pseudolearn.learners import (
     LearnerSpec,
     _best_split,
+    _clamped_exp,
     _cv_bandwidth,
     _cv_sses,
     _distances,
+    _nw_predict,
     _row_blocks,
     fit_learner,
     fit_probability,
@@ -440,6 +442,84 @@ class TestRowBlocks:
         assert got.tobytes() == want.tobytes()
         got = fit_learner(LearnerSpec(kind="knn", k=2), X, y).predict(Xq)
         assert got.tobytes() == _reference_knn_predict(X, y, Xq, 2).tobytes()
+
+
+# Gaussian exponents -0.5 * u * u around the fast-path clamp (-700), numpy's
+# slow-path threshold (about -708), the smallest subnormal result (-745.13)
+# and the cut below which every result is +0.0 (-746)
+_EXPONENTS = (
+    -699.9, -700.0, -700.1, -707.5, -708.4,
+    -745.13, -745.14, -746.0, -746.1, -1e4, -np.inf,
+)
+
+
+class TestGaussianFastPath:
+    def test_clamped_exp_equals_exp_at_the_boundaries(self):
+        x = np.array(_EXPONENTS + (np.nan, 0.0, -0.0, -1.0, -650.0))
+        block = np.random.default_rng(0).permutation(np.tile(x, 24)).reshape(-1, 8)
+        got = block.copy()
+        _clamped_exp(got)
+        assert got.tobytes() == np.exp(block).tobytes()
+
+    @pytest.mark.parametrize("entries", [64, 2**16])
+    @pytest.mark.parametrize("h", [1.0, 0.01])
+    def test_directed_distances_match_dense(self, h, entries):
+        # each distance puts one exponent on a boundary; the query at 0 has a
+        # zero distance, and NaN, infinite and 1e200 (whose u * u overflows)
+        # queries have no weight
+        d = np.sqrt(-2.0 * np.array(_EXPONENTS[:-1])) * h
+        Xt = col(np.concatenate([[0.0], d, -d]))
+        Xq = col(np.concatenate([[0.0], d, -d / 2, [np.nan, np.inf, 1e200]]))
+        y = np.random.default_rng(1).normal(size=Xt.shape[0])
+        dist = cdist(Xq, Xt)
+        grid = (h / 2, h, 2 * h)
+        with np.errstate(over="ignore"):
+            with mock.patch.object(learners, "_BLOCK_ENTRIES", entries):
+                preds = _nw_predict(Xq, Xt, y, grid, "gaussian")
+                (alone,) = _nw_predict(Xq, Xt, y, (h,), "gaussian")
+            want = [_reference_nw_predict(dist, y, bw, "gaussian") for bw in grid]
+        for pred, ref in zip(preds, want):
+            assert pred.tobytes() == ref.tobytes()
+        assert alone.tobytes() == preds[1].tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from((64, 256, 2**16)),
+        st.integers(2, 300),
+        st.integers(1, 200),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_default_grid_matches_dense(self, entries, n, m, seed):
+        rng = np.random.default_rng(seed)
+        X, y = col(rng.uniform(-1, 1, n)), rng.normal(size=n)
+        Xq = col(rng.uniform(-1.5, 1.5, m))
+        spec = LearnerSpec(kind="kernel")
+        n_folds = min(spec.cv_folds, n)
+        with mock.patch.object(learners, "_BLOCK_ENTRIES", entries):
+            preds = _nw_predict(Xq, X, y, spec.bandwidth_grid, "gaussian")
+            got = _cv_sses(X, y, spec, seed, n_folds)
+        dist = cdist(Xq, X)
+        for h, pred in zip(spec.bandwidth_grid, preds):
+            assert pred.tobytes() == _reference_nw_predict(dist, y, h, "gaussian").tobytes()
+        want = _reference_cv_sses(X, y, spec, seed, n_folds)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_cv_keeps_exp_off_its_slow_path(self):
+        # inputs below about -708 leave numpy's fast exp; the default grid's
+        # small bandwidths give most exponents below -746 on uniform data,
+        # and only the exact band from -746 to -700 may reach exp
+        rng = np.random.default_rng(5)
+        X, y = col(rng.uniform(-1, 1, 400)), rng.normal(size=400)
+        real_exp, lowest = np.exp, []
+
+        def exp(x, *args, **kwargs):
+            lowest.append(np.min(x, initial=np.inf))  # before out= overwrites x
+            return real_exp(x, *args, **kwargs)
+
+        with mock.patch.object(np, "exp", wraps=exp):
+            _cv_sses(X, y, LearnerSpec(kind="kernel"), 0, 5)
+        assert lowest and min(lowest) >= -746.0
+        assert min(lowest) < -700.0  # the exact band was recomputed
 
 
 class TestPredictMemory:
