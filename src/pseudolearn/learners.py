@@ -20,9 +20,10 @@ Available kinds
     Nadaraya-Watson smoother with a radial gaussian or epanechnikov
     kernel.  ``bandwidth=None`` selects the bandwidth by K-fold
     cross-validation over ``bandwidth_grid`` (ascending; ties go to
-    the smallest bandwidth).  Gaussian weights send no exponent below
-    -700 to ``exp``, which keeps numpy on its fast path at small
-    bandwidths; every weight has the plain ``exp`` call's bits.
+    the smallest bandwidth).  With one feature, Gaussian weights send
+    no exponent below -700 to ``exp``, which keeps numpy on its fast
+    path at small bandwidths; every weight has the plain ``exp`` call's
+    bits.
 ``forest``
     Subsampled regression forest with variance-reduction splits.  When
     ``honest`` each tree's subsample is halved: one half chooses the
@@ -291,15 +292,16 @@ _EXP_ZERO_BELOW = -746.0
 def _kernel_weights(dist, bandwidth: float, shape: str, out, far) -> None:
     """Kernel weights of a distance matrix, written to ``out`` (may be ``dist``).
 
-    ``far`` is the largest entry of ``dist`` (NaN if any entry is NaN).
+    ``far`` is the largest entry of ``dist`` (NaN if any entry is NaN), or
+    None: then Gaussian weights take the plain ``exp``.
     """
     w = np.divide(dist, bandwidth, out=out)
     np.multiply(w, w, out=w)
     if shape == "gaussian":
         # exp(-0.5 * u * u): halving is exact, so the order does not matter
         np.multiply(w, -0.5, out=w)
-        # the transform is monotone, so this is the block's smallest exponent
-        u = far / bandwidth
+        # the transform is monotone, so ``far`` gives the block's smallest exponent
+        u = 0.0 if far is None else far / bandwidth
         if -0.5 * u * u >= _EXP_FAST_MIN:
             np.exp(w, out=w)
         else:
@@ -335,15 +337,17 @@ def _nw_predict(Xq, Xt, yt, bandwidths, shape) -> list:
     m = Xq.shape[0]
     preds = [np.empty(m) for _ in bandwidths]
     tots = [np.empty(m) for _ in bandwidths]
-    # with one feature a query's largest distance is to an end of the training range
+    # with one feature a query's largest distance is to an end of the training
+    # range; with more, Gaussian weights keep the plain exp, as no benchmark
+    # workload measures a clamp there
     reach = None
-    if Xt.shape[1] == 1:
+    if shape == "gaussian" and Xt.shape[1] == 1:
         reach = _distances(Xq, np.array([[Xt.min()], [Xt.max()]])).max(axis=1)
     # queries without weight divide 0 by 0 here; they are overwritten below
     with np.errstate(divide="ignore", invalid="ignore"):
         for rows in _row_blocks(m, Xt.shape[0]):
             dist = _distances(Xq[rows], Xt)
-            far = float(dist.max() if reach is None else reach[rows].max())
+            far = None if reach is None else float(reach[rows].max())
             # one bandwidth turns the distances into weights in place
             w = dist if len(bandwidths) == 1 else np.empty_like(dist)
             for h, pred, tot in zip(bandwidths, preds, tots):

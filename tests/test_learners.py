@@ -521,6 +521,28 @@ class TestGaussianFastPath:
         assert lowest and min(lowest) >= -746.0
         assert min(lowest) < -700.0  # the exact band was recomputed
 
+    @pytest.mark.parametrize(
+        "d, shape, clamps",
+        [(1, "gaussian", True), (1, "epanechnikov", False),
+         (2, "gaussian", False), (2, "epanechnikov", False)],
+    )
+    def test_only_one_feature_gaussian_reads_the_range(self, d, shape, clamps):
+        # the other kernels compute each block's distances once and no more:
+        # no distances to the ends of the training range, no clamped exp
+        rng = np.random.default_rng(2)
+        X, y = rng.uniform(-1, 1, (300, d)), rng.normal(size=300)
+        with (
+            mock.patch.object(learners, "_BLOCK_ENTRIES", 2**12),
+            mock.patch.object(learners, "_distances", wraps=_distances) as dist,
+            mock.patch.object(learners, "_clamped_exp", wraps=_clamped_exp) as clamp,
+        ):
+            blocks = len(list(_row_blocks(100, 300)))
+            (got,) = _nw_predict(X[:100], X, y, (0.01,), shape)
+        assert dist.call_count == blocks + clamps
+        assert clamp.called == clamps
+        want = _reference_nw_predict(cdist(X[:100], X), y, 0.01, shape)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestPredictMemory:
     @pytest.mark.parametrize(
