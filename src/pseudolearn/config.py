@@ -7,7 +7,7 @@ field is a tuple, and rejects unknown keys with a :class:`ConfigError`
 naming the class, as it does a scalar of the wrong type (an int is a
 float and stays an int; a bool is neither) and a tuple field given
 anything but a list.  A class rewrites its own dict first by overriding
-``_normalize`` (discriminators, inherited settings, legacy keys).
+``_normalize`` (discriminators, inherited settings).
 """
 
 from __future__ import annotations
@@ -63,11 +63,10 @@ def _convert(where: str, tp, value):
             return config.from_dict(value)
         if not isinstance(value, allowed):
             raise ConfigError(f"{where}: expected an object, got {value!r}")
-    elif tp is tuple or typing.get_origin(tp) is tuple:
+    elif typing.get_origin(tp) is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{where}: expected a list, got {value!r}")
-        item = (typing.get_args(tp) or (object,))[0]
-        return tuple(_convert(where, item, v) for v in value)
+        return tuple(_convert(where, typing.get_args(tp)[0], v) for v in value)
     elif set(allowed) <= set(_SCALARS) and not any(_is_a(value, a) for a in allowed):
         name = getattr(tp, "__name__", tp)  # e.g. int, or float | None
         raise ConfigError(f"{where}: expected {name}, got {value!r}")

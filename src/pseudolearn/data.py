@@ -209,7 +209,7 @@ class NuisanceEstimates:
 class ColumnMap(FromDict):
     """Names the CSV columns holding covariates, outcome and treatment."""
 
-    covariates: tuple
+    covariates: tuple[str, ...]
     outcome: str
     treatment: str | None = None
 

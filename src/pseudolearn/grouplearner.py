@@ -15,7 +15,6 @@ correction for adaptivity.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -191,25 +190,6 @@ class GroupEstimates:
                 for g in range(self.n_groups)
             ),
         )
-
-    def to_json(self) -> str:
-        payload = {
-            "ci_level": self.ci_level,
-            "cutpoints": [float(c) for c in self.cutpoints],
-            "groups": [
-                {
-                    "g": g + 1,
-                    "n_g": int(self.n_g[g]),
-                    "psi_hat": float(self.psi_hat[g]),
-                    "var_hat": float(self.var_hat[g]),
-                    "ci_lo": float(self.ci_lo[g]),
-                    "ci_hi": float(self.ci_hi[g]),
-                }
-                for g in range(self.n_groups)
-            ],
-            "provenance": self.provenance,
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def _group_cutpoints(scores, G: int) -> np.ndarray:

@@ -32,18 +32,10 @@ from .crossfit import (
     fit_nuisance,
     known_pi_values,
 )
-from .data import Dataset, FoldAssignment, NuisanceEstimates
+from .data import Dataset, NuisanceEstimates
 from .errors import ConfigError, EstimationError, SchemaError
 from .learners import FittedModel, LearnerSpec, fit_learner
-from .pseudo import (
-    CONTRAST_TARGETS,
-    NUISANCES,
-    PseudoOutcomeSpec,
-    build_pseudo_outcomes,
-    odds_ratio_value,
-    plugin_cate,
-    risk_ratio_value,
-)
+from .pseudo import NUISANCES, TARGET_TABLE, PseudoOutcomeSpec, build_pseudo_outcomes
 
 __all__ = [
     "IFLearnerConfig",
@@ -67,11 +59,6 @@ def config_digest(cfg) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-# Clip floors and binary mode once lived under ``crossfit``; JSON configs
-# that still carry them there are moved onto ``pseudo`` when loaded.
-_LEGACY_CROSSFIT_KEYS = ("eps_clip", "p_clip", "binary_outcome")
-
-
 @dataclass(frozen=True)
 class IFLearnerConfig(FromDict):
     """Everything one two-stage fit needs.
@@ -93,23 +80,6 @@ class IFLearnerConfig(FromDict):
             raise ConfigError(
                 f"winsorize quantile must be in (0, 0.5), got {self.winsorize}"
             )
-
-    @classmethod
-    def _normalize(cls, d: dict) -> dict:
-        crossfit, pseudo = d.get("crossfit"), d.get("pseudo", {})
-        if isinstance(pseudo, PseudoOutcomeSpec):
-            pseudo = dataclasses.asdict(pseudo)
-        if not (isinstance(crossfit, dict) and isinstance(pseudo, dict)):
-            return d
-        legacy = {k: crossfit[k] for k in _LEGACY_CROSSFIT_KEYS if k in crossfit}
-        for key, value in legacy.items():
-            if key in pseudo and pseudo[key] != value:
-                raise ConfigError(
-                    f"{key} differs between crossfit ({value!r}) and "
-                    f"pseudo ({pseudo[key]!r}); set it under pseudo only"
-                )
-        crossfit = {k: v for k, v in crossfit.items() if k not in legacy}
-        return {**d, "crossfit": crossfit, "pseudo": {**pseudo, **legacy}}
 
     def reseeded(self, seed: int, crossfit_seed: int) -> "IFLearnerConfig":
         """This config with its second-stage and cross-fitting seeds replaced."""
@@ -189,28 +159,26 @@ def fit_if_learner(
     data: Dataset,
     cfg: IFLearnerConfig,
     known_propensity=None,
-    folds: FoldAssignment | None = None,
 ) -> TargetModel:
     """Cross-fit nuisances, build pseudo-outcomes, regress them on X.
 
-    With ``target = regression_mean`` the pseudo-outcome is y itself,
-    so the whole pipeline collapses to fitting the second stage
-    directly on (X, y); no nuisance models are touched.
+    A target that reads no nuisances (``regression_mean``) has y itself
+    as its pseudo-outcome, so the whole pipeline collapses to fitting
+    the second stage directly on (X, y); no nuisance models are touched.
 
     ``known_propensity`` bypasses propensity estimation (designs where
-    assignment probabilities are known); ``folds`` injects a fixed
-    fold assignment, mainly for tests.
+    assignment probabilities are known).
     """
-    if cfg.pseudo.target == "regression_mean":
-        return _second_stage(cfg, data, np.array(data.y), "if_learner")
-    if data.n < 2 * cfg.crossfit.n_folds:
-        raise EstimationError(
-            f"insufficient data: n={data.n} with {cfg.crossfit.n_folds} folds "
-            "(need n >= 2K)"
+    nuis = None
+    if NUISANCES[cfg.pseudo.target]:
+        if data.n < 2 * cfg.crossfit.n_folds:
+            raise EstimationError(
+                f"insufficient data: n={data.n} with {cfg.crossfit.n_folds} folds "
+                "(need n >= 2K)"
+            )
+        nuis = crossfit_nuisances(
+            data, cfg.crossfit, cfg.pseudo, known_propensity=known_propensity
         )
-    nuis = crossfit_nuisances(
-        data, cfg.crossfit, cfg.pseudo, folds=folds, known_propensity=known_propensity
-    )
     d = build_pseudo_outcomes(data, nuis, cfg.pseudo).d
     return _second_stage(cfg, data, d, "if_learner")
 
@@ -254,13 +222,6 @@ class _FunctionalOfArms(FittedModel):
         )
 
 
-_PLUGIN_COMBINERS = {
-    **dict.fromkeys(CONTRAST_TARGETS, plugin_cate),
-    "risk_ratio": risk_ratio_value,
-    "odds_ratio": odds_ratio_value,
-}
-
-
 def fit_plugin_learner(data: Dataset, cfg: IFLearnerConfig) -> TargetModel:
     """Uncorrected baseline: contrast (or ratio) of arm-wise fits.
 
@@ -270,7 +231,7 @@ def fit_plugin_learner(data: Dataset, cfg: IFLearnerConfig) -> TargetModel:
     target functional.  For missing-data and plain-regression targets
     this degenerates to a single regression fit.
     """
-    target = cfg.pseudo.target
+    target = TARGET_TABLE[cfg.pseudo.target]
     cf = cfg.crossfit
 
     def fit_arm(tag):
@@ -278,15 +239,14 @@ def fit_plugin_learner(data: Dataset, cfg: IFLearnerConfig) -> TargetModel:
         rows = arm_rows(tag, data.w, np.arange(data.n))
         return fit_nuisance(tag, data, rows, cf, cfg.pseudo, seed, "the plug-in fit")
 
-    if target == "regression_mean":
+    if not target.nuisances:
         seed = rngmod.derive_seed(cfg.seed, "plugin", "all")
         model = fit_learner(cf.outcome_spec, data.X, data.y, seed=seed)
     elif data.w is None:
-        raise SchemaError(f"target {target!r} needs an indicator column")
-    elif target == "mar_mean":
+        raise SchemaError(f"target {cfg.pseudo.target!r} needs an indicator column")
+    elif target.plugin is None:
         model = fit_arm("mu")
     else:
-        model = _FunctionalOfArms(
-            fit_arm("mu0"), fit_arm("mu1"), _PLUGIN_COMBINERS[target]
-        )
-    return TargetModel(model, _provenance(cfg, data, target, "plugin", cfg.seed))
+        model = _FunctionalOfArms(fit_arm("mu0"), fit_arm("mu1"), target.plugin)
+    provenance = _provenance(cfg, data, cfg.pseudo.target, "plugin", cfg.seed)
+    return TargetModel(model, provenance)

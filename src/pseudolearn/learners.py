@@ -74,7 +74,7 @@ class LearnerSpec(FromDict):
     # kernel
     bandwidth: float | None = None
     kernel_shape: str = "gaussian"
-    bandwidth_grid: tuple = DEFAULT_BANDWIDTH_GRID
+    bandwidth_grid: tuple[float, ...] = DEFAULT_BANDWIDTH_GRID
     cv_folds: int = 5
     # forest
     n_trees: int = 500
@@ -185,11 +185,9 @@ def _gaps(a, b) -> np.ndarray:
 class FittedModel:
     """A frozen regression fit: ``predict`` maps (m, d) points to (m,).
 
-    Every fitted model records the :class:`LearnerSpec` it came from
-    (``spec``) and the training dimension (``n_features``).
+    Every fitted model records its training dimension (``n_features``).
     """
 
-    spec: LearnerSpec
     n_features: int
 
     def predict(self, Xq) -> np.ndarray:
@@ -647,18 +645,15 @@ def fit_learner(spec: LearnerSpec, X, y, seed: int = 0) -> FittedModel:
             f"training rows, got {X.shape[0]}"
         )
     if spec.kind == "mean":
-        model = _MeanModel(X, y)
-    elif spec.kind == "knn":
-        model = _KnnModel(X, y, spec.k)
-    elif spec.kind == "kernel":
+        return _MeanModel(X, y)
+    if spec.kind == "knn":
+        return _KnnModel(X, y, spec.k)
+    if spec.kind == "kernel":
         h = spec.bandwidth
         if h is None:
             h = _cv_bandwidth(X, y, spec, seed)
-        model = _KernelModel(X, y, h, spec.kernel_shape)
-    else:
-        model = _ForestModel(X, y, spec, seed)
-    model.spec = spec
-    return model
+        return _KernelModel(X, y, h, spec.kernel_shape)
+    return _ForestModel(X, y, spec, seed)
 
 
 def fit_probability(
@@ -675,6 +670,4 @@ def fit_probability(
     y_arr = np.asarray(y, dtype=float).ravel()
     if not np.all(np.isin(y_arr, (0.0, 1.0))):
         raise DomainError("fit_probability needs a 0/1 outcome vector")
-    model = _ClippedModel(fit_learner(spec, X, y, seed=seed), clip, 1.0 - clip)
-    model.spec = spec
-    return model
+    return _ClippedModel(fit_learner(spec, X, y, seed=seed), clip, 1.0 - clip)

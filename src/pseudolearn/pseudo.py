@@ -27,6 +27,8 @@ are all instances of this chain rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -37,6 +39,8 @@ from .data import (
 from .errors import ConfigError, DomainError, SchemaError
 
 __all__ = [
+    "Target",
+    "TARGET_TABLE",
     "TARGETS",
     "NUISANCES",
     "CONTRAST_TARGETS",
@@ -54,23 +58,6 @@ __all__ = [
     "odds_ratio_value",
     "odds_ratio_partials",
 ]
-
-# The nuisances each target's signal reads, in fit order (mar_mean's
-# observed-outcome regression sits in the mu1 slot).
-NUISANCES = {
-    "cate_aipw": ("mu0", "mu1", "pi"),
-    "cate_ht": ("pi",),
-    "cate_plugin": ("mu0", "mu1"),
-    "risk_ratio": ("mu0", "mu1", "pi"),
-    "odds_ratio": ("mu0", "mu1", "pi"),
-    "mar_mean": ("mu1", "pi"),
-    "regression_mean": (),
-}
-TARGETS = tuple(NUISANCES)
-CONTRAST_TARGETS = ("cate_aipw", "cate_ht", "cate_plugin")  # mu1(x) - mu0(x)
-
-_BINARY_TARGETS = ("risk_ratio", "odds_ratio")
-
 
 @dataclass(frozen=True)
 class PseudoOutcomeSpec(FromDict):
@@ -94,7 +81,7 @@ class PseudoOutcomeSpec(FromDict):
         for name, v in (("eps_clip", self.eps_clip), ("p_clip", self.p_clip)):
             if not 0.0 < v < 0.5:
                 raise ConfigError(f"{name} must be in (0, 0.5), got {v}")
-        if self.target in _BINARY_TARGETS and not self.binary_outcome:
+        if TARGET_TABLE[self.target].binary and not self.binary_outcome:
             raise ConfigError(
                 f"target {self.target!r} is only defined for binary outcomes; "
                 "set binary_outcome=True"
@@ -180,17 +167,11 @@ def rr_pseudo(y, w, pi, mu0, mu1, mu0_floor: float = P_CLIP_DEFAULT):
     Requires ``mu0 >= mu0_floor`` because mu0 appears squared in a
     denominator; binary-outcome clipping guarantees the floor upstream.
     """
-    y, w, pi, mu0, mu1 = _prep(y, w, pi, mu0, mu1)
-    _check_indicator(w)
-    _check_pi(pi)
-    if np.any(mu0 < mu0_floor):
+    if np.any(np.asarray(mu0, dtype=float) < mu0_floor):
         raise DomainError(
             f"rr_pseudo needs mu0 >= {mu0_floor} (division by mu0^2)"
         )
-    if_mu1 = (w / pi) * (y - mu1)
-    if_mu0 = ((1.0 - w) / (1.0 - pi)) * (y - mu0)
-    out = (1.0 / mu0) * if_mu1 - (mu1 / mu0**2) * if_mu0 + mu1 / mu0
-    return _maybe_scalar(out)
+    return _chain_rule(risk_ratio_value, risk_ratio_partials)(y, w, pi, mu0, mu1)
 
 
 def transform_pseudo(y, w, pi, mu0, mu1, df_dmu0, df_dmu1, f):
@@ -256,6 +237,58 @@ def odds_ratio_partials(mu0, mu1):
     return _maybe_scalar(d0), _maybe_scalar(d1)
 
 
+def _chain_rule(value, partials):
+    """The signal of f = ``value`` with (df/dmu0, df/dmu1) = ``partials``."""
+    return partial(
+        transform_pseudo,
+        df_dmu0=lambda mu0, mu1: partials(mu0, mu1)[0],
+        df_dmu1=lambda mu0, mu1: partials(mu0, mu1)[1],
+        f=value,
+    )
+
+
+@dataclass(frozen=True)
+class Target:
+    """One target functional: what its signal reads and how it is built.
+
+    ``signal(y, w, **values)`` builds D from the fitted values of
+    ``nuisances`` (in fit order; mar_mean's observed-outcome regression
+    sits in the mu1 slot).  A target that reads no nuisances has no
+    signal: D is y itself.  ``plugin`` is the functional f(mu0, mu1) the
+    plug-in baseline applies to two arm-wise fits; without one that
+    baseline is a single regression.  A ``binary`` target is defined only
+    for 0/1 outcomes.
+    """
+
+    nuisances: tuple[str, ...]
+    signal: Callable | None = None
+    plugin: Callable | None = None
+    binary: bool = False
+
+
+TARGET_TABLE = {
+    "cate_aipw": Target(("mu0", "mu1", "pi"), aipw_pseudo, plugin_cate),
+    "cate_ht": Target(("pi",), ht_pseudo, plugin_cate),
+    "cate_plugin": Target(
+        ("mu0", "mu1"), lambda y, w, mu0, mu1: plugin_cate(mu0, mu1), plugin_cate
+    ),
+    "risk_ratio": Target(
+        ("mu0", "mu1", "pi"), _chain_rule(risk_ratio_value, risk_ratio_partials),
+        risk_ratio_value, binary=True,
+    ),
+    "odds_ratio": Target(
+        ("mu0", "mu1", "pi"), _chain_rule(odds_ratio_value, odds_ratio_partials),
+        odds_ratio_value, binary=True,
+    ),
+    "mar_mean": Target(("mu1", "pi"), lambda y, a, mu1, pi: mar_pseudo(y, a, pi, mu1)),
+    "regression_mean": Target(()),
+}
+NUISANCES = {name: t.nuisances for name, t in TARGET_TABLE.items()}
+TARGETS = tuple(TARGET_TABLE)
+# The targets whose plug-in is the treatment contrast mu1(x) - mu0(x).
+CONTRAST_TARGETS = tuple(k for k, t in TARGET_TABLE.items() if t.plugin is plugin_cate)
+
+
 def build_pseudo_outcomes(
     data: Dataset,
     nuisances: NuisanceEstimates | None,
@@ -266,15 +299,16 @@ def build_pseudo_outcomes(
     Reads the vectors ``NUISANCES`` lists for the target and enforces the
     clip floors on them (they are produced clipped; arriving outside the
     floor means a wiring bug) and the binary-outcome mode where needed.
-    ``regression_mean`` needs no nuisances and simply passes y through.
+    A target that reads no nuisances (``regression_mean``) passes y through.
     """
-    if spec.target == "regression_mean":
+    target = TARGET_TABLE[spec.target]
+    reads = target.nuisances
+    if not reads:
         return PseudoOutcomes(d=np.array(data.y, dtype=float))
     if data.w is None:
         raise SchemaError(
             f"target {spec.target!r} needs a treatment/observation indicator"
         )
-    reads = NUISANCES[spec.target]
     missing = [m for m in reads if getattr(nuisances, f"{m}_hat", None) is None]
     if missing:
         raise SchemaError(f"target {spec.target!r} needs nuisance estimates {missing}")
@@ -293,37 +327,13 @@ def build_pseudo_outcomes(
                 f"target {spec.target!r} configured for binary outcomes, "
                 "but y contains non-0/1 values"
             )
-    y = data.y
-    w = data.w.astype(float)
     mu0, mu1 = nuisances.mu0_hat, nuisances.mu1_hat
-
-    if spec.target in _BINARY_TARGETS:
+    if target.binary:
         lo, hi = spec.p_clip, 1.0 - spec.p_clip
         if np.any(mu0 < lo) or np.any(mu0 > hi) or np.any(mu1 < lo) or np.any(mu1 > hi):
             raise DomainError(
                 f"binary-outcome means outside [{lo}, {hi}]; "
                 "fit them with the probability clip"
             )
-
-    if spec.target == "cate_aipw":
-        d = aipw_pseudo(y, w, pi, mu0, mu1)
-    elif spec.target == "cate_ht":
-        d = ht_pseudo(y, w, pi)
-    elif spec.target == "cate_plugin":
-        d = plugin_cate(mu0, mu1)
-    elif spec.target == "risk_ratio":
-        d = rr_pseudo(y, w, pi, mu0, mu1, mu0_floor=spec.p_clip)
-    elif spec.target == "odds_ratio":
-        d = transform_pseudo(
-            y,
-            w,
-            pi,
-            mu0,
-            mu1,
-            lambda m0, m1: odds_ratio_partials(m0, m1)[0],
-            lambda m0, m1: odds_ratio_partials(m0, m1)[1],
-            odds_ratio_value,
-        )
-    else:  # mar_mean: indicator is observation status, mu1_hat is E[y|a=1,x]
-        d = mar_pseudo(y, w, pi, mu1)
-    return PseudoOutcomes(d=d)
+    values = {m: getattr(nuisances, f"{m}_hat") for m in reads}
+    return PseudoOutcomes(d=target.signal(data.y, data.w.astype(float), **values))

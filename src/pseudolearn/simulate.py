@@ -433,7 +433,7 @@ class ExperimentConfig(FromDict):
         if isinstance(dgp, dict):
             dgp = dict(dgp)
             kind = dgp.pop("kind", None)
-            if kind not in _DGP_KINDS:
+            if not isinstance(kind, str) or kind not in _DGP_KINDS:
                 raise ConfigError(f"dgp.kind must be '1d' or '10d', got {kind!r}")
             d["dgp"] = _DGP_KINDS[kind].from_dict(dgp)
         return d

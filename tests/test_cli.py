@@ -276,6 +276,10 @@ class TestFit:
              "ColumnMap.covariates: expected a list, got 'x1'"),
             ({"if_config": {"second_stage": {"kind": "kernel", "bandwidth_grid": 0.5}}},
              "LearnerSpec.bandwidth_grid: expected a list, got 0.5"),
+            ({"if_config": {"second_stage": {"bandwidth_grid": ["a"]}}},
+             "LearnerSpec.bandwidth_grid: expected float, got 'a'"),
+            ({"if_config": {"crossfit": {"eps_clip": 0.05}}},
+             "CrossfitConfig: unknown key(s) ['eps_clip']"),
         ],
     )
     def test_bad_config_file_is_validation_failure(

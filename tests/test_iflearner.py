@@ -48,8 +48,8 @@ def basic_config(second_stage=KERNEL03, target="cate_aipw", seed=3, **kw):
 
 class TestConfig:
     def test_clip_floor_agreement_enforced(self):
-        # floors still written under crossfit (the old JSON layout) must
-        # agree with the ones under pseudo
+        # floors written under crossfit (the old JSON layout) are rejected,
+        # whatever pseudo says
         with pytest.raises(ConfigError, match="eps_clip"):
             IFLearnerConfig.from_dict(
                 {"crossfit": {"eps_clip": 0.05}, "pseudo": {"eps_clip": 0.01}}
@@ -63,17 +63,17 @@ class TestConfig:
             )
 
     def test_legacy_crossfit_floors_load_onto_pseudo(self):
+        # the floors and binary mode belong under pseudo only
         floors = {"eps_clip": 0.05, "p_clip": 0.02, "binary_outcome": True}
         pseudo = {"target": "risk_ratio", "binary_outcome": True}
-        legacy = IFLearnerConfig.from_dict(
-            {"crossfit": {"n_folds": 3, **floors}, "pseudo": pseudo}
+        unknown = (
+            r"CrossfitConfig: unknown key\(s\) "
+            r"\['binary_outcome', 'eps_clip', 'p_clip'\]"
         )
-        current = IFLearnerConfig.from_dict(
-            {"crossfit": {"n_folds": 3}, "pseudo": {**pseudo, **floors}}
-        )
-        assert legacy == current
-        assert config_digest(legacy) == config_digest(current)
-        assert legacy.pseudo.eps_clip == 0.05 and legacy.pseudo.p_clip == 0.02
+        with pytest.raises(ConfigError, match=unknown):
+            IFLearnerConfig.from_dict(
+                {"crossfit": {"n_folds": 3, **floors}, "pseudo": pseudo}
+            )
 
     def test_winsorize_range(self):
         with pytest.raises(ConfigError):

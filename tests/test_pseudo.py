@@ -6,12 +6,19 @@ code with the thing under test) and check sample means against the
 known functional value within three standard errors.
 """
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudolearn.data import Dataset, NuisanceEstimates
 from pseudolearn.errors import ConfigError, DomainError, SchemaError
 from pseudolearn.pseudo import (
+    NUISANCES,
+    TARGETS,
     PseudoOutcomeSpec,
     PseudoOutcomes,
     aipw_pseudo,
@@ -116,6 +123,15 @@ class TestPlugin:
         )
 
 
+def _reference_rr_pseudo(y, w, pi, mu0, mu1):
+    """The risk-ratio signal with the delta-method chain rule expanded by hand."""
+    y, w, pi, mu0, mu1 = (np.asarray(a, dtype=float) for a in (y, w, pi, mu0, mu1))
+    if_mu1 = (w / pi) * (y - mu1)
+    if_mu0 = ((1.0 - w) / (1.0 - pi)) * (y - mu0)
+    out = (1.0 / mu0) * if_mu1 - (mu1 / mu0**2) * if_mu0 + mu1 / mu0
+    return out.item() if out.ndim == 0 else out
+
+
 class TestRiskRatio:
     def test_residuals_vanish_on_treated_match(self):
         assert rr_pseudo(0.7, 1, 0.3, 0.35, 0.7) == pytest.approx(2.0)
@@ -134,6 +150,27 @@ class TestRiskRatio:
     def test_mu0_floor_enforced(self):
         with pytest.raises(DomainError):
             rr_pseudo(1.0, 1, 0.5, 0.001, 0.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 30), floor=st.floats(0.001, 0.4))
+    def test_equals_hand_expanded_formula_bit_for_bit(self, data, n, floor):
+        # n = 0 draws scalars; mu0 sits at the floor or above it, and w is
+        # all 0, all 1 or mixed
+        def draw(elements):
+            if n == 0:
+                return data.draw(elements)
+            return np.array(data.draw(st.lists(elements, min_size=n, max_size=n)))
+
+        mixed = st.sampled_from([0, 1])
+        w = draw(data.draw(st.sampled_from([st.just(0), st.just(1), mixed])))
+        y = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-5.0, 5.0)))
+        pi = draw(st.floats(0.01, 0.99))
+        mu0 = draw(st.one_of(st.just(floor), st.floats(floor, 1.0)))
+        mu1 = draw(st.floats(0.001, 1.0))
+        got = rr_pseudo(y, w, pi, mu0, mu1, mu0_floor=floor)
+        want = _reference_rr_pseudo(y, w, pi, mu0, mu1)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     def test_value_and_partials(self):
         assert risk_ratio_value(0.4, 0.6) == pytest.approx(1.5)
@@ -359,6 +396,29 @@ class TestBuild:
         )
         assert np.allclose(odds.d, direct_or, atol=1e-12)
 
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_every_target_equals_its_constructor_bit_for_bit(self, target):
+        ds, nuis = self.binary_dataset()
+        y, w = ds.y, ds.w.astype(float)
+        pi, mu0, mu1 = nuis.pi_hat, nuis.mu0_hat, nuis.mu1_hat
+        public = {
+            "cate_aipw": lambda: aipw_pseudo(y, w, pi, mu0, mu1),
+            "cate_ht": lambda: ht_pseudo(y, w, pi),
+            "cate_plugin": lambda: plugin_cate(mu0, mu1),
+            "risk_ratio": lambda: rr_pseudo(y, w, pi, mu0, mu1),
+            "odds_ratio": lambda: transform_pseudo(
+                y, w, pi, mu0, mu1,
+                lambda a, b: odds_ratio_partials(a, b)[0],
+                lambda a, b: odds_ratio_partials(a, b)[1],
+                odds_ratio_value,
+            ),
+            "mar_mean": lambda: mar_pseudo(y, w, pi, mu1),
+            "regression_mean": lambda: y,
+        }
+        spec = PseudoOutcomeSpec(target=target, binary_outcome=True)
+        got = build_pseudo_outcomes(ds, nuis, spec).d
+        assert got.tobytes() == np.asarray(public[target](), dtype=float).tobytes()
+
     def test_binary_mode_rejects_continuous_y(self):
         ds, nuis = self.hand_dataset()  # y is continuous
         spec = PseudoOutcomeSpec(target="risk_ratio", binary_outcome=True)
@@ -425,3 +485,16 @@ class TestBuild:
             - np.mean((1 - wf) * (y - nuis.mu0_hat) / (1 - nuis.pi_hat))
         )
         assert abs(out.d.mean() - direct) < 1e-12
+
+
+def test_readme_target_table_lists_exactly_the_nuisances():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = readme[readme.index("| target | nuisances fitted |"):].splitlines()
+    listed = {}
+    for line in lines[2:]:
+        if not line.strip().startswith("|"):
+            break
+        targets, fitted = line.strip().strip("|").split("|")
+        for target in re.findall(r"`(\w+)`", targets):
+            listed[target] = tuple(re.findall(r"`(\w+)`", fitted))
+    assert listed == NUISANCES

@@ -392,6 +392,19 @@ class TestExperimentConfigs:
                 }
             )
 
+    @pytest.mark.parametrize("kind", [[], {}])
+    def test_from_dict_unhashable_dgp_kind(self, kind):
+        with pytest.raises(ConfigError, match="dgp.kind must be '1d' or '10d'"):
+            ExperimentConfig.from_dict(
+                {
+                    "experiment_id": "x",
+                    "dgp": {"kind": kind},
+                    "methods": [{"name": "m", "kind": "plugin"}],
+                    "n_grid": [50],
+                    "replications": 1,
+                }
+            )
+
 
 class TestAggregation:
     def test_keep_mask(self):
