@@ -131,14 +131,14 @@ def test_group_if_config_must_match_method():
         (LearnerSpec, {"honest": 1}, "LearnerSpec.honest"),
         (LearnerSpec, {"bandwidth": True}, "LearnerSpec.bandwidth"),
         (LearnerSpec, {"bandwidth": "0.1"}, "LearnerSpec.bandwidth"),
-        (LearnerSpec, {"bandwidth_grid": ["a"]}, "LearnerSpec.bandwidth_grid"),
-        (LearnerSpec, {"bandwidth_grid": [True, 0.5]}, "LearnerSpec.bandwidth_grid"),
         (CrossfitConfig, {"seed": "3"}, "CrossfitConfig.seed"),
         (PseudoOutcomeSpec, {"target": 3}, "PseudoOutcomeSpec.target"),
         (IFLearnerConfig, {"crossfit": {"n_folds": 2.0}}, "CrossfitConfig.n_folds"),
         (GroupConfig, {"n_groups": 5.0}, "GroupConfig.n_groups"),
         (ColumnMap, {"covariates": ["x"], "outcome": None}, "ColumnMap.outcome"),
         (ColumnMap, {"covariates": ["x1", 1], "outcome": "y"}, "ColumnMap.covariates"),
+        (LearnerSpec, {"bandwidth_grid": ["a"]}, "LearnerSpec.bandwidth_grid"),
+        (LearnerSpec, {"bandwidth_grid": [True, 0.5]}, "LearnerSpec.bandwidth_grid"),
     ],
 )
 def test_mistyped_scalar_names_the_field(cls, blob, where):
