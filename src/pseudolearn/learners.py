@@ -28,7 +28,9 @@ Available kinds
     Subsampled regression forest with variance-reduction splits.  When
     ``honest`` each tree's subsample is halved: one half chooses the
     splits, the other fills in the leaf means, so no outcome is used
-    twice.  Supports out-of-bag prediction on the training rows.
+    twice.  Each tree sorts its rows once per feature and children keep
+    that order, so equal values stay in the order the tree drew its rows;
+    the tie rules are unchanged.  Supports out-of-bag prediction.
 """
 
 from __future__ import annotations
@@ -264,8 +266,9 @@ def _nearest_rows(dist: np.ndarray, k: int) -> np.ndarray:
 
     Equal to the first ``k`` columns of a stable argsort (equal distances
     fall back to training-row order), but only ``k`` columns per row are
-    sorted.  A row whose k-th distance ties an unselected column, or is
-    NaN, takes the full stable sort.
+    sorted.  A row whose k-th distance ties an unselected column sorts
+    only its columns no farther than the k-th; one whose k-th is NaN
+    takes the full stable sort.
     """
     if k >= dist.shape[1]:
         return np.argsort(dist, axis=1, kind="stable")[:, :k]
@@ -275,9 +278,12 @@ def _nearest_rows(dist: np.ndarray, k: int) -> np.ndarray:
     order = np.argsort(d, axis=1, kind="stable")
     nearest = np.take_along_axis(cand, order, axis=1)
     kth = np.take_along_axis(d, order[:, -1:], axis=1)
-    tied = np.count_nonzero(dist <= kth, axis=1) != k
-    if np.any(tied):
-        nearest[tied] = np.argsort(dist[tied], axis=1, kind="stable")[:, :k]
+    for i in np.flatnonzero(np.count_nonzero(dist <= kth, axis=1) != k):
+        # no column farther than the k-th distance is among the k nearest
+        cols = np.flatnonzero(dist[i] <= kth[i, 0])
+        if np.isnan(kth[i, 0]):
+            cols = np.arange(dist.shape[1])
+        nearest[i] = cols[np.argsort(dist[i, cols], kind="stable")[:k]]
     return nearest
 
 
@@ -418,60 +424,49 @@ def _cv_bandwidth(X, y, spec: LearnerSpec, seed: int) -> float:
     return best_h
 
 
-@dataclass
-class _Tree:
-    feature: np.ndarray  # -1 marks a leaf
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    value: np.ndarray
-    in_bag: np.ndarray  # bool mask over training rows
-    # provenance: which training rows chose splits vs filled leaves
-    structure_rows: np.ndarray
-    estimation_rows: np.ndarray
+def _best_split(v, s, min_leaf):
+    """Best SSE-reducing cut over a node's candidate features, or None.
 
-
-def _best_split(block, ys, min_leaf):
-    """Best SSE-reducing cut over all columns of a node's block, or None.
-
-    ``block`` is the node's rows x candidate-features matrix.  Cuts sit
-    at midpoints between consecutive distinct sorted values of a column.
-    Returns (sse_reduction, column, threshold) for a cut with positive
-    reduction.  Ties go to the lowest threshold within a column, then to
-    the lowest column (the first maximum of each argmax).
+    Row j of ``v`` holds candidate feature j's values at the node in
+    ascending order, and row j of ``s`` the outcomes in that order.  Cuts
+    sit at midpoints between consecutive distinct values.  Returns
+    (sse_reduction, row, threshold) for a cut with positive reduction.
+    Ties go to the lowest threshold within a feature, then to the lowest
+    row (the first maximum of each argmax).
     """
-    n = block.shape[0]
+    n = v.shape[1]
     if n < 2 * min_leaf:
         return None
-    cols = np.arange(block.shape[1])
-    order = np.argsort(block, axis=0, kind="stable")
-    v = block[order, cols]
-    csum = np.cumsum(ys[order], axis=0)
-    total = csum[-1]
-    # cut i (between sorted rows i and i+1) leaves i+1 rows on the left;
+    csum = np.cumsum(s, axis=1)
+    total = csum[:, -1:]
+    # cut i (between sorted values i and i+1) leaves i+1 rows on the left;
     # only cuts min_leaf-1 .. n-min_leaf-1 leave min_leaf rows each side
     lo, hi = min_leaf - 1, n - min_leaf
-    n_left = np.arange(min_leaf, n - min_leaf + 1)[:, None]
-    s_left = csum[lo:hi]
+    n_left = np.arange(min_leaf, n - min_leaf + 1, dtype=float)
+    s_left = csum[:, lo:hi]
     score = s_left**2 / n_left + (total - s_left) ** 2 / (n - n_left)
-    score[~(v[lo + 1 : hi + 1] > v[lo:hi])] = -np.inf  # equal (or NaN) values
-    best = np.argmax(score, axis=0)
-    reduction = score[best, cols] - total * total / n
+    score[~(v[:, lo + 1 : hi + 1] > v[:, lo:hi])] = -np.inf  # equal (or NaN) values
+    best = np.argmax(score, axis=1)
+    reduction = score[np.arange(v.shape[0]), best] - total[:, 0] * total[:, 0] / n
     reduction[~(reduction > 0.0)] = -np.inf
-    col = int(np.argmax(reduction))
-    if not reduction[col] > 0.0:
+    j = int(np.argmax(reduction))
+    if not reduction[j] > 0.0:
         return None
-    c = lo + best[col]
-    return float(reduction[col]), col, float(0.5 * (v[c, col] + v[c + 1, col]))
+    c = lo + best[j]
+    return float(reduction[j]), j, float(0.5 * (v[j, c] + v[j, c + 1]))
 
 
 def _grow_tree(Xs, ys, min_leaf, mtry, tree_rng):
     """Greedy depth-first build; returns parallel node arrays.
 
     ``Xs``/``ys`` are the structure half only.  Leaf values are filled
-    in later from the estimation half.
+    in later from the estimation half.  Each feature is sorted once: a
+    node holds one lane of row ids per feature, ordered by (value, row),
+    and its children keep that order.
     """
     d = Xs.shape[1]
+    XsT = np.ascontiguousarray(Xs.T)
+    goes_left = np.empty(Xs.shape[0], dtype=bool)  # read only at the split node's rows
     feature, threshold, left, right = [], [], [], []
 
     def new_node():
@@ -481,30 +476,29 @@ def _grow_tree(Xs, ys, min_leaf, mtry, tree_rng):
         right.append(-1)
         return len(feature) - 1
 
-    root = new_node()
-    stack = [(root, np.arange(Xs.shape[0]))]
+    stack = [(new_node(), np.argsort(XsT, axis=1, kind="stable"))]
     while stack:
-        node, rows = stack.pop()
-        y_node = ys[rows]
-        if rows.shape[0] < 2 * min_leaf or np.ptp(y_node) == 0.0:
+        node, lanes = stack.pop()
+        if lanes.shape[1] < 2 * min_leaf or np.ptp(ys[lanes[0]]) == 0.0:
             continue
-        block, candidates = Xs[rows], np.arange(d)
+        candidates, cand = np.arange(d), lanes
         if mtry < d:
-            # sorted so the lowest-feature tie-break is column order
+            # sorted so the lowest-feature tie-break is lane order
             candidates = np.sort(tree_rng.choice(d, size=mtry, replace=False))
-            block = block[:, candidates]
-        best = _best_split(block, y_node, min_leaf)
+            cand = lanes[candidates]
+        v = XsT[candidates[:, None], cand]
+        best = _best_split(v, ys[cand], min_leaf)
         if best is None:
             continue
-        _, col, thr = best
-        go_left = block[:, col] <= thr
-        feature[node] = int(candidates[col])
-        threshold[node] = thr
+        _, j, thr = best
+        goes_left[cand[j]] = v[j] <= thr
+        go = goes_left[lanes]
+        feature[node], threshold[node] = int(candidates[j]), thr
         lid, rid = new_node(), new_node()
         left[node], right[node] = lid, rid
         # right first so the left child is processed next (pure convention)
-        stack.append((rid, rows[~go_left]))
-        stack.append((lid, rows[go_left]))
+        stack.append((rid, lanes[~go].reshape(d, -1)))
+        stack.append((lid, lanes[go].reshape(d, -1)))
     return (
         np.asarray(feature, dtype=np.int64),
         np.asarray(threshold, dtype=float),
@@ -513,20 +507,14 @@ def _grow_tree(Xs, ys, min_leaf, mtry, tree_rng):
     )
 
 
-def _descend(feature, threshold, left, right, Xq):
-    """Vectorised routing of query rows to leaf node ids."""
-    node = np.zeros(Xq.shape[0], dtype=np.int64)
-    active = np.flatnonzero(feature[node] >= 0)
-    while active.size:
-        cur = node[active]
-        go_left = Xq[active, feature[cur]] <= threshold[cur]
-        node[active] = np.where(go_left, left[cur], right[cur])
-        active = active[feature[node[active]] >= 0]
-    return node
-
-
 class _ForestModel(FittedModel):
-    """Subsampled honest regression forest."""
+    """Subsampled honest regression forest.
+
+    All trees share one node table; tree t starts at node ``_roots[t]``
+    and a leaf has feature -1.  Row t of ``_structure_rows`` and
+    ``_estimation_rows`` are the training rows that chose tree t's splits
+    and filled its leaves (the same rows when not honest).
+    """
 
     def __init__(self, X, y, spec: LearnerSpec, seed: int):
         n, d = X.shape
@@ -535,55 +523,60 @@ class _ForestModel(FittedModel):
                 f"features_per_split={spec.features_per_split} exceeds d={d}"
             )
         self._X = X
-        self._y = y
         self.n_features = d
-        fallback = float(np.mean(y))  # empty estimation leaves predict this
         mtry = d if spec.features_per_split is None else spec.features_per_split
         size = max(1, math.ceil(spec.subsample_fraction * n))
-        self._trees = []
-        for t in range(spec.n_trees):
-            tree_rng = rngmod.stream(seed, "tree", t)
-            bag = tree_rng.permutation(n)[:size]
-            if spec.honest and size >= 2:
-                half = size // 2
-                struct_rows, est_rows = bag[:half], bag[half:]
-            else:
-                struct_rows = est_rows = bag
-            feature, threshold, left, right = _grow_tree(
-                X[struct_rows], y[struct_rows], spec.min_leaf, mtry, tree_rng
-            )
-            value = np.full(feature.shape[0], fallback)
-            leaf_of = _descend(feature, threshold, left, right, X[est_rows])
-            sums = np.bincount(leaf_of, weights=y[est_rows], minlength=value.shape[0])
-            counts = np.bincount(leaf_of, minlength=value.shape[0])
-            filled = counts > 0
-            value[filled] = sums[filled] / counts[filled]
-            in_bag = np.zeros(n, dtype=bool)
-            in_bag[bag] = True
-            self._trees.append(
-                _Tree(
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                    value,
-                    in_bag,
-                    structure_rows=struct_rows,
-                    estimation_rows=est_rows,
-                )
-            )
+        rngs = [rngmod.stream(seed, "tree", t) for t in range(spec.n_trees)]
+        bags = np.stack([tree_rng.permutation(n)[:size] for tree_rng in rngs])
+        struct_rows = est_rows = bags
+        if spec.honest and size >= 2:
+            struct_rows, est_rows = np.hsplit(bags, [size // 2])
+        self._structure_rows, self._estimation_rows = struct_rows, est_rows
+        trees = [
+            _grow_tree(X[rows], y[rows], spec.min_leaf, mtry, tree_rng)
+            for rows, tree_rng in zip(struct_rows, rngs)
+        ]
+        sizes = [tree[0].shape[0] for tree in trees]
+        self._roots = np.cumsum([0] + sizes[:-1])
+        self._feature, self._threshold, left, right = map(np.concatenate, zip(*trees))
+        first = np.repeat(self._roots, sizes)
+        self._left = np.where(left >= 0, left + first, -1)
+        self._right = np.where(right >= 0, right + first, -1)
+        # leaf means: one bincount adds each leaf's estimation rows in tree order
+        leaf = np.empty(est_rows.shape, dtype=np.int64)
+        for cols, leaves in self._routes(X, est_rows):
+            leaf[:, cols] = leaves
+        n_nodes = self._feature.shape[0]
+        sums = np.bincount(leaf.ravel(), weights=y[est_rows].ravel(), minlength=n_nodes)
+        counts = np.bincount(leaf.ravel(), minlength=n_nodes)
+        filled = counts > 0
+        self._value = np.full(n_nodes, float(np.mean(y)))  # for empty leaves
+        self._value[filled] = sums[filled] / counts[filled]
 
-    def _tree_matrix(self, Xq) -> np.ndarray:
-        """(n_trees, m) per-tree predictions."""
-        out = np.empty((len(self._trees), Xq.shape[0]))
-        for t, tree in enumerate(self._trees):
-            leaf = _descend(tree.feature, tree.threshold, tree.left, tree.right, Xq)
-            out[t] = tree.value[leaf]
-        return out
+    def _routes(self, Xq, rows=None):
+        """Yields (cols, leaves): tree t sends query rows ``rows[t, cols]``
+        (default: every row) to ``leaves[t]``, all trees at once per block."""
+        n_trees = self._roots.shape[0]
+        if rows is None:
+            rows = np.broadcast_to(np.arange(Xq.shape[0]), (n_trees, Xq.shape[0]))
+        for cols in _row_blocks(rows.shape[1], n_trees):
+            q = rows[:, cols].ravel()
+            node = np.repeat(self._roots, q.shape[0] // n_trees)
+            active = np.flatnonzero(self._feature[node] >= 0)
+            while active.size:
+                cur = node[active]
+                go_left = Xq[q[active], self._feature[cur]] <= self._threshold[cur]
+                node[active] = np.where(go_left, self._left[cur], self._right[cur])
+                active = active[self._feature[node[active]] >= 0]
+            yield cols, node.reshape(n_trees, -1)
 
     def predict(self, Xq) -> np.ndarray:
         Xq = _as_matrix(Xq, self.n_features)
-        return self._tree_matrix(Xq).mean(axis=0)
+        out = np.empty(Xq.shape[0])
+        for cols, leaves in self._routes(Xq):
+            # each column adds its trees in order, as over all rows at once
+            out[cols] = self._value[leaves].mean(axis=0)
+        return out
 
     def predict_oob(self) -> np.ndarray:
         """Out-of-bag prediction for every training row.
@@ -592,12 +585,18 @@ class _ForestModel(FittedModel):
         that are in-bag everywhere (possible with tiny forests) fall
         back to the full-forest prediction.
         """
-        per_tree = self._tree_matrix(self._X)
-        out_of_bag = ~np.stack([t.in_bag for t in self._trees])
-        n_oob = out_of_bag.sum(axis=0)
-        masked = np.where(out_of_bag, per_tree, 0.0).sum(axis=0)
-        pred = np.where(n_oob > 0, masked / np.maximum(n_oob, 1), per_tree.mean(axis=0))
-        return pred
+        in_bag = np.zeros((self._roots.shape[0], self._X.shape[0]), dtype=bool)
+        for rows in (self._structure_rows, self._estimation_rows):
+            np.put_along_axis(in_bag, rows, True, axis=1)
+        n_oob = in_bag.shape[0] - in_bag.sum(axis=0)
+        out = np.empty(n_oob.shape)
+        for cols, leaves in self._routes(self._X):
+            per_tree = self._value[leaves]
+            out[cols] = per_tree.mean(axis=0)  # kept where no tree left the row out
+            per_tree[in_bag[:, cols]] = 0.0
+            oob = n_oob[cols]
+            np.divide(per_tree.sum(axis=0), oob, out=out[cols], where=oob > 0)
+        return out
 
 
 class _ClippedModel(FittedModel):

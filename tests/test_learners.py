@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -132,6 +133,20 @@ class TestKnn:
         dist = np.array([[np.nan, 0.5, 0.2, np.nan], [0.3, 0.1, 0.3, 0.2]])
         full = np.argsort(dist, axis=1, kind="stable")
         for k in (1, 2, 3):
+            assert np.array_equal(_nearest_rows(dist, k), full[:, :k])
+
+    def test_tied_rows_match_full_stable_sort(self):
+        # few integer distances tie most rows at the k-th place; NaNs make
+        # some k-th distances NaN (full sort) and leave others finite
+        from pseudolearn.learners import _nearest_rows
+
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            m, n = rng.integers(1, 12), rng.integers(2, 40)
+            dist = rng.integers(0, 5, size=(m, n)).astype(float)
+            dist[rng.uniform(size=(m, n)) < rng.uniform(0, 0.5)] = np.nan
+            k = int(rng.integers(1, n + 1))
+            full = np.argsort(dist, axis=1, kind="stable")
             assert np.array_equal(_nearest_rows(dist, k), full[:, :k])
 
 
@@ -394,6 +409,20 @@ class TestRowBlocks:
             got = fit_learner(LearnerSpec(kind="knn", k=k), X, y).predict(Xq)
         assert got.tobytes() == _reference_knn_predict(X, y, Xq, k).tobytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(_pairwise_cases(), st.booleans())
+    def test_forest_predict_matches_per_tree_routing(self, case, honest):
+        # the case's n is the tree count: a block holds about entries / n rows
+        entries, d, n_trees, m, seed = case
+        X, y, Xq = _pairwise_data(d, 40, m, seed)
+        spec = LearnerSpec(kind="forest", n_trees=n_trees, min_leaf=2, honest=honest)
+        with mock.patch.object(learners, "_BLOCK_ENTRIES", entries):
+            model = fit_learner(spec, X, y, seed=seed)
+            got, got_oob = model.predict(Xq), model.predict_oob()
+        want, want_oob = _reference_forest_predict(model, Xq)
+        assert got.tobytes() == want.tobytes()
+        assert got_oob.tobytes() == want_oob.tobytes()
+
     def test_continuous_one_feature_knn_skips_dense_distances(self):
         rng = np.random.default_rng(8)
         X, y = col(rng.uniform(-1, 1, 500)), rng.normal(size=500)
@@ -563,6 +592,77 @@ class TestPredictMemory:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
+    def test_forest_peak_stays_below_one_tree_matrix(self):
+        # the trees route together over row blocks and each block is averaged
+        # at once, so neither call holds a (trees x m) float matrix
+        rng = np.random.default_rng(0)
+        X = rng.uniform(size=(20000, 2))
+        spec = LearnerSpec(
+            kind="forest", n_trees=100, min_leaf=20, subsample_fraction=0.1
+        )
+        model = fit_learner(spec, X, rng.normal(size=20000))
+        for call in (lambda: model.predict(X), model.predict_oob):
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 100 * 20000 * 8
+
+
+def _trees(model):
+    """A fitted forest's trees, each as its own node arrays with local child ids."""
+    stops = [*model._roots[1:], model._feature.shape[0]]
+    trees = []
+    for t, (a, b) in enumerate(zip(model._roots, stops)):
+        left, right = (
+            np.where(c[a:b] >= 0, c[a:b] - a, -1) for c in (model._left, model._right)
+        )
+        trees.append(
+            SimpleNamespace(
+                feature=model._feature[a:b],
+                threshold=model._threshold[a:b],
+                left=left,
+                right=right,
+                value=model._value[a:b],
+                structure_rows=model._structure_rows[t],
+                estimation_rows=model._estimation_rows[t],
+            )
+        )
+    return trees
+
+
+def _reference_forest_predict(model, Xq):
+    """Predictions and out-of-bag predictions from one tree at a time.
+
+    Each tree routes all rows alone into a (trees x rows) matrix, which is
+    then averaged, as before the trees routed together in row blocks.
+    """
+
+    def tree_matrix(Q):
+        out = []
+        for tree in _trees(model):
+            node = np.zeros(Q.shape[0], dtype=np.int64)
+            while np.any(tree.feature[node] >= 0):
+                inner = tree.feature[node] >= 0
+                f = np.where(inner, tree.feature[node], 0)
+                go = Q[np.arange(Q.shape[0]), f] <= tree.threshold[node]
+                child = np.where(go, tree.left[node], tree.right[node])
+                node = np.where(inner, child, node)
+            out.append(tree.value[node])
+        return np.array(out)
+
+    per_tree = tree_matrix(model._X)
+    out_of_bag = np.ones(per_tree.shape, dtype=bool)
+    for t, tree in enumerate(_trees(model)):
+        out_of_bag[t, tree.structure_rows] = False
+        out_of_bag[t, tree.estimation_rows] = False
+    n_oob = out_of_bag.sum(axis=0)
+    masked = np.where(out_of_bag, per_tree, 0.0).sum(axis=0)
+    oob = np.where(n_oob > 0, masked / np.maximum(n_oob, 1), per_tree.mean(axis=0))
+    return tree_matrix(Xq).mean(axis=0), oob
+
 
 class TestForest:
     def full_spec(self, **kw):
@@ -588,7 +688,7 @@ class TestForest:
         X = col([0, 1, 2, 3])
         y = np.array([0.0, 0.0, 10.0, 10.0])
         model = fit_learner(self.full_spec(), X, y, seed=0)
-        tree = model._trees[0]
+        tree = _trees(model)[0]
         assert tree.feature[0] == 0
         assert tree.threshold[0] == pytest.approx(1.5)
         # boundary routing: a query at the threshold goes left
@@ -599,27 +699,27 @@ class TestForest:
         X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
         y = np.array([0.0, 1.0, 0.0, 1.0])
         model = fit_learner(self.full_spec(), X, y, seed=0)
-        assert model._trees[0].feature[0] == 0
+        assert _trees(model)[0].feature[0] == 0
 
     def test_threshold_tie_breaks_to_lowest_threshold(self):
         # symmetric two-level outcome: cuts at 0.5 and 2.5 tie exactly
         X = col([0, 1, 2, 3])
         y = np.array([0.0, 1.0, 1.0, 0.0])
         model = fit_learner(self.full_spec(), X, y, seed=0)
-        assert model._trees[0].threshold[0] == pytest.approx(0.5)
+        assert _trees(model)[0].threshold[0] == pytest.approx(0.5)
 
     def test_min_leaf_respected(self):
         X = col(np.arange(10))
         y = np.arange(10.0)
         model = fit_learner(self.full_spec(min_leaf=5), X, y, seed=0)
-        tree = model._trees[0]
+        tree = _trees(model)[0]
         # a single split of 10 rows into 5 + 5 is the only legal structure
         assert (tree.feature >= 0).sum() == 1
         assert tree.threshold[0] == pytest.approx(4.5)
 
     def test_constant_outcome_yields_single_leaf(self):
         model = fit_learner(self.full_spec(), col(np.arange(6)), np.full(6, 2.5), seed=0)
-        tree = model._trees[0]
+        tree = _trees(model)[0]
         assert tree.feature[0] == -1
         assert model.predict(col([3.3]))[0] == pytest.approx(2.5)
 
@@ -693,7 +793,7 @@ class TestForest:
         model = fit_learner(
             LearnerSpec(kind="forest", n_trees=15, honest=True), X, y, seed=8
         )
-        for tree in model._trees:
+        for tree in _trees(model):
             s = set(tree.structure_rows.tolist())
             e = set(tree.estimation_rows.tolist())
             assert s and e
@@ -783,9 +883,92 @@ class TestBlockSplitSearch:
     @given(_split_blocks())
     def test_matches_per_feature_scan(self, case):
         block, ys, min_leaf = case
-        assert _best_split(block, ys, min_leaf) == _reference_best_split(
+        # one lane per column: its rows sorted by (value, row)
+        lanes = np.argsort(block.T, axis=1, kind="stable")
+        v = np.take_along_axis(block.T, lanes, axis=1)
+        assert _best_split(v, ys[lanes], min_leaf) == _reference_best_split(
             block, ys, min_leaf
         )
+
+
+def _reference_grow_tree(Xs, ys, min_leaf, mtry, tree_rng):
+    """The re-sorting grower that presorted lanes replaced.
+
+    Each node gathers its rows' block and sorts it again (inside the
+    split scan); a child keeps its parent's rows in ascending order.
+    """
+    d = Xs.shape[1]
+    feature, threshold, left, right = [], [], [], []
+
+    def new_node():
+        for arr, init in ((feature, -1), (threshold, 0.0), (left, -1), (right, -1)):
+            arr.append(init)
+        return len(feature) - 1
+
+    stack = [(new_node(), np.arange(Xs.shape[0]))]
+    while stack:
+        node, rows = stack.pop()
+        y_node = ys[rows]
+        if rows.shape[0] < 2 * min_leaf or np.ptp(y_node) == 0.0:
+            continue
+        block, candidates = Xs[rows], np.arange(d)
+        if mtry < d:
+            candidates = np.sort(tree_rng.choice(d, size=mtry, replace=False))
+            block = block[:, candidates]
+        best = _reference_best_split(block, y_node, min_leaf)
+        if best is None:
+            continue
+        _, col, thr = best
+        go_left = block[:, col] <= thr
+        feature[node], threshold[node] = int(candidates[col]), thr
+        lid, rid = new_node(), new_node()
+        left[node], right[node] = lid, rid
+        stack.append((rid, rows[~go_left]))
+        stack.append((lid, rows[go_left]))
+    return (
+        np.asarray(feature, dtype=np.int64),
+        np.asarray(threshold, dtype=float),
+        np.asarray(left, dtype=np.int64),
+        np.asarray(right, dtype=np.int64),
+    )
+
+
+@st.composite
+def _forest_cases(draw):
+    n, d = draw(st.integers(2, 60)), draw(st.integers(1, 4))
+    # few levels tie many values; a wide range ties almost none
+    levels = draw(st.sampled_from([1, 2, 4, 1000]))
+    X = draw(arrays(float, (n, d), elements=st.integers(0, levels).map(float)))
+    y = draw(
+        st.one_of(
+            arrays(float, n, elements=st.integers(0, 1).map(float)),
+            arrays(float, n, elements=st.integers(-20, 20).map(lambda v: v / 4)),
+        )
+    )
+    spec = LearnerSpec(
+        kind="forest",
+        n_trees=3,
+        min_leaf=draw(st.integers(1, min(n, 6))),
+        features_per_split=draw(st.sampled_from([None, 1, max(1, d // 2)])),
+        honest=draw(st.booleans()),
+    )
+    return X, y, spec, draw(st.integers(0, 2**16))
+
+
+class TestPresortedGrower:
+    @settings(max_examples=200, deadline=None)
+    @given(_forest_cases())
+    def test_matches_resorting_grower(self, case):
+        X, y, spec, seed = case
+        model = fit_learner(spec, X, y, seed=seed)
+        with mock.patch.object(
+            learners, "_grow_tree", wraps=_reference_grow_tree
+        ) as grow:
+            reference = fit_learner(spec, X, y, seed=seed)
+        assert grow.call_count == spec.n_trees
+        for got, want in zip(_trees(model), _trees(reference), strict=True):
+            for name in ("feature", "threshold", "left", "right", "value"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 # sha256 prefixes of every tree's feature/threshold/left/right/value
@@ -829,7 +1012,7 @@ _TREE_DIGESTS = {
 
 def _tree_digest(model):
     h = hashlib.sha256()
-    for tree in model._trees:
+    for tree in _trees(model):
         for arr, dtype in (
             (tree.feature, "<i8"),
             (tree.threshold, "<f8"),
