@@ -23,7 +23,8 @@ Available kinds
     the smallest bandwidth).  With one feature, Gaussian weights send
     no exponent below -700 to ``exp``, which keeps numpy on its fast
     path at small bandwidths; every weight has the plain ``exp`` call's
-    bits.
+    bits.  1-d values all 0 or of magnitude in [2**-458, 2**510] give
+    weights from signed differences (no square root), with the same bits.
 ``forest``
     Subsampled regression forest with variance-reduction splits.  When
     ``honest`` each tree's subsample is halved: one half chooses the
@@ -296,8 +297,9 @@ _EXP_ZERO_BELOW = -746.0
 def _kernel_weights(dist, bandwidth: float, shape: str, out, far) -> None:
     """Kernel weights of a distance matrix, written to ``out`` (may be ``dist``).
 
-    ``far`` is the largest entry of ``dist`` (NaN if any entry is NaN), or
-    None: then Gaussian weights take the plain ``exp``.
+    ``dist`` may hold signed differences: only its square is read.
+    ``far`` is the largest magnitude in ``dist`` (NaN if any entry is NaN),
+    or None: then Gaussian weights take the plain ``exp``.
     """
     w = np.divide(dist, bandwidth, out=out)
     np.multiply(w, w, out=w)
@@ -331,6 +333,13 @@ def _clamped_exp(x: np.ndarray) -> None:
     np.put(x, band, exact)
 
 
+def _signed_ok(v: np.ndarray) -> bool:
+    """Whether all of ``v`` is 0 or of magnitude in [2**-458, 2**510]: then any
+    difference x is 0 or in [2**-510, 2**511], so sqrt(x*x) == |x| (Boldo 2015)."""
+    a = np.abs(v)
+    return bool(np.all((a == 0.0) | ((a >= 2.0**-458) & (a <= 2.0**510))))
+
+
 def _nw_predict(Xq, Xt, yt, bandwidths, shape) -> list:
     """Nadaraya-Watson means at the queries ``Xq``, one vector per bandwidth.
 
@@ -347,10 +356,11 @@ def _nw_predict(Xq, Xt, yt, bandwidths, shape) -> list:
     reach = None
     if shape == "gaussian" and Xt.shape[1] == 1:
         reach = _distances(Xq, np.array([[Xt.min()], [Xt.max()]])).max(axis=1)
+    signed = Xt.shape[1] == 1 and _signed_ok(Xq) and _signed_ok(Xt)
     # queries without weight divide 0 by 0 here; they are overwritten below
     with np.errstate(divide="ignore", invalid="ignore"):
         for rows in _row_blocks(m, Xt.shape[0]):
-            dist = _distances(Xq[rows], Xt)
+            dist = np.subtract(Xq[rows], Xt.T) if signed else _distances(Xq[rows], Xt)
             far = None if reach is None else float(reach[rows].max())
             # one bandwidth turns the distances into weights in place
             w = dist if len(bandwidths) == 1 else np.empty_like(dist)
@@ -429,7 +439,8 @@ def _best_split(v, s, min_leaf):
 
     Row j of ``v`` holds candidate feature j's values at the node in
     ascending order, and row j of ``s`` the outcomes in that order.  Cuts
-    sit at midpoints between consecutive distinct values.  Returns
+    sit at midpoints between consecutive distinct values a < b, or at a
+    where the midpoint rounds to b or overflows.  Returns
     (sse_reduction, row, threshold) for a cut with positive reduction.
     Ties go to the lowest threshold within a feature, then to the lowest
     row (the first maximum of each argmax).
@@ -452,8 +463,9 @@ def _best_split(v, s, min_leaf):
     j = int(np.argmax(reduction))
     if not reduction[j] > 0.0:
         return None
-    c = lo + best[j]
-    return float(reduction[j]), j, float(0.5 * (v[j, c] + v[j, c + 1]))
+    a, b = float(v[j, lo + best[j]]), float(v[j, lo + best[j] + 1])
+    mid = 0.5 * (a + b)
+    return float(reduction[j]), j, mid if a <= mid < b else a
 
 
 def _grow_tree(Xs, ys, min_leaf, mtry, tree_rng):

@@ -550,16 +550,20 @@ class TestGaussianFastPath:
         assert lowest and min(lowest) >= -746.0
         assert min(lowest) < -700.0  # the exact band was recomputed
 
+    @pytest.mark.parametrize("in_band", [True, False])
     @pytest.mark.parametrize(
         "d, shape, clamps",
         [(1, "gaussian", True), (1, "epanechnikov", False),
          (2, "gaussian", False), (2, "epanechnikov", False)],
     )
-    def test_only_one_feature_gaussian_reads_the_range(self, d, shape, clamps):
-        # the other kernels compute each block's distances once and no more:
-        # no distances to the ends of the training range, no clamped exp
+    def test_only_one_feature_gaussian_reads_the_range(self, d, shape, clamps, in_band):
+        # only 1-d Gaussians compute distances to the ends of the training
+        # range and clamp exp; 1-d data in the signed band computes no
+        # per-block distances, any other call computes each block's once
         rng = np.random.default_rng(2)
         X, y = rng.uniform(-1, 1, (300, d)), rng.normal(size=300)
+        if not in_band:
+            X[150, 0] = 1e-160  # nonzero and below 2**-458
         with (
             mock.patch.object(learners, "_BLOCK_ENTRIES", 2**12),
             mock.patch.object(learners, "_distances", wraps=_distances) as dist,
@@ -567,10 +571,104 @@ class TestGaussianFastPath:
         ):
             blocks = len(list(_row_blocks(100, 300)))
             (got,) = _nw_predict(X[:100], X, y, (0.01,), shape)
-        assert dist.call_count == blocks + clamps
+        per_block = 0 if d == 1 and in_band else blocks
+        assert dist.call_count == per_block + clamps
         assert clamp.called == clamps
         want = _reference_nw_predict(cdist(X[:100], X), y, 0.01, shape)
         assert got.tobytes() == want.tobytes()
+
+
+# the signed band's edges, +-0 and the doubles just inside it; values just
+# outside it, subnormal, tiny or huge; non-finite queries
+_IN_BAND = (
+    0.0, -0.0, 2.0**-458, -(2.0**-458), 2.0**510, -(2.0**510),
+    float(np.nextafter(2.0**-458, 1.0)), float(np.nextafter(2.0**510, 0.0)),
+)
+_OUT_OF_BAND = (
+    5e-324, -5e-324, 1e-310, 1e-160, -1e-160, 1e200, -1e200,
+    float(np.nextafter(2.0**-458, 0.0)), float(np.nextafter(2.0**510, np.inf)),
+)
+_NON_FINITE = (np.nan, np.inf, -np.inf)
+
+
+def _band_floats():
+    """Doubles of magnitude 0 or in [2**-458, 2**510], either sign."""
+    mags = st.one_of(
+        st.floats(2.0**-458, 2.0**510),
+        st.floats(2.0**-458, 2.0**-440),
+        st.floats(2.0**490, 2.0**510),
+    )
+    signed = st.tuples(mags, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+    return st.one_of(st.sampled_from(_IN_BAND), signed)
+
+
+@st.composite
+def _signed_cases(draw):
+    """A block budget and 1-d training values, outcomes and queries: in the
+    signed band only, or mixed with values outside it and non-finite queries."""
+    mixed = draw(st.booleans())
+    usual = st.integers(-3000, 3000).map(lambda v: v / 1000)
+    train = st.one_of(usual, st.sampled_from(_IN_BAND))
+    if mixed:
+        train = st.one_of(train, st.sampled_from(_OUT_OF_BAND))
+    query = st.one_of(train, st.sampled_from(_NON_FINITE)) if mixed else train
+    n, m = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    X = draw(arrays(float, (n, 1), elements=train))
+    Xq = draw(arrays(float, (m, 1), elements=query))
+    y = draw(arrays(float, n, elements=st.integers(-20, 20).map(lambda v: v / 4)))
+    return draw(st.sampled_from((64, 256, 2**16))), X, y, Xq, mixed
+
+
+class TestSignedDifferences:
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(float, st.integers(1, 16), elements=_band_floats()))
+    def test_abs_difference_is_root_of_square_in_band(self, v):
+        # with the adjacent doubles of every value that stay in the band
+        v = np.concatenate([v, np.nextafter(v, np.inf), np.nextafter(v, -np.inf)])
+        a = np.abs(v)
+        v = v[(a == 0.0) | ((a >= 2.0**-458) & (a <= 2.0**510))]
+        assert learners._signed_ok(v)
+        x = np.subtract.outer(v, v)
+        assert np.abs(x).tobytes() == np.sqrt(x * x).tobytes()
+
+    def test_band_edges(self):
+        assert learners._signed_ok(np.array(_IN_BAND))
+        for v in _OUT_OF_BAND + _NON_FINITE:
+            assert not learners._signed_ok(np.array([[0.5], [v]]))
+
+    @pytest.mark.parametrize("shape", ["gaussian", "epanechnikov"])
+    @pytest.mark.parametrize("v", [v for v in _IN_BAND + _OUT_OF_BAND if v > 0])
+    def test_band_edges_match_dense(self, v, shape):
+        # bandwidths on the scale of the differences: outside the band their
+        # squares under- or overflow, and signed differences would move bits
+        X = col([-v, 0.0, v])
+        y = np.array([1.0, -2.0, 4.0])
+        grid = (v, 2 * v, 4 * v)
+        with np.errstate(over="ignore", under="ignore"):
+            preds = _nw_predict(X, X, y, grid, shape)
+            want = [_reference_nw_predict(cdist(X, X), y, h, shape) for h in grid]
+        for pred, ref in zip(preds, want):
+            assert pred.tobytes() == ref.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _signed_cases(),
+        st.sampled_from(("gaussian", "epanechnikov")),
+        # tiny and huge bandwidths make sub- and overflowing squares matter
+        st.sampled_from((1e-160, 0.01, 0.3, 5.0, 1e200)),
+    )
+    def test_one_feature_predict_matches_dense(self, case, shape, h):
+        entries, X, y, Xq, mixed = case
+        if not mixed:
+            assert learners._signed_ok(X) and learners._signed_ok(Xq)
+        grid = (h / 2, h, 2 * h)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            with mock.patch.object(learners, "_BLOCK_ENTRIES", entries):
+                preds = _nw_predict(Xq, X, y, grid, shape)
+            dist = cdist(Xq, X)
+            want = [_reference_nw_predict(dist, y, bw, shape) for bw in grid]
+        for pred, ref in zip(preds, want):
+            assert pred.tobytes() == ref.tobytes()
 
 
 class TestPredictMemory:
@@ -969,6 +1067,88 @@ class TestPresortedGrower:
         for got, want in zip(_trees(model), _trees(reference), strict=True):
             for name in ("feature", "threshold", "left", "right", "value"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def _bounded_split_search(limit):
+    """``_best_split`` that fails after ``limit`` calls, so a grower that
+    splits one node forever fails rather than hangs."""
+    calls = itertools.count()
+
+    def search(v, s, min_leaf):
+        assert next(calls) < limit, "the split search does not end"
+        return _best_split(v, s, min_leaf)
+
+    return mock.patch.object(learners, "_best_split", side_effect=search)
+
+
+def _assert_thresholds_separate(model, X, min_leaf):
+    """Every internal node sends at least ``min_leaf`` structure rows each
+    way, and its threshold t has a <= t < b, where a is the largest and b
+    the smallest value its children receive."""
+    for tree in _trees(model):
+        stack = [(0, tree.structure_rows)]
+        while stack:
+            node, rows = stack.pop()
+            if tree.feature[node] < 0:
+                continue
+            v, t = X[rows, tree.feature[node]], tree.threshold[node]
+            go = v <= t
+            assert min_leaf <= np.count_nonzero(go) <= go.shape[0] - min_leaf
+            assert v[go].max() <= t < v[~go].min()
+            stack += [(tree.left[node], rows[go]), (tree.right[node], rows[~go])]
+
+
+_BIG = np.finfo(float).max
+# adjacent doubles, midpoints that overflow, subnormals and zeros
+_EXTREME_VALUES = tuple(
+    float(v) for v in (
+        1.0, np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0),
+        1.0e308, 1.7e308, _BIG, np.nextafter(_BIG, 0.0),
+        -1.0e308, -1.7e308, -_BIG, np.nextafter(-_BIG, 0.0),
+        5e-324, -5e-324, 1e-320, 0.0, -0.0,
+    )
+)
+
+
+@st.composite
+def _extreme_forest_cases(draw):
+    n, d = draw(st.integers(2, 30)), draw(st.integers(1, 2))
+    X = draw(arrays(float, (n, d), elements=st.sampled_from(_EXTREME_VALUES)))
+    y = draw(arrays(float, n, elements=st.integers(-4, 4).map(float)))
+    spec = LearnerSpec(
+        kind="forest",
+        n_trees=2,
+        min_leaf=draw(st.integers(1, min(n, 3))),
+        subsample_fraction=draw(st.sampled_from([0.5, 1.0])),
+        features_per_split=draw(st.sampled_from([None, 1])) if d > 1 else None,
+        honest=draw(st.booleans()),
+    )
+    return X, y, spec, draw(st.integers(0, 2**16))
+
+
+class TestSplitThresholds:
+    @pytest.mark.parametrize(
+        "a, b",
+        [(1.0 + 2.0**-52, 1.0 + 2.0**-51), (1.0e308, 1.7e308), (-1.7e308, -1.0e308)],
+    )
+    def test_two_rows_split_once(self, a, b):
+        # 0.5 * (a + b) rounds to b for adjacent doubles and overflows for
+        # the others; either way every row would go left
+        spec = LearnerSpec(
+            kind="forest", n_trees=1, min_leaf=1, subsample_fraction=1.0, honest=False
+        )
+        with _bounded_split_search(4):
+            model = fit_learner(spec, col([a, b]), np.array([0.0, 1.0]))
+        assert model._threshold.tolist() == [a, 0.0, 0.0]
+        assert model.predict(col([a, b])).tolist() == [0.0, 1.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_extreme_forest_cases())
+    def test_thresholds_lie_between_the_values_they_separate(self, case):
+        X, y, spec, seed = case
+        with _bounded_split_search(2 * X.shape[0] * spec.n_trees):
+            model = fit_learner(spec, X, y, seed=seed)
+        _assert_thresholds_separate(model, X, spec.min_leaf)
 
 
 # sha256 prefixes of every tree's feature/threshold/left/right/value
