@@ -106,18 +106,19 @@ def arm_rows(name: str, w: np.ndarray, pool: np.ndarray) -> np.ndarray:
 
 
 def fit_then_predict(
-    data, train, test, cfg, pseudo, seed_of, where, known_pi=None, instrument=None
+    data, train, test, cfg, pseudo, seed_of, where, given=None, instrument=None
 ) -> dict:
     """Fit the nuisances the target reads on ``train`` rows; predict ``test`` rows.
 
     Returns the predictions keyed by :class:`NuisanceEstimates` field.
-    ``known_pi`` (one value per row of ``data``) stands in for a fitted
-    pi; ``instrument(name, rows)`` sees each model's training rows.
+    ``given`` maps a nuisance to its values at the ``test`` rows (a known
+    pi, or predictions of this same fit), used instead of fitting it;
+    ``instrument(name, rows)`` sees each model's training rows.
     """
     preds = {}
     for name in NUISANCES[pseudo.target]:
-        if name == "pi" and known_pi is not None:
-            preds["pi_hat"] = known_pi[test]
+        if given and name in given:
+            preds[f"{name}_hat"] = given[name]
             continue
         rows = arm_rows(name, data.w, train)
         model = fit_nuisance(name, data, rows, cfg, pseudo, seed_of(name), where)
@@ -262,10 +263,11 @@ def crossfit_nuisances(
         train = folds.train_rows(k)
         train_rows.append(train)
         hook = instrument and (lambda name, rows: instrument(name, k, rows, test))
+        given = None if known is None else {"pi": known[test]}
         preds = fit_then_predict(
             data, train, test, cfg, pseudo,
             seed_of=lambda name: rngmod.derive_seed(cfg.seed, name, k),
-            where=f"fold {k}", known_pi=known, instrument=hook,
+            where=f"fold {k}", given=given, instrument=hook,
         )
         for key, values in preds.items():
             out[key][test] = values

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -223,7 +224,7 @@ def read_csv_columns(path, names) -> np.ndarray:
 
     Rows with any non-finite field are rejected (not silently dropped:
     silent row loss changes n and breaks reproducibility).  Floats use
-    decimal points; no locale-dependent parsing.
+    decimal points; the file is UTF-8 whatever the locale (a BOM is skipped).
 
     Raises
     ------
@@ -237,7 +238,7 @@ def read_csv_columns(path, names) -> np.ndarray:
         Non-finite value, with row and column named.
     """
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except FileNotFoundError:
         raise ConfigError(f"file not found: {path}") from None
     with fh:
@@ -251,31 +252,33 @@ def read_csv_columns(path, names) -> np.ndarray:
             if name not in header:
                 raise SchemaError(f"{path}: missing column {name!r}")
             idx.append(header.index(name))
-        rows = []
-        for rownum, rec in enumerate(reader):
-            vals = []
-            for j, name in zip(idx, names):
-                if j >= len(rec):
-                    raise ParseError(
-                        f"{path}: row {rownum}: too few fields for column {name!r}"
-                    )
-                raw = rec[j].strip()
-                try:
-                    val = float(raw)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: row {rownum}, column {name!r}: "
-                        f"cannot parse {raw!r} as a number"
-                    ) from None
-                if not math.isfinite(val):
-                    raise DomainError(
-                        f"{path}: row {rownum}, column {name!r}: "
-                        f"non-finite value {raw!r}"
-                    )
-                vals.append(val)
-            rows.append(vals)
-    if not rows:
+        records = list(reader)
+    if not records:
         raise SchemaError(f"{path}: no data rows (header only)")
+    # One C-level float() pass per column (float strips whitespace itself).
+    table = np.empty((len(records), len(idx)))
+    try:
+        for col, j in enumerate(idx):
+            table[:, col] = list(map(float, map(itemgetter(j), records)))
+        if np.isfinite(table).all():
+            return table
+    except (IndexError, ValueError):
+        pass
+    # A bad cell: the row loop names the first one, by row, then by column.
+    rows = []
+    for rownum, rec in enumerate(records):
+        rows.append([])
+        for j, name in zip(idx, names):
+            at = f"{path}: row {rownum}, column {name!r}"
+            if j >= len(rec):
+                raise ParseError(f"{path}: row {rownum}: too few fields for column {name!r}")
+            raw = rec[j].strip()
+            try:
+                rows[-1].append(float(raw))
+            except ValueError:
+                raise ParseError(f"{at}: cannot parse {raw!r} as a number") from None
+            if not math.isfinite(rows[-1][-1]):
+                raise DomainError(f"{at}: non-finite value {raw!r}")
     return np.asarray(rows, dtype=float)
 
 

@@ -279,17 +279,22 @@ def fit_group_learner(
     aux = data.subset(aux_rows)
     est = data.subset(est_rows)
 
+    given = {} if pi_full is None else {"pi": pi_full[est_rows]}
     if cfg.first_stage == "plugin":
         scorer = fit_plugin_learner(aux, cfg.if_config)
     else:
         known_aux = pi_full[aux_rows] if pi_full is not None else None
         scorer = fit_if_learner(aux, cfg.if_config, known_propensity=known_aux)
-    scores = scorer.predict(est.X)
+    scores, arms = scorer.predict_arms(est.X)
+    # a plug-in scorer's arms are fit on the auxiliary arm rows, in order, with
+    # the same spec and clip: if the fit reads no seed, it is fit_then_predict's
+    if not cfg.if_config.crossfit.outcome_spec.reads_seed:
+        given.update(arms)
 
     preds = fit_then_predict(
         data, aux_rows, est_rows, cfg.if_config.crossfit, pseudo,
         seed_of=lambda name: rngmod.derive_seed(cfg.seed, "nuisance", name),
-        where="the auxiliary half", known_pi=pi_full,
+        where="the auxiliary half", given=given,
     )
     d = build_pseudo_outcomes(est, NuisanceEstimates(**preds), pseudo).d
 

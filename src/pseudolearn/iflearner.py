@@ -98,6 +98,12 @@ class TargetModel:
     def predict(self, Xq) -> np.ndarray:
         return self._model.predict(Xq)
 
+    def predict_arms(self, Xq) -> tuple[np.ndarray, dict]:
+        """``predict(Xq)`` and, for a plug-in model, each arm's predictions by slot."""
+        arms = getattr(self._model, "arms", {})
+        values = {name: arm.predict(Xq) for name, arm in arms.items()}
+        return (self._model.combine(values) if arms else self.predict(Xq)), values
+
     def __repr__(self) -> str:
         return (
             f"TargetModel(target={self.provenance.get('target')!r}, "
@@ -208,18 +214,21 @@ def fit_oracle_learner(
 
 
 class _FunctionalOfArms(FittedModel):
-    """Applies a functional to two arm-wise regression fits."""
+    """The plug-in functional of arm-wise fits keyed by the signal's slot.
 
-    def __init__(self, m0: FittedModel, m1: FittedModel, combine):
-        self._m0 = m0
-        self._m1 = m1
-        self._combine = combine
-        self.n_features = m0.n_features
+    Without a functional the model is the lone ``mu1`` fit.
+    """
+
+    def __init__(self, arms: dict, functional=lambda mu1: mu1):
+        self.arms = arms
+        self._functional = functional
+        self.n_features = arms["mu1"].n_features
+
+    def combine(self, values: dict) -> np.ndarray:
+        return np.asarray(self._functional(**values), dtype=float)
 
     def predict(self, Xq) -> np.ndarray:
-        return np.asarray(
-            self._combine(self._m0.predict(Xq), self._m1.predict(Xq)), dtype=float
-        )
+        return self.combine({name: arm.predict(Xq) for name, arm in self.arms.items()})
 
 
 def fit_plugin_learner(data: Dataset, cfg: IFLearnerConfig) -> TargetModel:
@@ -245,8 +254,9 @@ def fit_plugin_learner(data: Dataset, cfg: IFLearnerConfig) -> TargetModel:
     elif data.w is None:
         raise SchemaError(f"target {cfg.pseudo.target!r} needs an indicator column")
     elif target.plugin is None:
-        model = fit_arm("mu")
+        model = _FunctionalOfArms({"mu1": fit_arm("mu")})
     else:
-        model = _FunctionalOfArms(fit_arm("mu0"), fit_arm("mu1"), target.plugin)
+        arms = {"mu0": fit_arm("mu0"), "mu1": fit_arm("mu1")}
+        model = _FunctionalOfArms(arms, target.plugin)
     provenance = _provenance(cfg, data, cfg.pseudo.target, "plugin", cfg.seed)
     return TargetModel(model, provenance)

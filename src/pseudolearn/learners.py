@@ -127,6 +127,11 @@ class LearnerSpec(FromDict):
         """Training rows a fit needs (fewer is an EstimationError): k or min_leaf."""
         return {"knn": self.k, "forest": self.min_leaf}.get(self.kind, 1)
 
+    @property
+    def reads_seed(self) -> bool:
+        """Whether a fit can depend on its seed: forests, and kernels choosing h by CV."""
+        return self.kind == "forest" or (self.kind == "kernel" and self.bandwidth is None)
+
 
 def _as_matrix(Xq, d: int) -> np.ndarray:
     """Coerce query points to shape (m, d)."""

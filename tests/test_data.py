@@ -1,7 +1,12 @@
 """Dataset, fold assignment, read-only value objects and CSV loading."""
 
+import csv
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pseudolearn.data import (
     ColumnMap,
@@ -10,6 +15,7 @@ from pseudolearn.data import (
     NuisanceEstimates,
     load_csv,
     make_folds,
+    read_csv_columns,
 )
 from pseudolearn.errors import ConfigError, DomainError, ParseError, SchemaError
 from pseudolearn.grouplearner import GroupEstimates
@@ -290,3 +296,103 @@ class TestLoadCsv:
             ColumnMap.from_dict({"covariates": ["a"]})
         with pytest.raises(ConfigError):
             ColumnMap.from_dict({"covariates": [], "outcome": "y"})
+
+
+def _reference_read_csv_columns(path, names):
+    """The row-by-row parse, one cell at a time (the file opened as UTF-8)."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError(f"{path}: file is empty (no header row)")
+        header = [h.strip() for h in header]
+        idx = []
+        for name in names:
+            if name not in header:
+                raise SchemaError(f"{path}: missing column {name!r}")
+            idx.append(header.index(name))
+        rows = []
+        for rownum, rec in enumerate(reader):
+            vals = []
+            for j, name in zip(idx, names):
+                if j >= len(rec):
+                    raise ParseError(
+                        f"{path}: row {rownum}: too few fields for column {name!r}"
+                    )
+                raw = rec[j].strip()
+                try:
+                    val = float(raw)
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: row {rownum}, column {name!r}: "
+                        f"cannot parse {raw!r} as a number"
+                    ) from None
+                if not math.isfinite(val):
+                    raise DomainError(
+                        f"{path}: row {rownum}, column {name!r}: "
+                        f"non-finite value {raw!r}"
+                    )
+                vals.append(val)
+            rows.append(vals)
+    if not rows:
+        raise SchemaError(f"{path}: no data rows (header only)")
+    return np.asarray(rows, dtype=float)
+
+
+def _outcome(fn, path, names):
+    """The table's shape and bits, or the exception's class and message."""
+    try:
+        table = fn(path, names)
+    except (SchemaError, ParseError, DomainError) as err:
+        return type(err), str(err)
+    return table.shape, table.tobytes()
+
+
+_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: format(v, ".17g")),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from([
+        "-0", "0", "+0.0", "1e308", "-1e308", "1.7976931348623157e308", "1e309",
+        "5e-324", "1_0", "1__0", "_1", "nan", "NaN", "-nan", "inf", "-inf",
+        "Infinity", "", " ", "oops", "1,5", "0x10", "1e", ".5", "5.", "\u0661",
+    ]),
+)
+_PADDED = st.tuples(
+    st.sampled_from(["", " ", "  ", "\t", " \t"]), _CELLS,
+    st.sampled_from(["", " ", "\t "]),
+).map("".join)
+
+
+class TestReadCsvColumns:
+    HEADER = ["a", "b", "c", "skip"]
+
+    def write(self, tmp_path, rows, bom=False):
+        p = tmp_path / "cols.csv"
+        with open(p, "w", newline="", encoding="utf-8-sig" if bom else "utf-8") as f:
+            csv.writer(f, lineterminator="\n").writerows([self.HEADER, *rows])
+        return p
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(st.lists(_PADDED, min_size=0, max_size=5), max_size=12),
+        names=st.permutations(["a", "b", "c"]).flatmap(
+            lambda p: st.integers(1, 3).map(lambda k: p[:k])
+        ),
+        bom=st.booleans(),
+    )
+    @example(rows=[["1", "2", "3", "4"], ["oops", "nan", "", "x"]], names=["c", "b", "a"],
+             bom=False)
+    @example(rows=[["1", "2", "3"], ["4", "5"], ["inf", "6", "7"]], names=["a", "c"],
+             bom=True)
+    @example(rows=[[" -0 ", "1e308", "1_0", "\t2.5 "]], names=["a", "b", "c"], bom=False)
+    def test_equals_row_loop(self, tmp_path_factory, rows, names, bom):
+        p = self.write(tmp_path_factory.mktemp("csv"), rows, bom)
+        want = _outcome(_reference_read_csv_columns, p, names)
+        assert _outcome(read_csv_columns, p, names) == want
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        p = tmp_path / "excel.csv"
+        p.write_bytes(b"\xef\xbb\xbfx1,x2,y,w\r\n0.5,-1.0,2.25,1\r\n")
+        ds = load_csv(p, TestLoadCsv.CMAP)
+        assert ds.X.tolist() == [[0.5, -1.0]] and ds.y.tolist() == [2.25]

@@ -1,13 +1,18 @@
 """Quantile grouping, per-group estimates, and interval construction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from pseudolearn.crossfit import CrossfitConfig
-from pseudolearn.data import Dataset
+import pseudolearn.crossfit as crossfit_mod
+import pseudolearn.iflearner as iflearner_mod
+from pseudolearn import rng as rngmod
+from pseudolearn.crossfit import CrossfitConfig, arm_rows, fit_nuisance, known_pi_values
+from pseudolearn.data import Dataset, NuisanceEstimates
 from pseudolearn.errors import ConfigError, EstimationError, SchemaError
 from pseudolearn.grouplearner import (
     GroupConfig,
@@ -18,7 +23,14 @@ from pseudolearn.grouplearner import (
 )
 from pseudolearn.iflearner import IFLearnerConfig
 from pseudolearn.learners import LearnerSpec
-from pseudolearn.pseudo import PseudoOutcomeSpec, aipw_pseudo, ht_pseudo
+from pseudolearn.pseudo import (
+    NUISANCES,
+    TARGET_TABLE,
+    PseudoOutcomeSpec,
+    aipw_pseudo,
+    build_pseudo_outcomes,
+    ht_pseudo,
+)
 from pseudolearn.simulate import Dgp1dConfig, sample_1d
 
 Z95 = float(ndtri(0.975))
@@ -380,3 +392,159 @@ class TestKnownPiUnbiasedness:
         for g in range(2):
             se = psi[:, g].std(ddof=1) / np.sqrt(reps)
             assert abs(psi[:, g].mean()) < 3 * se + 1e-12
+
+
+def _reference_plugin_group(data, cfg, known_propensity=None):
+    """The plug-in group learner with two fits per auxiliary arm.
+
+    The scorer's arms and the signal's nuisances are fit and predicted
+    apart, each with its own seed, as before the arm fits were shared.
+    Returns (cutpoints, psi_hat, var_hat, n_g).
+    """
+    icfg = cfg.if_config
+    pseudo = icfg.pseudo
+    if cfg.second_stage_estimator == "ht":
+        pseudo = replace(pseudo, target="cate_ht")
+    pi_full = known_pi_values(data, known_propensity, pseudo)
+    n_aux = int(round(cfg.split_fraction * data.n))
+    perm = rngmod.stream(cfg.seed, "split").permutation(data.n)
+    aux_rows, est_rows = np.sort(perm[:n_aux]), np.sort(perm[n_aux:])
+    aux, est = data.subset(aux_rows), data.subset(est_rows)
+
+    plugin = TARGET_TABLE[icfg.pseudo.target].plugin
+    arm = {}
+    for tag in ("mu0", "mu1") if plugin else ("mu",):
+        seed = rngmod.derive_seed(icfg.seed, "plugin", tag)
+        rows = arm_rows(tag, aux.w, np.arange(aux.n))
+        model = fit_nuisance(tag, aux, rows, icfg.crossfit, icfg.pseudo, seed, "scorer")
+        arm[tag] = model.predict(est.X)
+    scores = np.asarray(plugin(arm["mu0"], arm["mu1"]), dtype=float) if plugin else arm["mu"]
+
+    preds = {}
+    for name in NUISANCES[pseudo.target]:
+        if name == "pi" and pi_full is not None:
+            preds["pi_hat"] = pi_full[est_rows]
+            continue
+        seed = rngmod.derive_seed(cfg.seed, "nuisance", name)
+        rows = arm_rows(name, data.w, aux_rows)
+        model = fit_nuisance(name, data, rows, icfg.crossfit, pseudo, seed, "aux")
+        preds[f"{name}_hat"] = model.predict(data.X[est_rows])
+    d = build_pseudo_outcomes(est, NuisanceEstimates(**preds), pseudo).d
+
+    cuts = _group_cutpoints(scores, cfg.n_groups)
+    gidx = np.searchsorted(cuts, scores, side="left")
+    psi, var = zip(*(group_efficient_estimate(d[gidx == g]) for g in range(cuts.size + 1)))
+    return cuts, np.array(psi), np.array(var), np.bincount(gidx)
+
+
+def _group_arrays(data, cfg, known_propensity=None):
+    est = fit_group_learner(data, cfg, known_propensity=known_propensity)
+    return est.cutpoints, est.psi_hat, est.var_hat, est.n_g
+
+
+def _binary_dgp(n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, size=n)
+    w = (rng.uniform(size=n) < 0.1 + 0.8 * (x > 0)).astype(int)
+    y = (rng.uniform(size=n) < 0.3 + 0.2 * np.sin(2 * x) + 0.2 * w).astype(float)
+    return Dataset(x.reshape(-1, 1), y, w)
+
+
+SEED_FREE = {
+    "knn": LearnerSpec(kind="knn", k=7),
+    "gaussian": LearnerSpec(kind="kernel", bandwidth=0.3),
+    "epanechnikov": LearnerSpec(kind="kernel", bandwidth=0.3, kernel_shape="epanechnikov"),
+    "mean": LearnerSpec(kind="mean"),
+}
+# (target, binary outcome, second-stage estimator)
+SIGNALS = [
+    ("cate_aipw", False, "eif"),
+    ("cate_plugin", False, "eif"),
+    ("mar_mean", False, "eif"),
+    ("risk_ratio", True, "eif"),
+    ("odds_ratio", True, "eif"),
+    ("cate_aipw", False, "ht"),
+]
+
+
+def _plugin_group_config(spec, target="cate_aipw", binary=False, estimator="eif", seed=3):
+    icfg = IFLearnerConfig(
+        crossfit=CrossfitConfig(outcome_spec=spec, propensity_spec=spec, n_folds=2, seed=5),
+        pseudo=PseudoOutcomeSpec(target=target, binary_outcome=binary),
+        second_stage=KNN5,
+        seed=11,
+    )
+    return GroupConfig(
+        n_groups=3, first_stage="plugin", second_stage_estimator=estimator,
+        if_config=icfg, seed=seed,
+    )
+
+
+class TestSharedAuxiliaryFits:
+    """A plug-in scorer whose fit reads no seed lends its arm fits to the signal."""
+
+    @pytest.mark.parametrize("pi_kind", ["absent", "scalar", "array"])
+    @pytest.mark.parametrize("target,binary,estimator", SIGNALS)
+    @pytest.mark.parametrize("learner", sorted(SEED_FREE))
+    def test_equals_two_fit_reference_bit_for_bit(
+        self, learner, target, binary, estimator, pi_kind
+    ):
+        data = _binary_dgp(240, 1) if binary else selection_dgp(240, 1, tau=0.5)
+        pi = {
+            "absent": None,
+            "scalar": 0.4,
+            "array": 0.1 + 0.8 * (data.X[:, 0] > 0),
+        }[pi_kind]
+        cfg = _plugin_group_config(SEED_FREE[learner], target, binary, estimator)
+
+        def outcome(fit):
+            # a mean scorer is constant, so both sides must fail alike
+            try:
+                arrays = fit(data, cfg, known_propensity=pi)
+            except EstimationError as err:
+                return str(err)
+            return [(a.dtype, a.tobytes()) for a in arrays]
+
+        got = outcome(_group_arrays)
+        assert got == outcome(_reference_plugin_group)
+        assert isinstance(got, str) == (learner == "mean")
+
+    @pytest.mark.parametrize(
+        "spec,fits",
+        [
+            (LearnerSpec(kind="knn", k=7), 2),
+            (LearnerSpec(kind="kernel", bandwidth=0.3), 2),
+            (LearnerSpec(kind="kernel", bandwidth_grid=(0.1, 0.3)), 4),
+            (LearnerSpec(kind="forest", n_trees=3, min_leaf=5), 4),
+        ],
+    )
+    @pytest.mark.parametrize("estimator", ["eif", "ht"])
+    def test_each_auxiliary_arm_fits_and_predicts_once(
+        self, monkeypatch, spec, fits, estimator
+    ):
+        calls = []
+
+        def counted(name, data, rows, *args):
+            model = fit_nuisance(name, data, rows, *args)
+            calls.append(("fit", name, rows.size))
+            predict = model.predict
+
+            def traced(Xq):
+                calls.append(("predict", name, len(Xq)))
+                return predict(Xq)
+
+            model.predict = traced
+            return model
+
+        monkeypatch.setattr(iflearner_mod, "fit_nuisance", counted)
+        monkeypatch.setattr(crossfit_mod, "fit_nuisance", counted)
+        data = selection_dgp(240, 2)
+        cfg = _plugin_group_config(spec, estimator=estimator)
+        fit_group_learner(data, cfg, known_propensity=known_pi)
+        outcome = [c for c in calls if c[1] != "pi"]
+        # the ht signal reads no outcome mean, so only the scorer fits one
+        expected = fits if estimator == "eif" else 2
+        assert sum(kind == "fit" for kind, _, _ in outcome) == expected
+        assert [c for c in outcome if c[0] == "predict"] == [
+            ("predict", name, 120) for name in ("mu0", "mu1", "mu0", "mu1")[:expected]
+        ]

@@ -71,6 +71,58 @@ class TestSpecValidation:
         assert spec.bandwidth_grid == (0.1, 0.2)
 
 
+_NOISY_X = np.random.default_rng(0).uniform(-1.0, 1.0, (60, 1))
+_NOISY_Y = np.sin(3.0 * _NOISY_X[:, 0]) + np.random.default_rng(1).normal(scale=0.5, size=60)
+
+_ANY_SPEC = st.one_of(
+    st.just(LearnerSpec(kind="mean")),
+    st.integers(1, 10).map(lambda k: LearnerSpec(kind="knn", k=k)),
+    st.builds(
+        lambda h, shape, cv: LearnerSpec(
+            kind="kernel", bandwidth=None if cv else h, kernel_shape=shape
+        ),
+        st.floats(0.05, 2.0),
+        st.sampled_from(["gaussian", "epanechnikov"]),
+        st.booleans(),
+    ),
+    # a forest drawing every row into leaves of one row predicts alike at
+    # every seed, so only subsampled forests are drawn
+    st.builds(
+        lambda t, leaf, honest, f: LearnerSpec(
+            kind="forest", n_trees=t, min_leaf=leaf, honest=honest, subsample_fraction=f
+        ),
+        st.integers(1, 4),
+        st.integers(1, 5),
+        st.booleans(),
+        st.floats(0.3, 0.8),
+    ),
+)
+
+
+class TestReadsSeed:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spec=_ANY_SPEC,
+        data=st.integers(10, 40).flatmap(
+            lambda n: st.tuples(
+                arrays(float, (n, 1), elements=st.floats(-5, 5)),
+                arrays(float, n, elements=st.floats(-5, 5)),
+            )
+        ),
+        seeds=st.tuples(st.integers(0, 2**32), st.integers(0, 2**32)),
+    )
+    def test_false_exactly_when_seeds_give_equal_bits(self, spec, data, seeds):
+        X, y = data
+
+        def predictions(X, y, seed):
+            return fit_learner(spec, X, y, seed=seed).predict(_NOISY_X).tobytes()
+
+        if not spec.reads_seed and X.shape[0] >= spec.min_rows:
+            assert predictions(X, y, seeds[0]) == predictions(X, y, seeds[1])
+        fits = {predictions(_NOISY_X, _NOISY_Y, seed) for seed in range(8)}
+        assert spec.reads_seed == (len(fits) > 1)
+
+
 class TestMean:
     def test_predicts_training_mean(self):
         model = fit_learner(LearnerSpec(kind="mean"), col([1, 2, 3]), [2.0, 4.0, 9.0])
