@@ -26,7 +26,6 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
 from . import __version__
 from . import rng as rngmod
@@ -49,11 +48,11 @@ FIT_VARIANTS = ("if_learner", "plugin")
 
 def _load_json(path) -> dict:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             blob = json.load(f)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ParseError(f"{path}: invalid JSON: {e}") from None
     if not isinstance(blob, dict):
         raise ConfigError(f"{path}: top-level JSON value must be an object")
@@ -61,6 +60,7 @@ def _load_json(path) -> dict:
 
 
 def _versions() -> dict:
+    import scipy
     return {
         "python": sys.version.split()[0],
         "numpy": np.__version__,

@@ -1,18 +1,19 @@
 """The one loader behind every config class's ``from_dict``.
 
 Config dataclasses inherit :class:`FromDict`.  Loading a JSON-style dict
-resolves the field types with :func:`typing.get_type_hints`, loads
-nested config dicts recursively, turns lists into tuples where the
-field is a tuple, and rejects unknown keys with a :class:`ConfigError`
-naming the class, as it does a scalar of the wrong type (an int is a
-float and stays an int; a bool is neither) and a tuple field given
-anything but a list.  A class rewrites its own dict first by overriding
-``_normalize`` (discriminators, inherited settings).
+reads the field types (resolved with :func:`typing.get_type_hints`, once
+per class), loads nested config dicts recursively, turns lists into
+tuples where the field is a tuple, and rejects unknown keys with a
+:class:`ConfigError` naming the class, as it does a scalar of the wrong
+type (an int is a float and stays an int; a bool is neither) and a tuple
+field given anything but a list.  A class rewrites its own dict first by
+overriding ``_normalize`` (discriminators, inherited settings).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import types
 import typing
 
@@ -21,6 +22,7 @@ from .errors import ConfigError
 __all__ = ["FromDict"]
 
 _SCALARS = (bool, int, float, str, type(None))  # field types whose values are checked
+_type_hints = functools.cache(typing.get_type_hints)  # resolved once per class
 
 
 class FromDict:
@@ -35,7 +37,7 @@ class FromDict:
         if not isinstance(d, dict):
             raise ConfigError(f"{cls.__name__}: expected an object, got {d!r}")
         d = cls._normalize(dict(d))
-        hints = typing.get_type_hints(cls)
+        hints = _type_hints(cls)
         names = [f.name for f in dataclasses.fields(cls)]
         unknown = sorted(set(d) - set(names))
         if unknown:

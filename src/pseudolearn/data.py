@@ -9,6 +9,7 @@ consume :class:`NuisanceEstimates` aligned row-by-row with them.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -233,26 +234,31 @@ def read_csv_columns(path, names) -> np.ndarray:
     SchemaError
         Missing column, empty or header-only file.
     ParseError
-        Missing or non-numeric cell, with row and column named.
+        A byte that is not UTF-8, with its offset named; a missing or
+        non-numeric cell, with row and column named.
     DomainError
         Non-finite value, with row and column named.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8-sig")
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except FileNotFoundError:
         raise ConfigError(f"file not found: {path}") from None
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError(f"{path}: file is empty (no header row)")
-        header = [h.strip() for h in header]
-        idx = []
-        for name in names:
-            if name not in header:
-                raise SchemaError(f"{path}: missing column {name!r}")
-            idx.append(header.index(name))
-        records = list(reader)
+    try:
+        text = raw.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: byte {e.start} ({raw[e.start]:#04x}) is not UTF-8") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise SchemaError(f"{path}: file is empty (no header row)")
+    header = [h.strip() for h in header]
+    idx = []
+    for name in names:
+        if name not in header:
+            raise SchemaError(f"{path}: missing column {name!r}")
+        idx.append(header.index(name))
+    records = list(reader)
     if not records:
         raise SchemaError(f"{path}: no data rows (header only)")
     # One C-level float() pass per column (float strips whitespace itself).

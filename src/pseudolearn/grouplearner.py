@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats
-from scipy.special import ndtri
 
 from . import rng as rngmod
 from .config import FromDict
@@ -111,8 +109,9 @@ def group_efficient_estimate(values) -> tuple[float, float]:
 
 
 def _critical_values(cfg: GroupConfig, n_g: np.ndarray) -> np.ndarray:
+    from scipy.special import ndtri, stdtrit  # stats.t.ppf(q, df) is stdtrit(df, q)
     if cfg.use_t_intervals:
-        return stats.t.ppf(1.0 - (1.0 - cfg.ci_level) / 2.0, df=n_g - 1)
+        return stdtrit(n_g - 1, 1.0 - (1.0 - cfg.ci_level) / 2.0)
     z = float(ndtri((1.0 + cfg.ci_level) / 2.0))
     return np.full(n_g.shape, z)
 

@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import rng as rngmod
 from .config import FromDict
@@ -178,6 +177,7 @@ def _distances(Xq: np.ndarray, Xt: np.ndarray) -> np.ndarray:
     does (``abs(a - b)`` would not: it keeps 2e170 and 3e-170).
     """
     if Xq.shape[1] != 1:
+        from scipy.spatial.distance import cdist
         return cdist(Xq, Xt)
     return _gaps(Xq[:, :1], Xt[:, 0])
 

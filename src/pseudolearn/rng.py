@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-from scipy.special import ndtri
 
 __all__ = ["derive_seed", "stream", "normal", "STREAM_VERSION"]
 
@@ -62,6 +61,7 @@ def normal(rng: np.random.Generator, size=None, loc=0.0, scale=1.0):
     ``scale`` may be an array (heteroskedastic noise); it is broadcast
     against the uniform draws.
     """
+    from scipy.special import ndtri
     u = rng.random(size)
     # random() can return exactly 0.0, where ndtri is -inf
     z = ndtri(np.clip(u, 1e-300, None))

@@ -19,11 +19,9 @@ so results do not depend on worker scheduling.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from . import rng as rngmod
 from .config import FromDict
@@ -127,6 +125,7 @@ def propensity_1d(x, mode: str, b: float = 0.0):
 
 def xi(t):
     """Smooth step from 1 to 2, centered at 1/3."""
+    from scipy.special import expit
     t = np.asarray(t, dtype=float)
     out = 1.0 + expit(20.0 * (t - 1.0 / 3.0))
     return out.item() if out.ndim == 0 else out
@@ -574,6 +573,7 @@ def run_replications(exp: ExperimentConfig, R: int | None = None, jobs: int = 1)
     if jobs == 1:
         results = {t: _run_one(exp, *t) for t in tasks}
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {t: pool.submit(_run_one, exp, *t) for t in tasks}
             results = {t: f.result() for t, f in futures.items()}

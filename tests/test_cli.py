@@ -125,6 +125,9 @@ class TestSimulate:
         assert main(["simulate", "--config", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "not found" in err or "invalid JSON" in err
+        bad.write_bytes(b'{"experiment_id": "a\xff"}')
+        assert main(["simulate", "--config", str(bad)]) == 2
+        assert "invalid JSON" in capsys.readouterr().err
 
     def test_estimation_failure_names_replication_and_method(self, tmp_path, capsys):
         blob = dict(SIM_CONFIG)
@@ -308,6 +311,19 @@ class TestFit:
         assert main(["fit", "--data", data, "--config", cfg, "--grid", "0:1:3"]) == 2
         assert "nope" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fit", "group"])
+    def test_byte_not_utf8_exits_2_naming_the_file(self, tmp_path, capsys, command):
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"x1,w,y\n0.1,0,1.0\n0.2,1,\xff\n0.3,0,2.0\n0.4,1,3.0\n")
+        columns = {"covariates": ["x1"], "outcome": "y", "treatment": "w"}
+        blob = {"columns": columns}
+        blob["if_config" if command == "fit" else "group"] = (
+            FAST_IF_DICT if command == "fit" else {"if_config": FAST_IF_DICT}
+        )
+        argv = [command, "--data", str(data), "--config", write_json(tmp_path / "c.json", blob)]
+        assert main(argv + (["--grid", "0:1:3"] if command == "fit" else [])) == 2
+        assert capsys.readouterr().err == f"error: {data}: byte 23 (0xff) is not UTF-8\n"
+
 
 class TestGroup:
     def group_files(self, tmp_path, n=40, seed=1):
@@ -454,6 +470,80 @@ class TestGroup:
         main(["group", "--data", data, "--config", cfg, "--seed", "2",
               "--known-propensity", "0.5", "--out", str(b)])
         assert a.read_bytes() != b.read_bytes()
+
+
+def scipy_modules_after(tmp_path, code, *argv):
+    """The scipy modules a fresh interpreter holds after running ``code``."""
+    listing = tmp_path / "modules.txt"
+    script = (
+        f"import sys\n{code}\n"
+        f"open({str(listing)!r}, 'w').write("
+        "' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *map(str, argv)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(listing.read_text().split())
+
+
+def loads(modules, package):
+    return any(m == package or m.startswith(package + ".") for m in modules)
+
+
+class TestStartup:
+    """scipy loads where a computation needs it, never at import."""
+
+    RUN_MAIN = "from pseudolearn.cli import main\nassert main(sys.argv[1:]) == 0"
+    COLUMNS = {"covariates": ["x1"], "outcome": "y", "treatment": "w"}
+    FIXED_KERNEL = {"kind": "kernel", "bandwidth": 0.3}
+    FIXED_IF = {
+        "crossfit": {"outcome_spec": FIXED_KERNEL, "n_folds": 2},
+        "second_stage": FIXED_KERNEL,
+    }
+
+    def test_import_loads_no_scipy(self, tmp_path):
+        code = "import pseudolearn, pseudolearn.cli"
+        assert scipy_modules_after(tmp_path, code) == set()
+
+    def data_and_config(self, tmp_path, blob):
+        rng = np.random.default_rng(0)
+        X = rng.uniform(-1, 1, size=80)
+        w = rng.integers(0, 2, size=80)
+        y = w + np.sin(2 * X) + 0.1 * rng.normal(size=80)
+        data = write_data_csv(tmp_path / "data.csv", X, y, w)
+        return data, write_json(tmp_path / "config.json", blob)
+
+    def test_fixed_kernel_fit_loads_no_scipy_subpackage(self, tmp_path):
+        data, cfg = self.data_and_config(
+            tmp_path, {"columns": self.COLUMNS, "if_config": self.FIXED_IF}
+        )
+        modules = scipy_modules_after(
+            tmp_path, self.RUN_MAIN, "fit", "--data", data, "--config", cfg,
+            "--known-propensity", "0.5", "--grid", "0:1:5",
+            "--out", tmp_path / "fit.csv",
+        )
+        assert "scipy" in modules  # the manifest's version string
+        for package in ("scipy.special", "scipy.spatial", "scipy.stats"):
+            assert not loads(modules, package), package
+
+    def test_group_and_simulate_load_no_scipy_stats(self, tmp_path):
+        group_cfg = {"n_groups": 2, "first_stage": "plugin", "use_t_intervals": True,
+                     "if_config": self.FIXED_IF}
+        data, cfg = self.data_and_config(
+            tmp_path, {"columns": self.COLUMNS, "group": group_cfg}
+        )
+        group = scipy_modules_after(
+            tmp_path, self.RUN_MAIN, "group", "--data", data, "--config", cfg,
+            "--known-propensity", "0.5", "--out", tmp_path / "group.csv",
+        )
+        assert loads(group, "scipy.special") and not loads(group, "scipy.stats")
+        sim = write_json(tmp_path / "exp.json", SIM_CONFIG)
+        simulate = scipy_modules_after(
+            tmp_path, self.RUN_MAIN, "simulate", "--config", sim,
+            "--out", tmp_path / "sim.csv",
+        )
+        assert loads(simulate, "scipy.special") and not loads(simulate, "scipy.stats")
 
 
 class TestEntryPoints:

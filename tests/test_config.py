@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from pseudolearn.config import _type_hints
 from pseudolearn.crossfit import CrossfitConfig
 from pseudolearn.data import ColumnMap
 from pseudolearn.errors import ConfigError
@@ -173,3 +174,17 @@ def test_scalars_load_unconverted():
     assert type(spec.bandwidth) is int and type(spec.subsample_fraction) is int
     assert LearnerSpec.from_dict({"bandwidth": None}).bandwidth is None
     assert IFLearnerConfig.from_dict({"winsorize": 0.1}).winsorize == 0.1
+
+
+def test_second_load_resolves_no_type_hints():
+    blob = {
+        "n_groups": 3,
+        "if_config": {"crossfit": {"outcome_spec": {"kind": "knn", "k": 4}}},
+    }
+    first = GroupConfig.from_dict(blob)
+    before = _type_hints.cache_info()
+    assert GroupConfig.from_dict(blob) == first
+    after = _type_hints.cache_info()
+    # GroupConfig, IFLearnerConfig, CrossfitConfig, LearnerSpec: all cached
+    assert after.misses == before.misses
+    assert after.hits == before.hits + 4

@@ -391,6 +391,15 @@ class TestReadCsvColumns:
         want = _outcome(_reference_read_csv_columns, p, names)
         assert _outcome(read_csv_columns, p, names) == want
 
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+    def test_byte_not_utf8_is_a_parse_error_at_its_offset(self, tmp_path, bom):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(bom + b"x1,x2,y,w\n0.5,-1.0,\xff,1\n")
+        at = len(bom) + 19
+        with pytest.raises(ParseError) as err:
+            load_csv(p, TestLoadCsv.CMAP)
+        assert str(err.value) == f"{p}: byte {at} (0xff) is not UTF-8"
+
     def test_byte_order_mark_is_skipped(self, tmp_path):
         p = tmp_path / "excel.csv"
         p.write_bytes(b"\xef\xbb\xbfx1,x2,y,w\r\n0.5,-1.0,2.25,1\r\n")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 from scipy.special import ndtri
 
 import pseudolearn.crossfit as crossfit_mod
@@ -17,6 +18,7 @@ from pseudolearn.errors import ConfigError, EstimationError, SchemaError
 from pseudolearn.grouplearner import (
     GroupConfig,
     GroupEstimates,
+    _critical_values,
     _group_cutpoints,
     fit_group_learner,
     group_efficient_estimate,
@@ -205,6 +207,17 @@ class TestFitGroupLearner:
         b = fit_group_learner(ds, tcfg, known_propensity=known_pi)
         assert np.array_equal(a.psi_hat, b.psi_hat)
         assert np.all(b.ci_hi - b.ci_lo > a.ci_hi - a.ci_lo)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(1, 10**6), min_size=1, max_size=5),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_t_critical_values_equal_scipy_stats(self, dfs, level):
+        cfg = GroupConfig(ci_level=level, use_t_intervals=True)
+        n_g = np.array(dfs) + 1  # group sizes, as np.bincount gives them
+        want = stats.t.ppf(1.0 - (1.0 - level) / 2.0, df=n_g - 1)
+        assert _critical_values(cfg, n_g).tobytes() == want.tobytes()
 
     def test_partition_and_monotone_membership(self):
         ds = selection_dgp(240, seed=4)
