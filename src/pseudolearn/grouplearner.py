@@ -109,10 +109,10 @@ def group_efficient_estimate(values) -> tuple[float, float]:
 
 
 def _critical_values(cfg: GroupConfig, n_g: np.ndarray) -> np.ndarray:
-    from scipy.special import ndtri, stdtrit  # stats.t.ppf(q, df) is stdtrit(df, q)
     if cfg.use_t_intervals:
+        from scipy.special import stdtrit  # stats.t.ppf(q, df) is stdtrit(df, q)
         return stdtrit(n_g - 1, 1.0 - (1.0 - cfg.ci_level) / 2.0)
-    z = float(ndtri((1.0 + cfg.ci_level) / 2.0))
+    z = float(rngmod.ndtri((1.0 + cfg.ci_level) / 2.0))
     return np.full(n_g.shape, z)
 
 

@@ -19,6 +19,7 @@ so results do not depend on worker scheduling.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +50,7 @@ __all__ = [
     "noise_variance_1d",
     "propensity_1d",
     "xi",
+    "expit",
     "beta24_density",
     "sample_1d",
     "sample_10d",
@@ -123,9 +125,26 @@ def propensity_1d(x, mode: str, b: float = 0.0):
     return out.item() if out.ndim == 0 else out
 
 
+def _exp(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:  # where C's exp returns inf
+        return math.inf
+
+
+def expit(x):
+    """Logistic 1 / (1 + exp(-x)), bit for bit ``scipy.special.expit``.
+
+    The exponential is libm's (``math.exp``), as in scipy; numpy's
+    vectorised ``exp`` rounds some values differently.
+    """
+    x = np.asarray(x, dtype=float)
+    e = np.fromiter(map(_exp, np.negative(x).ravel().tolist()), float, x.size)
+    return (1.0 / (1.0 + e.reshape(x.shape)))[()]
+
+
 def xi(t):
     """Smooth step from 1 to 2, centered at 1/3."""
-    from scipy.special import expit
     t = np.asarray(t, dtype=float)
     out = 1.0 + expit(20.0 * (t - 1.0 / 3.0))
     return out.item() if out.ndim == 0 else out
@@ -560,9 +579,9 @@ def summarize_replications(
 def run_replications(exp: ExperimentConfig, R: int | None = None, jobs: int = 1) -> ResultTable:
     """Run the full grid of (n, replication) fits and aggregate.
 
-    ``jobs`` > 1 fans replications out to worker processes; results are
-    keyed by replication index, so the table is identical for any job
-    count.
+    ``jobs`` > 1 fans replications out to worker processes, at most one
+    per (n, replication) task; results are keyed by replication index, so
+    the table is identical for any job count.
     """
     R = exp.replications if R is None else int(R)
     if R < 1:
@@ -570,11 +589,12 @@ def run_replications(exp: ExperimentConfig, R: int | None = None, jobs: int = 1)
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     tasks = [(n, rep) for n in exp.n_grid for rep in range(R)]
-    if jobs == 1:
+    workers = min(jobs, len(tasks))
+    if workers == 1:
         results = {t: _run_one(exp, *t) for t in tasks}
     else:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {t: pool.submit(_run_one, exp, *t) for t in tasks}
             results = {t: f.result() for t, f in futures.items()}
     names = [m.name for m in exp.methods]

@@ -528,22 +528,36 @@ class TestStartup:
             assert not loads(modules, package), package
 
     def test_group_and_simulate_load_no_scipy_stats(self, tmp_path):
-        group_cfg = {"n_groups": 2, "first_stage": "plugin", "use_t_intervals": True,
-                     "if_config": self.FIXED_IF}
-        data, cfg = self.data_and_config(
-            tmp_path, {"columns": self.COLUMNS, "group": group_cfg}
-        )
-        group = scipy_modules_after(
-            tmp_path, self.RUN_MAIN, "group", "--data", data, "--config", cfg,
-            "--known-propensity", "0.5", "--out", tmp_path / "group.csv",
-        )
-        assert loads(group, "scipy.special") and not loads(group, "scipy.stats")
-        sim = write_json(tmp_path / "exp.json", SIM_CONFIG)
-        simulate = scipy_modules_after(
-            tmp_path, self.RUN_MAIN, "simulate", "--config", sim,
-            "--out", tmp_path / "sim.csv",
-        )
-        assert loads(simulate, "scipy.special") and not loads(simulate, "scipy.stats")
+        """Normal intervals and both designs' draws need no scipy.special;
+        t intervals load it for stdtrit, and nothing loads scipy.stats."""
+        for t_intervals in (False, True):
+            group_cfg = {"n_groups": 2, "first_stage": "plugin",
+                         "use_t_intervals": t_intervals, "if_config": self.FIXED_IF}
+            data, cfg = self.data_and_config(
+                tmp_path, {"columns": self.COLUMNS, "group": group_cfg}
+            )
+            group = scipy_modules_after(
+                tmp_path, self.RUN_MAIN, "group", "--data", data, "--config", cfg,
+                "--known-propensity", "0.5", "--out", tmp_path / "group.csv",
+            )
+            assert loads(group, "scipy.special") == t_intervals
+            assert not loads(group, "scipy.stats")
+        forest = {"kind": "forest", "n_trees": 3, "min_leaf": 10}
+        forest_if = {"crossfit": {"outcome_spec": forest, "n_folds": 2},
+                     "second_stage": forest}
+        design_10d = {  # forests: multi-feature distances load scipy.spatial
+            "dgp": {"kind": "10d", "confounded": True, "effect": "xi_product"},
+            "methods": [{"name": "if", "kind": "if_learner",
+                         "use_known_propensity": True, "if_config": forest_if}],
+        }
+        for design in ({}, design_10d):
+            sim = write_json(tmp_path / "exp.json", {**SIM_CONFIG, **design})
+            simulate = scipy_modules_after(
+                tmp_path, self.RUN_MAIN, "simulate", "--config", sim,
+                "--out", tmp_path / "sim.csv",
+            )
+            assert not loads(simulate, "scipy.special"), design
+            assert not loads(simulate, "scipy.stats"), design
 
 
 class TestEntryPoints:

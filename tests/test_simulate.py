@@ -1,5 +1,8 @@
 """Benchmark designs, ground-truth bookkeeping, and the replication harness."""
 
+import concurrent.futures
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -470,6 +473,36 @@ class TestRunReplications:
     def test_jobs_do_not_change_results(self):
         exp = self.experiment(R=2)
         assert run_replications(exp, jobs=1) == run_replications(exp, jobs=2)
+
+    @pytest.mark.parametrize(
+        "R, n_grid, jobs, pool_sizes",
+        [(1, (120,), 64, []), (2, (120,), 64, [2]), (2, (120, 140), 3, [3])],
+    )
+    def test_at_most_one_worker_per_task(self, monkeypatch, R, n_grid, jobs, pool_sizes):
+        """The pool is capped at the (n, replication) task count, and one task
+        runs in-process; the mock pool records its size and starts nothing."""
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        exp = dataclasses.replace(self.experiment(R=R), n_grid=n_grid)
+        want = run_replications(exp, jobs=1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        assert run_replications(exp, jobs=jobs) == want
+        assert sizes == pool_sizes
 
     def test_error_names_replication_and_method(self):
         bad_group = GroupConfig(n_groups=40, if_config=FAST_IF)
