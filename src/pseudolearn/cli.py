@@ -52,7 +52,7 @@ def _load_json(path) -> dict:
             blob = json.load(f)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
         raise ParseError(f"{path}: invalid JSON: {e}") from None
     if not isinstance(blob, dict):
         raise ConfigError(f"{path}: top-level JSON value must be an object")
@@ -103,9 +103,16 @@ def _check_expression(tree: ast.Expression, expr: str) -> None:
     Allowed: numeric constants, ``x[...]``, ``abs(...)``,
     ``np.<f>(...)`` for ``f`` in ``_NP_FUNCTIONS``, arithmetic,
     comparisons, ``and``/``or``/``not`` and conditional expressions.
+    Shifts, and powers in which neither operand reads ``x``, are refused:
+    they can build huge integers (``9**9**9``), again on every row.
     """
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute):
+        if isinstance(node, ast.BinOp):
+            ok = not isinstance(node.op, (ast.LShift, ast.RShift, ast.Pow)) or (
+                isinstance(node.op, ast.Pow)
+                and any(isinstance(n, ast.Name) and n.id == "x" for n in ast.walk(node))
+            )
+        elif isinstance(node, ast.Attribute):
             ok = (
                 isinstance(node.value, ast.Name)
                 and node.value.id == "np"
@@ -181,10 +188,10 @@ def propensity_expression(expr: str):
     """
     try:
         tree = ast.parse(expr, "<known-propensity>", mode="eval")
-    except SyntaxError as e:
+        _check_expression(tree, expr)
+        code = compile(tree, "<known-propensity>", "eval")
+    except (SyntaxError, RecursionError) as e:  # the latter: nested too deeply
         raise ConfigError(f"bad propensity expression {expr!r}: {e}") from None
-    _check_expression(tree, expr)
-    code = compile(tree, "<known-propensity>", "eval")
     by_column = _elementwise(tree)
     # one globals dict for every row: it holds the warnings registry, so a
     # numpy warning repeated on many rows is shown once

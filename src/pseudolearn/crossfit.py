@@ -227,8 +227,7 @@ def crossfit_nuisances(
     Returns
     -------
     NuisanceEstimates
-        With ``fold_of`` and per-fold ``train_rows`` provenance filled
-        in.
+        With ``fold_of`` filled in.
     """
     if data.w is None:
         raise SchemaError("cross-fitting needs a treatment/observation indicator")
@@ -257,22 +256,19 @@ def crossfit_nuisances(
 
     known = known_pi_values(data, known_propensity, pseudo)
     out = {f"{name}_hat": np.empty(n) for name in NUISANCES[pseudo.target]}
-    train_rows = []
     for k in range(cfg.n_folds):
         test = folds.rows_in_fold(k)
-        train = folds.train_rows(k)
-        train_rows.append(train)
         hook = instrument and (lambda name, rows: instrument(name, k, rows, test))
         given = None if known is None else {"pi": known[test]}
         preds = fit_then_predict(
-            data, train, test, cfg, pseudo,
+            data, folds.train_rows(k), test, cfg, pseudo,
             seed_of=lambda name: rngmod.derive_seed(cfg.seed, name, k),
             where=f"fold {k}", given=given, instrument=hook,
         )
         for key, values in preds.items():
             out[key][test] = values
 
-    return NuisanceEstimates(**out, fold_of=folds.fold_of, train_rows=tuple(train_rows))
+    return NuisanceEstimates(**out, fold_of=folds.fold_of)
 
 
 def oob_nuisances(

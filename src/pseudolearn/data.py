@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
@@ -173,17 +173,15 @@ class NuisanceEstimates:
     ``mu0_hat`` and ``mu1_hat`` are the arm-conditional outcome means,
     ``pi_hat`` the propensity, all aligned with the dataset rows they
     were computed for.  Only the vectors the target reads are fitted
-    (``pseudo.NUISANCES``); the others are ``None``.  ``fold_of`` /
-    ``train_rows`` record, when the estimates come from cross-fitting,
-    which fold each row fell in and which rows each fold's models were
-    trained on; they exist so that fold hygiene can be audited.
+    (``pseudo.NUISANCES``); the others are ``None``.  ``fold_of`` records,
+    when the estimates come from cross-fitting, which fold each row fell
+    in: fold k's models were trained on the rows outside fold k.
     """
 
     mu0_hat: np.ndarray | None = None
     mu1_hat: np.ndarray | None = None
     pi_hat: np.ndarray | None = None
     fold_of: np.ndarray | None = None
-    train_rows: tuple | None = field(default=None, compare=False)
 
     def __post_init__(self):
         vectors = {

@@ -26,7 +26,7 @@ from .data import Dataset, NuisanceEstimates, read_only_copy, write_csv
 from .errors import ConfigError, EstimationError, SchemaError
 from .iflearner import (
     IFLearnerConfig,
-    config_digest,
+    _provenance,
     fit_if_learner,
     fit_plugin_learner,
 )
@@ -308,22 +308,19 @@ def fit_group_learner(
         psi[g], var[g] = group_efficient_estimate(d[gidx == g])
     crit = _critical_values(cfg, counts)
     half = crit * np.sqrt(var)
-    provenance = {
-        "variant": "group_if_learner",
-        "first_stage": cfg.first_stage,
-        "second_stage_estimator": cfg.second_stage_estimator,
-        "target": cfg.if_config.pseudo.target,
-        "n": int(n),
-        "n_aux": int(n_aux),
-        "n_est": int(n_est),
-        "n_groups": int(n_realised),
-        "n_groups_requested": int(G),
-        "ci_level": float(cfg.ci_level),
-        "pseudo_mean": float(d.mean()),
-        "config_hash": config_digest(cfg),
-        "seed": int(cfg.seed),
-        "stream_version": rngmod.STREAM_VERSION,
-    }
+    provenance = _provenance(
+        cfg, data, cfg.if_config.pseudo.target, "group_if_learner", cfg.seed
+    )
+    provenance.update(
+        first_stage=cfg.first_stage,
+        second_stage_estimator=cfg.second_stage_estimator,
+        n_aux=int(n_aux),
+        n_est=int(n_est),
+        n_groups=int(n_realised),
+        n_groups_requested=int(G),
+        ci_level=float(cfg.ci_level),
+        pseudo_mean=float(d.mean()),
+    )
     return GroupEstimates(
         cutpoints=cutpoints,
         psi_hat=psi,

@@ -224,6 +224,8 @@ class _KnnModel(FittedModel):
             self._order = np.argsort(X[:, 0], kind="stable")
             # sorted values, then +inf: xs[-1] and xs[n] lie beyond every row
             self._xs = np.append(X[self._order, 0], np.inf)
+            with np.errstate(over="ignore"):  # +-inf sums still ascend
+                self._ends = self._xs[: -1 - k] + self._xs[k:-1]  # xs[i] + xs[i+k]
 
     def predict(self, Xq) -> np.ndarray:
         Xq = _as_matrix(Xq, self.n_features)
@@ -240,24 +242,21 @@ class _KnnModel(FittedModel):
     def _window_predict(self, q: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Writes the means of 1-d queries to ``out``; returns which are right.
 
-        Distances do not rise along the sorted training values up to a
-        query and do not fall after it, so its k nearest are a run of k
-        sorted rows.  Ordered by (distance, row), the run is ``_nearest_rows``'
-        choice unless a row beside it is not strictly farther than the k-th
-        (a tie, or a non-finite query or distance); those take the dense path.
+        Distances do not rise along the sorted values up to a query q and do
+        not fall after it, so its k nearest are a run of k sorted rows: the
+        first run i with 2q <= xs[i] + xs[i+k], which ``searchsorted`` finds in
+        the ascending run-end sums.  Ordered by (distance, row), any run is
+        ``_nearest_rows``' choice unless a row beside it is not strictly farther
+        than the k-th, so placement need not be exact: a run misplaced by
+        rounding or overflow, a tie, or a non-finite query takes the dense path.
         """
         xs, k, n = self._xs, self._k, self._X.shape[0]
         ok = np.empty(q.shape[0], dtype=bool)
         # a block holds a few k-wide temporaries per query
         for rows in _row_blocks(q.shape[0], 4 * k):
             qb = q[rows]
-            # the run's start: the first in [lo, hi] no farther than the row after it
-            pos = np.searchsorted(xs[:n], qb)
-            lo, hi = np.maximum(pos - k, 0), np.minimum(pos, n - k)
-            for _ in range(k.bit_length()):
-                mid = (lo + hi) // 2
-                keep = (mid >= hi) | (_gaps(qb, xs[mid]) <= _gaps(qb, xs[mid + k]))
-                hi, lo = np.where(keep, mid, hi), np.where(keep, lo, mid + 1)
+            with np.errstate(over="ignore"):
+                lo = np.minimum(np.searchsorted(self._ends, qb + qb), n - k)
             cand = np.sort(self._order[lo[:, None] + np.arange(k)], axis=1)
             dist = _gaps(qb[:, None], self._X[cand, 0])
             order = np.argsort(dist, axis=1, kind="stable")

@@ -129,6 +129,18 @@ class TestSimulate:
         assert main(["simulate", "--config", str(bad)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "fit", "group"])
+    def test_deeply_nested_config_is_parse_error(self, tmp_path, capsys, command):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        argv = [command, "--config", str(deep)]
+        if command != "simulate":
+            argv += ["--data", str(tmp_path / "absent.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {deep}: invalid JSON: ")
+        assert err.count("\n") == 1
+
     def test_estimation_failure_names_replication_and_method(self, tmp_path, capsys):
         blob = dict(SIM_CONFIG)
         blob["methods"] = [
@@ -634,11 +646,26 @@ class TestPropensityExpression:
             "(lambda: 0.5)()",
             "x[0:1]",
             "'0.5'",
+            # integer blow-ups: evaluating these would take hours or gigabytes
+            "0.5 + 0*9**9**6",
+            "(x[0]*0 + 9)**9**6",
+            "abs(-9)**99",
+            "1 << 99999999999",
+            "x[0] >> 1",
         ],
     )
     def test_outside_whitelist_rejected_when_compiled(self, expr):
         with pytest.raises(ConfigError, match="not allowed"):
             propensity_expression(expr)
+
+    def test_powers_reading_x_keep_their_bits(self):
+        for expr in ("0.5 + 0.01*x[0]**2", "2**x[0] / 4", "np.sqrt(x[0]) ** 1"):
+            pi = propensity_expression(expr)
+            for x in (np.array([0.25]), np.array([-1.5])):
+                with np.errstate(invalid="ignore"):
+                    want = float(eval(expr, {"__builtins__": {}}, {"x": x, "np": np}))
+                    got = pi(x)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_positional_out_rejected(self):
         for expr in ("np.exp(x[0], x)", "np.minimum(x[0], x[1], x)",
@@ -690,7 +717,9 @@ class TestPropensityExpression:
             propensity_expression("x[7]").on_rows(X)
 
     @pytest.mark.parametrize("command", ["fit", "group"])
-    @pytest.mark.parametrize("expr", ["np.save('p', x)", "x.__class__"])
+    @pytest.mark.parametrize(
+        "expr", ["np.save('p', x)", "x.__class__", "0.5 + 0*9**9**6", "1 << 99999999999"]
+    )
     def test_cli_rejects_before_reading_data(
         self, tmp_path, monkeypatch, capsys, command, expr
     ):
@@ -705,5 +734,26 @@ class TestPropensityExpression:
             argv.append("--grid=-1:1:3")
         assert main(argv) == 2
         # the expression is refused before the (missing) data file is opened
-        assert "not allowed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not allowed" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("command", ["fit", "group"])
+    def test_cli_rejects_deeply_nested_expression(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_json(
+            tmp_path / "cfg.json",
+            {"columns": {"covariates": ["x1"], "outcome": "y", "treatment": "w"}},
+        )
+        expr = "-" * 5000 + "x[0]"
+        argv = [command, "--data", "absent.csv", "--config", cfg,
+                f"--known-propensity={expr}"]
+        if command == "fit":
+            argv.append("--grid=-1:1:3")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad propensity expression {expr!r}: ")
+        assert err.count("\n") == 1

@@ -176,14 +176,12 @@ class TestFoldHygiene:
             predicted = []
             for name, fold, train, test in records:
                 assert not set(train.tolist()) & set(test.tolist())
+                # fold_of names the rows each fold's models predicted
+                assert np.array_equal(test, np.flatnonzero(nuis.fold_of == fold))
                 if name == "mu0":
                     predicted.extend(test.tolist())
             # out-of-fold predictions cover every row exactly once
             assert sorted(predicted) == list(range(n))
-            # and the provenance stored on the estimates agrees
-            for fold, train in enumerate(nuis.train_rows):
-                own = np.flatnonzero(nuis.fold_of == fold)
-                assert not set(own.tolist()) & set(train.tolist())
 
     def test_permutation_equivariance_with_injected_folds(self):
         # order-insensitive learners + transported folds = same estimates

@@ -189,6 +189,16 @@ class TestFitGroupLearner:
         weighted = float(np.sum(est.n_g * est.psi_hat) / est.n_g.sum())
         assert weighted == pytest.approx(est.provenance["pseudo_mean"], abs=1e-12)
 
+    def test_provenance_extends_the_learner_record(self):
+        ds = selection_dgp(80, seed=0, tau=0.0)
+        cfg = GroupConfig(n_groups=2, if_config=FAST_IF, seed=1)
+        p = fit_group_learner(ds, cfg, known_propensity=known_pi).provenance
+        common = iflearner_mod._provenance(
+            cfg, ds, "cate_aipw", "group_if_learner", 1
+        )
+        assert {key: p[key] for key in common} == common
+        assert p["d"] == 1 and p["n_aux"] + p["n_est"] == p["n"] == 80
+
     def test_ci_reconstruction_is_exact(self):
         ds = selection_dgp(300, seed=2)
         cfg = GroupConfig(n_groups=4, if_config=FAST_IF, seed=3)

@@ -369,35 +369,48 @@ def _pairwise_data(d, n, m, seed):
     return X, y, Xq
 
 
+# unit values; values up to 1.79e308, whose run-end sums xs[i] + xs[i+k]
+# overflow; and subnormal values, a few multiples of 2**-1074 apart
+_WINDOW_SCALES = (1.0, 1.99 * 2.0**1022, 2.0**-1072)
+
+
 @st.composite
 def _window_cases(draw):
     """A block budget, n <= 300 one-feature training rows, k in 1..n, m
-    queries, whether the training points sit on a grid, and a data seed."""
+    queries, whether the training points sit on a grid, their scale and a
+    data seed."""
     entries = draw(st.sampled_from((64, 256, 2**16)))
     n = draw(st.integers(1, 300))
     k = draw(st.integers(1, n))
     m = draw(st.integers(1, 40))
-    return entries, n, k, m, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+    grid, scale = draw(st.booleans()), draw(st.sampled_from(_WINDOW_SCALES))
+    return entries, n, k, m, grid, scale, draw(st.integers(0, 2**32 - 1))
 
 
-def _window_data(n, m, grid, seed):
+def _window_data(n, k, m, grid, scale, seed):
     """Training points on a half-integer grid (many duplicates, so the
-    k-th distance often ties a row outside the run) or continuous draws;
-    queries on a quarter grid (equidistant from two grid points) or
-    continuous, inside and beyond the training range; some +-inf or NaN."""
+    k-th distance often ties a row outside the run) or continuous draws,
+    times ``scale``; queries on a quarter grid (equidistant from two grid
+    points) or continuous, inside and beyond the training range, or at a
+    run's midpoint (xs[i] + xs[i+k]) / 2 (as written, or from halves);
+    some +-inf or NaN."""
     rng = np.random.default_rng(seed)
     if grid:
-        X = col(rng.integers(-4, 5, size=n) / 2.0)
+        X = col(rng.integers(-4, 5, size=n) / 2.0 * scale)
     else:
-        X = col(rng.uniform(-2.0, 2.0, size=n))
+        X = col(rng.uniform(-2.0, 2.0, size=n) * scale)
     y = rng.normal(size=n)
-    Xq = col(
-        np.where(
+    xs = np.sort(X[:, 0])
+    with np.errstate(over="ignore"):
+        Xq = scale * np.where(
             rng.uniform(size=m) < 0.5,
             rng.integers(-16, 17, size=m) / 4.0,
             rng.uniform(-6.0, 6.0, size=m),
         )
-    )
+        i = rng.integers(0, n - k + 1, size=m)
+        a, b = xs[i], xs[np.minimum(i + k, n - 1)]
+        mid = np.where(rng.uniform(size=m) < 0.5, (a + b) / 2, a / 2 + b / 2)
+    Xq = col(np.where(rng.uniform(size=m) < 0.3, mid, Xq))
     odd = rng.uniform(size=m) < 0.15
     Xq[odd, 0] = rng.choice([np.inf, -np.inf, np.nan], size=int(odd.sum()))
     return X, y, Xq
@@ -452,11 +465,11 @@ class TestRowBlocks:
             got = fit_learner(LearnerSpec(kind="knn", k=k), X, y).predict(Xq)
         assert got.tobytes() == _reference_knn_predict(X, y, Xq, k).tobytes()
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(_window_cases())
     def test_one_feature_knn_window_matches_dense(self, case):
-        entries, n, k, m, grid, seed = case
-        X, y, Xq = _window_data(n, m, grid, seed)
+        entries, n, k, m, grid, scale, seed = case
+        X, y, Xq = _window_data(n, k, m, grid, scale, seed)
         with mock.patch.object(learners, "_BLOCK_ENTRIES", entries):
             got = fit_learner(LearnerSpec(kind="knn", k=k), X, y).predict(Xq)
         assert got.tobytes() == _reference_knn_predict(X, y, Xq, k).tobytes()
