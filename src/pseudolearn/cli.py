@@ -135,11 +135,15 @@ def _check_expression(tree: ast.Expression, expr: str) -> None:
         else:
             ok = isinstance(node, _EXPRESSION_NODES)
         if not ok:
+            rule = (
+                "a power needs an operand that reads x, and << and >> are refused"
+                if isinstance(node, ast.BinOp)
+                else "use x[i], numbers, arithmetic, comparisons, abs and "
+                f"np.{{{','.join(_NP_FUNCTIONS)}}}"
+            )
             raise ConfigError(
                 f"propensity expression {expr!r} uses {ast.unparse(node)!r}, "
-                "which is not allowed; use x[i], numbers, arithmetic, "
-                "comparisons, abs and "
-                f"np.{{{','.join(_NP_FUNCTIONS)}}}"
+                f"which is not allowed; {rule}"
             )
 
 

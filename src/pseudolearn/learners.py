@@ -15,7 +15,9 @@ Available kinds
 ``knn``
     k-nearest-neighbour average, Euclidean metric; ties go to the lower
     training row.  One feature: O(log n + k) per query from the sorted
-    training values, with the dense search's neighbours, ties and bits.
+    training values, with the dense search's neighbours, ties and bits;
+    numpy's fast unstable sort orders each run, and only a run with two
+    equal distances is re-sorted by (distance, row).
 ``kernel``
     Nadaraya-Watson smoother with a radial gaussian or epanechnikov
     kernel.  ``bandwidth=None`` selects the bandwidth by K-fold
@@ -29,9 +31,10 @@ Available kinds
     Subsampled regression forest with variance-reduction splits.  When
     ``honest`` each tree's subsample is halved: one half chooses the
     splits, the other fills in the leaf means, so no outcome is used
-    twice.  Each tree sorts its rows once per feature and children keep
-    that order, so equal values stay in the order the tree drew its rows;
-    the tie rules are unchanged.  Supports out-of-bag prediction.
+    twice.  Each tree sorts its rows once per feature (a stable sort only
+    for a feature with equal values) and children keep that order, so
+    equal values stay in the order the tree drew its rows; the tie rules
+    are unchanged.  Supports out-of-bag prediction.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rng as rngmod
 from .config import FromDict
@@ -190,6 +194,23 @@ def _gaps(a, b) -> np.ndarray:
     return np.sqrt(dist, out=dist)
 
 
+def _sort_rows(a: np.ndarray, ids: np.ndarray | None = None):
+    """Each row of the 2-d ``a`` in order of (value, ``ids``), and sorted.
+
+    ``ids`` (``a``'s shape, distinct within a row) breaks ties; by default
+    the column does, as in a stable argsort.  A row whose sorted values
+    strictly ascend has one order, which numpy's fast unstable argsort
+    finds; only the rows with a tie or a NaN take the (stable) lexsort.
+    """
+    order, srt = np.argsort(a, axis=1), np.sort(a, axis=1)
+    ascends = srt[:, 1:] > srt[:, :-1]
+    if not ascends.all():
+        redo = np.flatnonzero(~ascends.all(axis=1))
+        keys = (a[redo],) if ids is None else (ids[redo], a[redo])
+        order[redo] = np.lexsort(keys, axis=1)
+    return order, srt
+
+
 class FittedModel:
     """A frozen regression fit: ``predict`` maps (m, d) points to (m,).
 
@@ -221,9 +242,10 @@ class _KnnModel(FittedModel):
         self.n_features = X.shape[1]
         self._k = int(k)
         if self.n_features == 1:
-            self._order = np.argsort(X[:, 0], kind="stable")
+            (self._order,), (xs,) = _sort_rows(X.T)
+            self._ys = y[self._order]
             # sorted values, then +inf: xs[-1] and xs[n] lie beyond every row
-            self._xs = np.append(X[self._order, 0], np.inf)
+            self._xs = np.append(xs, np.inf)
             with np.errstate(over="ignore"):  # +-inf sums still ascend
                 self._ends = self._xs[: -1 - k] + self._xs[k:-1]  # xs[i] + xs[i+k]
 
@@ -251,18 +273,19 @@ class _KnnModel(FittedModel):
         rounding or overflow, a tie, or a non-finite query takes the dense path.
         """
         xs, k, n = self._xs, self._k, self._X.shape[0]
+        # row i of each view is run i: its sorted values and their row ids
+        xrun, idrun = sliding_window_view(xs[:n], k), sliding_window_view(self._order, k)
         ok = np.empty(q.shape[0], dtype=bool)
         # a block holds a few k-wide temporaries per query
         for rows in _row_blocks(q.shape[0], 4 * k):
             qb = q[rows]
             with np.errstate(over="ignore"):
                 lo = np.minimum(np.searchsorted(self._ends, qb + qb), n - k)
-            cand = np.sort(self._order[lo[:, None] + np.arange(k)], axis=1)
-            dist = _gaps(qb[:, None], self._X[cand, 0])
-            order = np.argsort(dist, axis=1, kind="stable")
-            out[rows] = self._y[np.take_along_axis(cand, order, axis=1)].mean(axis=1)
+            order, dist = _sort_rows(_gaps(qb[:, None], xrun[lo]), idrun[lo])
+            # column j of run i holds sorted row i + j
+            out[rows] = self._ys[lo[:, None] + order].mean(axis=1)
             beside = _gaps(qb[:, None], xs[lo[:, None] + [-1, k]])
-            ok[rows] = np.all(beside > dist.max(axis=1)[:, None], axis=1)
+            ok[rows] = np.all(beside > dist[:, -1:], axis=1)
         return ok
 
 
@@ -452,19 +475,25 @@ def _best_split(v, s, min_leaf):
     n = v.shape[1]
     if n < 2 * min_leaf:
         return None
-    csum = np.cumsum(s, axis=1)
+    csum = s.cumsum(axis=1)
     total = csum[:, -1:]
     # cut i (between sorted values i and i+1) leaves i+1 rows on the left;
     # only cuts min_leaf-1 .. n-min_leaf-1 leave min_leaf rows each side
     lo, hi = min_leaf - 1, n - min_leaf
-    n_left = np.arange(min_leaf, n - min_leaf + 1, dtype=float)
+    counts = np.arange(n + 1, dtype=float)
     s_left = csum[:, lo:hi]
-    score = s_left**2 / n_left + (total - s_left) ** 2 / (n - n_left)
+    # s_left**2 / n_left + (total - s_left)**2 / n_right, built in place
+    score = np.square(s_left)
+    score /= counts[min_leaf : hi + 1]
+    right = np.subtract(total, s_left)
+    np.square(right, out=right)
+    right /= counts[hi:lo:-1]
+    score += right
     score[~(v[:, lo + 1 : hi + 1] > v[:, lo:hi])] = -np.inf  # equal (or NaN) values
-    best = np.argmax(score, axis=1)
-    reduction = score[np.arange(v.shape[0]), best] - total[:, 0] * total[:, 0] / n
+    best = score.argmax(axis=1)
+    reduction = score.max(axis=1) - total[:, 0] * total[:, 0] / n
     reduction[~(reduction > 0.0)] = -np.inf
-    j = int(np.argmax(reduction))
+    j = int(reduction.argmax())
     if not reduction[j] > 0.0:
         return None
     a, b = float(v[j, lo + best[j]]), float(v[j, lo + best[j] + 1])
@@ -483,19 +512,13 @@ def _grow_tree(Xs, ys, min_leaf, mtry, tree_rng):
     d = Xs.shape[1]
     XsT = np.ascontiguousarray(Xs.T)
     goes_left = np.empty(Xs.shape[0], dtype=bool)  # read only at the split node's rows
-    feature, threshold, left, right = [], [], [], []
-
-    def new_node():
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        return len(feature) - 1
-
-    stack = [(new_node(), np.argsort(XsT, axis=1, kind="stable"))]
+    leaf = (-1, 0.0, -1, -1)  # (feature, threshold, left, right); node 0 is the root
+    nodes = [leaf]
+    stack = [(0, _sort_rows(XsT)[0])]
     while stack:
         node, lanes = stack.pop()
-        if lanes.shape[1] < 2 * min_leaf or np.ptp(ys[lanes[0]]) == 0.0:
+        ys_node = ys[lanes[0]]
+        if lanes.shape[1] < 2 * min_leaf or ys_node.max() == ys_node.min():
             continue
         candidates, cand = np.arange(d), lanes
         if mtry < d:
@@ -509,12 +532,13 @@ def _grow_tree(Xs, ys, min_leaf, mtry, tree_rng):
         _, j, thr = best
         goes_left[cand[j]] = v[j] <= thr
         go = goes_left[lanes]
-        feature[node], threshold[node] = int(candidates[j]), thr
-        lid, rid = new_node(), new_node()
-        left[node], right[node] = lid, rid
+        lid = len(nodes)
+        nodes[node] = (int(candidates[j]), thr, lid, lid + 1)
+        nodes += (leaf, leaf)
         # right first so the left child is processed next (pure convention)
-        stack.append((rid, lanes[~go].reshape(d, -1)))
+        stack.append((lid + 1, lanes[~go].reshape(d, -1)))
         stack.append((lid, lanes[go].reshape(d, -1)))
+    feature, threshold, left, right = zip(*nodes)
     return (
         np.asarray(feature, dtype=np.int64),
         np.asarray(threshold, dtype=float),

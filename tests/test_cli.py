@@ -667,6 +667,22 @@ class TestPropensityExpression:
                     got = pi(x)
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
+    @pytest.mark.parametrize(
+        "expr", ["0.5**2", "9**9**9", "0.5 + 0*9**9**6", "1 << 3", "x[0] >> 1"]
+    )
+    def test_refused_power_or_shift_says_why(self, expr):
+        # compiled only: evaluating some of these would take hours
+        with pytest.raises(ConfigError, match="not allowed") as err:
+            propensity_expression(expr)
+        msg = str(err.value)
+        assert "a power needs an operand that reads x" in msg
+        assert "<< and >> are refused" in msg
+        assert "arithmetic" not in msg
+
+    def test_other_refusals_keep_the_whitelist_message(self):
+        with pytest.raises(ConfigError, match="use x\\[i\\], numbers, arithmetic"):
+            propensity_expression("x.__class__")
+
     def test_positional_out_rejected(self):
         for expr in ("np.exp(x[0], x)", "np.minimum(x[0], x[1], x)",
                      "np.clip(x[0], 0.1, 0.9, x)"):

@@ -503,6 +503,42 @@ class TestRowBlocks:
             fit_learner(LearnerSpec(kind="knn", k=20), grid, y).predict(Xq)
             assert dense.call_count > 0
 
+    def test_continuous_one_feature_knn_takes_no_stable_sort(self):
+        rng = np.random.default_rng(9)
+        X, y = col(rng.uniform(-1, 1, 500)), rng.normal(size=500)
+        Xq = col(rng.uniform(-1.5, 1.5, 700))
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort, \
+                mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+            got = {
+                k: fit_learner(LearnerSpec(kind="knn", k=k), X, y).predict(Xq)
+                for k in (1, 20, 499, 500)
+            }
+        assert argsort.call_count > 0
+        assert [c for c in argsort.call_args_list if "kind" in c.kwargs] == []
+        assert lexsort.call_count == 0
+        for k, pred in got.items():
+            assert pred.tobytes() == _reference_knn_predict(X, y, Xq, k).tobytes()
+        # a query halfway between two integers ties each pair around it: only
+        # that query's run is re-sorted by (distance, row)
+        grid, q = col(rng.permutation(500)), col([10.5, 100.25])
+        with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+            pred = fit_learner(LearnerSpec(kind="knn", k=20), grid, y).predict(q)
+        assert lexsort.call_count == 1
+        assert lexsort.call_args.args[0][1].shape == (1, 20)
+        assert pred.tobytes() == _reference_knn_predict(grid, y, q, 20).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_window_cases())
+    def test_one_feature_knn_reflection_keeps_bits(self, case):
+        # x -> -x reverses the sorted order but not the row tie rule
+        entries, n, k, m, grid, scale, seed = case
+        X, y, Xq = _window_data(n, k, m, grid, scale, seed)
+        spec = LearnerSpec(kind="knn", k=k)
+        with mock.patch.object(learners, "_BLOCK_ENTRIES", entries):
+            want = fit_learner(spec, X, y).predict(Xq)
+            got = fit_learner(spec, -X, y).predict(-Xq)
+        assert got.tobytes() == want.tobytes()
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.sampled_from((64, 256)),
