@@ -23,10 +23,13 @@ Available kinds
     kernel.  ``bandwidth=None`` selects the bandwidth by K-fold
     cross-validation over ``bandwidth_grid`` (ascending; ties go to
     the smallest bandwidth).  With one feature, Gaussian weights send
-    no exponent below -700 to ``exp``, which keeps numpy on its fast
-    path at small bandwidths; every weight has the plain ``exp`` call's
-    bits.  1-d values all 0 or of magnitude in [2**-458, 2**510] give
-    weights from signed differences (no square root), with the same bits.
+    no exponent below -700 to ``exp`` (only the rows that reach that far
+    are clamped), which keeps numpy on its fast path at small
+    bandwidths.  Grid bandwidths h0 * 2**k share one kernel-argument
+    pass, and each prediction reuses one block workspace.  1-d values
+    all 0 or of magnitude in [2**-458, 2**510] give weights from signed
+    differences (no square root).  Every weight keeps the plain
+    computation's bits.
 ``forest``
     Subsampled regression forest with variance-reduction splits.  When
     ``honest`` each tree's subsample is halved: one half chooses the
@@ -173,23 +176,24 @@ def _row_blocks(m: int, n: int):
         start = stop
 
 
-def _distances(Xq: np.ndarray, Xt: np.ndarray) -> np.ndarray:
+def _distances(Xq: np.ndarray, Xt: np.ndarray, out=None) -> np.ndarray:
     """Euclidean distances (m, n), equal to ``cdist`` bit for bit.
 
     With one feature ``sqrt((a - b)**2)`` on the outer difference skips
     cdist's per-pair overhead; it over- and underflows exactly as cdist
-    does (``abs(a - b)`` would not: it keeps 2e170 and 3e-170).
+    does (``abs(a - b)`` would not: it keeps 2e170 and 3e-170).  ``out``
+    (C-contiguous, (m, n)) receives the distances if given.
     """
     if Xq.shape[1] != 1:
         from scipy.spatial.distance import cdist
-        return cdist(Xq, Xt)
-    return _gaps(Xq[:, :1], Xt[:, 0])
+        return cdist(Xq, Xt, out=out)
+    return _gaps(Xq[:, :1], Xt[:, 0], out=out)
 
 
-def _gaps(a, b) -> np.ndarray:
+def _gaps(a, b, out=None) -> np.ndarray:
     """``sqrt((a - b)**2)`` with broadcasting: one-feature distances."""
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        dist = np.subtract(a, b)
+        dist = np.subtract(a, b, out=out)
         np.multiply(dist, dist, out=dist)
     return np.sqrt(dist, out=dist)
 
@@ -321,28 +325,70 @@ _EXP_FAST_MIN = -700.0
 _EXP_ZERO_BELOW = -746.0
 
 
-def _kernel_weights(dist, bandwidth: float, shape: str, out, far) -> None:
-    """Kernel weights of a distance matrix, written to ``out`` (may be ``dist``).
+def _bandwidth_families(bandwidths) -> list:
+    """Positions of ``bandwidths`` in families h0 * 2**k, 0 <= k <= 64.
+
+    A family lists its members as (position, 4.0**-k), then its smallest
+    bandwidth h0 as (position, None).  Equal significands make h / h0 a
+    power of two, which commutes with rounding: fl(d / h) = fl(d / h0) *
+    2**-k, and the square and the halving scale alike.  A subnormal value
+    means a weight of 1.0 either way; k <= 64 keeps every member of an
+    overflowing base argument below -1e260, a weight of 0 either way.
+    """
+    families, last = [], {}
+    for i in sorted(range(len(bandwidths)), key=lambda i: bandwidths[i]):
+        frac, exp = math.frexp(bandwidths[i])
+        if frac in last and exp - last[frac][0] <= 64:
+            last[frac][1].insert(0, (i, 4.0 ** (last[frac][0] - exp)))
+        else:
+            last[frac] = (exp, [(i, None)])
+            families.append(last[frac][1])
+    return families
+
+
+def _kernel_arg(dist, bandwidth: float, shape: str, out) -> np.ndarray:
+    """The kernel's argument, written to ``out`` (may be ``dist``):
+    -(d/h)**2 / 2 for gaussian, (d/h)**2 for epanechnikov.
 
     ``dist`` may hold signed differences: only its square is read.
-    ``far`` is the largest magnitude in ``dist`` (NaN if any entry is NaN),
-    or None: then Gaussian weights take the plain ``exp``.
     """
     w = np.divide(dist, bandwidth, out=out)
     np.multiply(w, w, out=w)
     if shape == "gaussian":
         # exp(-0.5 * u * u): halving is exact, so the order does not matter
         np.multiply(w, -0.5, out=w)
-        # the transform is monotone, so ``far`` gives the block's smallest exponent
-        u = 0.0 if far is None else far / bandwidth
-        if -0.5 * u * u >= _EXP_FAST_MIN:
-            np.exp(w, out=w)
-        else:
-            _clamped_exp(w)
-    else:
+    return w
+
+
+def _kernel_weights(w, bandwidth: float, shape: str, reach) -> None:
+    """Turn the kernel arguments ``w`` into weights in place.
+
+    ``reach`` bounds each row's distances (NaN for a NaN query), or is
+    None: then Gaussian weights take the plain ``exp``.
+    """
+    if shape != "gaussian":
         # epanechnikov; the 3/4 constant cancels in the weighted mean
         np.subtract(1.0, w, out=w)
         np.maximum(w, 0.0, out=w)
+        return
+    # the transform is monotone, so the farthest query gives the block's
+    # smallest exponent, and each row's reach that row's
+    u = 0.0 if reach is None else float(reach.max()) / bandwidth
+    if -0.5 * u * u >= _EXP_FAST_MIN:
+        np.exp(w, out=w)
+        return
+    u = reach / bandwidth
+    slow = ~(-0.5 * u * u >= _EXP_FAST_MIN)
+    if slow.all():
+        _clamped_exp(w)
+        return
+    # no other row has an exponent below -700: the slow rows are set aside
+    # for one fast exp over the block, then redone on their own
+    part = w[slow]
+    w[slow] = 0.0
+    np.exp(w, out=w)
+    _clamped_exp(part)
+    w[slow] = part
 
 
 def _clamped_exp(x: np.ndarray) -> None:
@@ -371,12 +417,14 @@ def _nw_predict(Xq, Xt, yt, bandwidths, shape) -> list:
     """Nadaraya-Watson means at the queries ``Xq``, one vector per bandwidth.
 
     Each row block's distances are computed once and serve every
-    bandwidth.  A query with zero total weight is outside the kernel's
-    reach and gets the training mean.
+    bandwidth, and each family of bandwidths h0 * 2**k shares one
+    kernel-argument pass.  A query with zero total weight is outside the
+    kernel's reach and gets the training mean.
     """
-    m = Xq.shape[0]
+    m, n = Xq.shape[0], Xt.shape[0]
     preds = [np.empty(m) for _ in bandwidths]
     tots = [np.empty(m) for _ in bandwidths]
+    families = _bandwidth_families(bandwidths)
     # with one feature a query's largest distance is to an end of the training
     # range; with more, Gaussian weights keep the plain exp, as no benchmark
     # workload measures a clamp there
@@ -384,17 +432,29 @@ def _nw_predict(Xq, Xt, yt, bandwidths, shape) -> list:
     if shape == "gaussian" and Xt.shape[1] == 1:
         reach = _distances(Xq, np.array([[Xt.min()], [Xt.max()]])).max(axis=1)
     signed = Xt.shape[1] == 1 and _signed_ok(Xq) and _signed_ok(Xt)
+    blocks = list(_row_blocks(m, n))
+    # one workspace serves every block: the distances, a member's argument
+    # and a family's base argument; one bandwidth turns the distances into
+    # weights in place, and without members no member buffer is needed
+    depth = 1 if len(bandwidths) == 1 else 2 + (len(families) < len(bandwidths))
+    work = np.empty((depth, max((b.stop - b.start for b in blocks), default=0), n))
     # queries without weight divide 0 by 0 here; they are overwritten below
     with np.errstate(divide="ignore", invalid="ignore"):
-        for rows in _row_blocks(m, Xt.shape[0]):
-            dist = np.subtract(Xq[rows], Xt.T) if signed else _distances(Xq[rows], Xt)
-            far = None if reach is None else float(reach[rows].max())
-            # one bandwidth turns the distances into weights in place
-            w = dist if len(bandwidths) == 1 else np.empty_like(dist)
-            for h, pred, tot in zip(bandwidths, preds, tots):
-                _kernel_weights(dist, h, shape, out=w, far=far)
-                np.sum(w, axis=1, out=tot[rows])
-                np.divide(w @ yt, tot[rows], out=pred[rows])
+        for rows in blocks:
+            slab = work[:, : rows.stop - rows.start]
+            if signed:
+                np.subtract(Xq[rows], Xt.T, out=slab[0])
+            else:
+                _distances(Xq[rows], Xt, out=slab[0])
+            near = None if reach is None else reach[rows]
+            for family in families:
+                arg = _kernel_arg(slab[0], bandwidths[family[-1][0]], shape, slab[-1])
+                # the base comes last and turns its own argument into weights
+                for i, scale in family:
+                    w = arg if scale is None else np.multiply(arg, scale, out=slab[1])
+                    _kernel_weights(w, bandwidths[i], shape, near)
+                    np.sum(w, axis=1, out=tots[i][rows])
+                    np.divide(w @ yt, tots[i][rows], out=preds[i][rows])
     for h, pred, tot in zip(bandwidths, preds, tots):
         dead = tot <= 0.0
         if np.any(dead):

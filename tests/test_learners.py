@@ -651,6 +651,33 @@ class TestGaussianFastPath:
         assert lowest and min(lowest) >= -746.0
         assert min(lowest) < -700.0  # the exact band was recomputed
 
+    def test_clamp_takes_only_the_rows_that_reach_below_the_fast_path(self):
+        # on [-1, 1] at h = 0.05 only queries near an end of the training
+        # range have an exponent below -700, and blocks mix both kinds of row
+        rng = np.random.default_rng(6)
+        X, y = col(rng.uniform(-1, 1, 400)), rng.normal(size=400)
+        Xq = col(rng.uniform(-1, 1, 400))
+        dist = cdist(Xq, X)
+        u = dist.max(axis=1) / 0.05
+        slow = -0.5 * u * u < -700.0
+        assert all(0 < slow[b].sum() < b.stop - b.start for b in _row_blocks(400, 400))
+        seen = []
+
+        def clamp(x):
+            seen.append(x.copy())
+            _clamped_exp(x)
+
+        with mock.patch.object(learners, "_clamped_exp", side_effect=clamp) as spy:
+            (got,) = _nw_predict(Xq, X, y, (0.05,), "gaussian")
+            assert np.concatenate(seen).tobytes() == (
+                -0.5 * (dist[slow] / 0.05) ** 2
+            ).tobytes()
+            spy.reset_mock()
+            (wide,) = _nw_predict(Xq, X, y, (0.1,), "gaussian")
+            assert not spy.called
+        assert got.tobytes() == _reference_nw_predict(dist, y, 0.05, "gaussian").tobytes()
+        assert wide.tobytes() == _reference_nw_predict(dist, y, 0.1, "gaussian").tobytes()
+
     @pytest.mark.parametrize("in_band", [True, False])
     @pytest.mark.parametrize(
         "d, shape, clamps",
@@ -772,6 +799,101 @@ class TestSignedDifferences:
             assert pred.tobytes() == ref.tobytes()
 
 
+@st.composite
+def _family_grids(draw):
+    """A base bandwidth from 1e-160 to 1e200, members base * 2**k with k in
+    1..70 (past the cap of 64) and unrelated bandwidths, shuffled."""
+    h = draw(st.sampled_from((1e-160, 0.01, 0.3, 5.0, 1e200)))
+    ks = draw(st.lists(st.integers(1, 70), min_size=1, max_size=4, unique=True))
+    others = draw(st.lists(st.floats(0.1, 10.0), max_size=2))
+    grid = [h] + [h * 2.0**k for k in ks] + [h * f for f in others]
+    return tuple(draw(st.permutations(grid)))
+
+
+class TestBandwidthFamilies:
+    @staticmethod
+    def _assert_alone_and_dense(entries, X, y, Xq, grid, shape):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            with mock.patch.object(learners, "_BLOCK_ENTRIES", entries):
+                preds = _nw_predict(Xq, X, y, grid, shape)
+                alone = [_nw_predict(Xq, X, y, (h,), shape)[0] for h in grid]
+            dist = cdist(Xq, X)
+            want = [_reference_nw_predict(dist, y, h, shape) for h in grid]
+        for pred, one, ref in zip(preds, alone, want):
+            assert pred.tobytes() == one.tobytes() == ref.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_signed_cases(), _family_grids(), st.sampled_from(("gaussian", "epanechnikov")))
+    def test_one_feature_families_keep_bits(self, case, grid, shape):
+        entries, X, y, Xq, _ = case
+        self._assert_alone_and_dense(entries, X, y, Xq, grid, shape)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_pairwise_cases(), _family_grids(), st.sampled_from(("gaussian", "epanechnikov")))
+    def test_pairwise_families_keep_bits(self, case, grid, shape):
+        entries, d, n, m, seed = case
+        X, y, Xq = _pairwise_data(d, n, m, seed)
+        self._assert_alone_and_dense(entries, X, y, Xq, grid, shape)
+
+    def test_default_grid_takes_four_argument_passes_per_block(self):
+        # {0.01, 0.02} and {0.05, 0.1, 0.2} share a significand each
+        rng = np.random.default_rng(3)
+        X, y = col(rng.uniform(-1, 1, 300)), rng.normal(size=300)
+        grid = learners.DEFAULT_BANDWIDTH_GRID
+        with (
+            mock.patch.object(learners, "_BLOCK_ENTRIES", 2**12),
+            mock.patch.object(learners, "_kernel_arg", wraps=learners._kernel_arg) as arg,
+        ):
+            blocks = len(list(_row_blocks(100, 300)))
+            preds = _nw_predict(X[:100], X, y, grid, "gaussian")
+        assert arg.call_count == 4 * blocks
+        assert sorted({c.args[1] for c in arg.call_args_list}) == [0.01, 0.05, 0.35, 0.5]
+        dist = cdist(X[:100], X)
+        for h, pred in zip(grid, preds):
+            assert pred.tobytes() == _reference_nw_predict(dist, y, h, "gaussian").tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        _pairwise_cases(),
+        st.booleans(),
+        st.one_of(
+            st.just(learners.DEFAULT_BANDWIDTH_GRID),
+            st.lists(st.floats(0.005, 3.0), min_size=1, max_size=6, unique=True).map(
+                lambda g: tuple(sorted(g))
+            ),
+        ),
+        st.sampled_from(("gaussian", "epanechnikov")),
+        st.integers(-6, 6),
+    )
+    def test_power_of_two_scale_keeps_bits(self, case, tied, grid, shape, j):
+        # scaling the covariates and the bandwidths by 2**j leaves every
+        # argument d / h, so every prediction, SSE and choice, unchanged
+        entries, d, n, m, seed = case
+        X, y, Xq = _pairwise_data(d, n + 1, m, seed)
+        if not tied:
+            X = X + np.random.default_rng(seed).uniform(-0.2, 0.2, size=X.shape)
+        s = 2.0**j
+        spec = LearnerSpec(kind="kernel", kernel_shape=shape, bandwidth_grid=grid)
+        scaled = LearnerSpec(
+            kind="kernel", kernel_shape=shape, bandwidth_grid=tuple(h * s for h in grid)
+        )
+        n_folds = min(spec.cv_folds, n + 1)
+        with mock.patch.object(learners, "_BLOCK_ENTRIES", entries):
+            runs = [
+                (
+                    _nw_predict(Xq * a, X * a, y, sp.bandwidth_grid, shape),
+                    _cv_sses(X * a, y, sp, seed, n_folds),
+                    sp.bandwidth_grid.index(_cv_bandwidth(X * a, y, sp, seed)),
+                )
+                for a, sp in ((1.0, spec), (s, scaled))
+            ]
+        (preds, sses, chosen), (preds_s, sses_s, chosen_s) = runs
+        for pred, pred_s in zip(preds, preds_s):
+            assert pred.tobytes() == pred_s.tobytes()
+        assert np.asarray(sses).tobytes() == np.asarray(sses_s).tobytes()
+        assert chosen == chosen_s
+
+
 class TestPredictMemory:
     @pytest.mark.parametrize(
         "spec",
@@ -808,6 +930,20 @@ class TestPredictMemory:
             finally:
                 tracemalloc.stop()
             assert peak < 100 * 20000 * 8
+
+    def test_default_grid_workspace_stays_small(self):
+        # seven bandwidths share one workspace of a few row blocks; the dense
+        # 3000 x 3000 float64 matrix alone is 69 MiB
+        rng = np.random.default_rng(0)
+        X, Xq = col(rng.uniform(-1, 1, 3000)), col(rng.uniform(-1, 1, 3000))
+        y = rng.normal(size=3000)
+        tracemalloc.start()
+        try:
+            _nw_predict(Xq, X, y, learners.DEFAULT_BANDWIDTH_GRID, "gaussian")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 def _trees(model):
