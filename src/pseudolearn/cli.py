@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from . import rng as rngmod
-from .config import FromDict
+from .config import FromDict, one_of
 from .data import ColumnMap, load_csv, read_csv_columns, write_csv
 from .errors import ConfigError, EstimationError, ParseError, PseudolearnError
 from .grouplearner import GroupConfig, fit_group_learner
@@ -267,10 +267,7 @@ class FitFile(FromDict):
     variant: str = "if_learner"
 
     def __post_init__(self):
-        if self.variant not in FIT_VARIANTS:
-            raise ConfigError(
-                f"variant must be one of {FIT_VARIANTS}, got {self.variant!r}"
-            )
+        one_of("FitFile.variant", self.variant, FIT_VARIANTS)
 
     def reseeded(self, seed: int) -> "FitFile":
         return dataclasses.replace(self, if_config=self.if_config.reseeded(seed, seed))

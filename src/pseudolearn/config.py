@@ -8,18 +8,24 @@ tuples where the field is a tuple, and rejects unknown keys with a
 type (an int is a float and stays an int; a bool is neither) and a tuple
 field given anything but a list.  A class rewrites its own dict first by
 overriding ``_normalize`` (discriminators, inherited settings).
+
+Each class's ``__post_init__`` checks its values with :func:`one_of`,
+:func:`count_at_least` and :func:`open_interval`, whose messages name
+``Class.field`` (or ``function.argument``), so a config built in Python
+meets the same rules as a loaded one.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import numbers
 import types
 import typing
 
 from .errors import ConfigError
 
-__all__ = ["FromDict"]
+__all__ = ["FromDict", "count_at_least", "one_of", "open_interval"]
 
 _SCALARS = (bool, int, float, str, type(None))  # field types whose values are checked
 _type_hints = functools.cache(typing.get_type_hints)  # resolved once per class
@@ -77,6 +83,31 @@ def _convert(where: str, tp, value):
 
 def _is_a(value, tp) -> bool:
     """Whether a JSON scalar loads as ``tp``: a bool is no number, an int is a float."""
-    if isinstance(value, bool):
-        return tp is bool
-    return isinstance(value, (int, float) if tp is float else tp)
+    if tp in (int, float):
+        return _is_integer(value) or (tp is float and isinstance(value, float))
+    return isinstance(value, tp)
+
+
+def _is_integer(value) -> bool:
+    """The loader's integer: any ``numbers.Integral`` but a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def one_of(where: str, value, choices: tuple) -> None:
+    """Refuse a ``value`` that is not one of ``choices``."""
+    if value not in choices:
+        raise ConfigError(f"{where} must be one of {choices}, got {value!r}")
+
+
+def count_at_least(where: str, value, low: int) -> int:
+    """``value`` as an int, refusing a non-integer (a bool too) or one below ``low``."""
+    if not _is_integer(value) or value < low:
+        raise ConfigError(f"{where} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def open_interval(where: str, value, low, high) -> None:
+    """Refuse a ``value`` that is not a number strictly between ``low`` and ``high``."""
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (number and low < value < high):
+        raise ConfigError(f"{where} must be in ({low}, {high}), got {value!r}")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as rngmod
-from .config import FromDict
+from .config import FromDict, count_at_least
 from .data import Dataset, FoldAssignment, NuisanceEstimates, make_folds
 from .errors import ConfigError, DomainError, EstimationError, SchemaError
 from .learners import FittedModel, LearnerSpec, fit_learner, fit_probability
@@ -59,8 +59,7 @@ class CrossfitConfig(FromDict):
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_folds < 2:
-            raise ConfigError(f"n_folds must be >= 2, got {self.n_folds}")
+        count_at_least("CrossfitConfig.n_folds", self.n_folds, 2)
 
 
 def fit_nuisance(

@@ -60,8 +60,10 @@ class Dataset:
     """
 
     def __init__(self, X, y, w=None):
-        X = read_only_copy(np.atleast_2d(X))
+        X = read_only_copy(X)
         y = read_only_copy(np.ravel(y))
+        if X.ndim != 2:
+            raise SchemaError(f"X must be 2-D (n, d), got shape {X.shape}")
         if X.shape[0] != y.shape[0]:
             raise SchemaError(
                 f"X has {X.shape[0]} rows but y has {y.shape[0]} entries"
@@ -76,10 +78,8 @@ class Dataset:
             raise DomainError(f"non-finite outcome in row {bad}")
         if w is not None:
             w = np.asarray(w)
-            if w.shape[0] != y.shape[0]:
-                raise SchemaError(
-                    f"w has {w.shape[0]} entries, expected {y.shape[0]}"
-                )
+            if w.shape != y.shape:
+                raise SchemaError(f"w has shape {w.shape}, expected {y.shape}")
             wf = w.astype(float)
             ok = np.isin(wf, (0.0, 1.0)) & np.isfinite(wf)
             if not np.all(ok):

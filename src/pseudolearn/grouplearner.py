@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import rng as rngmod
-from .config import FromDict
+from .config import FromDict, count_at_least, one_of, open_interval
 from .crossfit import fit_then_predict, known_pi_values
 from .data import Dataset, NuisanceEstimates, read_only_copy, write_csv
 from .errors import ConfigError, EstimationError, SchemaError
@@ -62,23 +62,12 @@ class GroupConfig(FromDict):
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.n_groups) != self.n_groups or self.n_groups < 2:
-            raise ConfigError(f"n_groups must be an integer >= 2, got {self.n_groups}")
-        if not 0.0 < self.split_fraction < 1.0:
-            raise ConfigError(
-                f"split_fraction must be in (0, 1), got {self.split_fraction}"
-            )
-        if self.first_stage not in FIRST_STAGES:
-            raise ConfigError(
-                f"first_stage must be one of {FIRST_STAGES}, got {self.first_stage!r}"
-            )
-        if self.second_stage_estimator not in SECOND_STAGE_ESTIMATORS:
-            raise ConfigError(
-                f"second_stage_estimator must be one of {SECOND_STAGE_ESTIMATORS}, "
-                f"got {self.second_stage_estimator!r}"
-            )
-        if not 0.0 < self.ci_level < 1.0:
-            raise ConfigError(f"ci_level must be in (0, 1), got {self.ci_level}")
+        count_at_least("GroupConfig.n_groups", self.n_groups, 2)
+        open_interval("GroupConfig.split_fraction", self.split_fraction, 0, 1)
+        one_of("GroupConfig.first_stage", self.first_stage, FIRST_STAGES)
+        estimator = self.second_stage_estimator
+        one_of("GroupConfig.second_stage_estimator", estimator, SECOND_STAGE_ESTIMATORS)
+        open_interval("GroupConfig.ci_level", self.ci_level, 0, 1)
         if (
             self.second_stage_estimator == "ht"
             and self.if_config.pseudo.target not in CONTRAST_TARGETS

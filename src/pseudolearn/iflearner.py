@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as rngmod
-from .config import FromDict
+from .config import FromDict, open_interval
 from .crossfit import (
     CrossfitConfig,
     arm_rows,
@@ -33,7 +33,7 @@ from .crossfit import (
     known_pi_values,
 )
 from .data import Dataset, NuisanceEstimates
-from .errors import ConfigError, EstimationError, SchemaError
+from .errors import EstimationError, SchemaError
 from .learners import FittedModel, LearnerSpec, fit_learner
 from .pseudo import NUISANCES, TARGET_TABLE, PseudoOutcomeSpec, build_pseudo_outcomes
 
@@ -76,10 +76,8 @@ class IFLearnerConfig(FromDict):
     winsorize: float | None = None  # symmetric quantile, e.g. 0.01; off by default
 
     def __post_init__(self):
-        if self.winsorize is not None and not 0.0 < self.winsorize < 0.5:
-            raise ConfigError(
-                f"winsorize quantile must be in (0, 0.5), got {self.winsorize}"
-            )
+        if self.winsorize is not None:
+            open_interval("IFLearnerConfig.winsorize", self.winsorize, 0, 0.5)
 
     def reseeded(self, seed: int, crossfit_seed: int) -> "IFLearnerConfig":
         """This config with its second-stage and cross-fitting seeds replaced."""
@@ -202,15 +200,9 @@ def fit_oracle_learner(
     D built from the real nuisance functions, so its error is purely
     second-stage regression error.
     """
-    nuis = true_nuisances.as_estimates(data, pseudo)
-    d = build_pseudo_outcomes(data, nuis, pseudo).d
-    model = fit_learner(second_stage, data.X, d, seed=seed)
-    cfg = {
-        "pseudo": dataclasses.asdict(pseudo),
-        "second_stage": dataclasses.asdict(second_stage),
-        "seed": seed,
-    }
-    return TargetModel(model, _provenance(cfg, data, pseudo.target, "oracle", seed))
+    cfg = IFLearnerConfig(pseudo=pseudo, second_stage=second_stage, seed=seed)
+    d = build_pseudo_outcomes(data, true_nuisances.as_estimates(data, pseudo), pseudo).d
+    return _second_stage(cfg, data, d, "oracle")
 
 
 class _FunctionalOfArms(FittedModel):

@@ -49,7 +49,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rng as rngmod
-from .config import FromDict
+from .config import FromDict, count_at_least, one_of, open_interval
 from .data import make_folds
 from .errors import ConfigError, DomainError, EstimationError, SchemaError
 
@@ -93,18 +93,14 @@ class LearnerSpec(FromDict):
     honest: bool = True
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ConfigError(
-                f"unknown learner kind {self.kind!r}; expected one of {_KINDS}"
-            )
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
+        one_of("LearnerSpec.kind", self.kind, _KINDS)
+        one_of("LearnerSpec.kernel_shape", self.kernel_shape, _KERNELS)
+        for name, low in (("k", 1), ("cv_folds", 2), ("n_trees", 1), ("min_leaf", 1)):
+            count_at_least(f"LearnerSpec.{name}", getattr(self, name), low)
+        if self.features_per_split is not None:
+            count_at_least("LearnerSpec.features_per_split", self.features_per_split, 1)
         if self.bandwidth is not None and not self.bandwidth > 0:
             raise ConfigError(f"bandwidth must be positive, got {self.bandwidth}")
-        if self.kernel_shape not in _KERNELS:
-            raise ConfigError(
-                f"unknown kernel {self.kernel_shape!r}; expected one of {_KERNELS}"
-            )
         grid = tuple(float(h) for h in self.bandwidth_grid)
         if not grid:
             raise ConfigError("bandwidth_grid must be non-empty")
@@ -113,19 +109,9 @@ class LearnerSpec(FromDict):
         ):
             raise ConfigError("bandwidth_grid must be positive and strictly ascending")
         object.__setattr__(self, "bandwidth_grid", grid)
-        if self.cv_folds < 2:
-            raise ConfigError(f"cv_folds must be >= 2, got {self.cv_folds}")
-        if self.n_trees < 1:
-            raise ConfigError(f"n_trees must be >= 1, got {self.n_trees}")
-        if self.min_leaf < 1:
-            raise ConfigError(f"min_leaf must be >= 1, got {self.min_leaf}")
         if not 0.0 < self.subsample_fraction <= 1.0:
             raise ConfigError(
                 f"subsample_fraction must be in (0, 1], got {self.subsample_fraction}"
-            )
-        if self.features_per_split is not None and self.features_per_split < 1:
-            raise ConfigError(
-                f"features_per_split must be >= 1, got {self.features_per_split}"
             )
 
     @property
@@ -719,6 +705,8 @@ def _training_arrays(X, y, kind: str):
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X.reshape(-1, 1)
+    if X.ndim != 2:
+        raise SchemaError(f"X must be 1-D or 2-D, got shape {X.shape}")
     y = np.asarray(y, dtype=float).ravel()
     if X.shape[0] != y.shape[0]:
         raise SchemaError(
@@ -764,8 +752,7 @@ def fit_probability(
     inverse weighting cannot tolerate estimates at or beyond the
     boundary.
     """
-    if not 0.0 < clip < 0.5:
-        raise ConfigError(f"clip must be in (0, 0.5), got {clip}")
+    open_interval("fit_probability.clip", clip, 0, 0.5)
     y_arr = np.asarray(y, dtype=float).ravel()
     if not np.all(np.isin(y_arr, (0.0, 1.0))):
         raise DomainError("fit_probability needs a 0/1 outcome vector")

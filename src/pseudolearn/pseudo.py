@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import FromDict
+from .config import FromDict, one_of, open_interval
 from .data import (
     EPS_CLIP_DEFAULT, P_CLIP_DEFAULT, Dataset, NuisanceEstimates, read_only_copy
 )
@@ -74,13 +74,9 @@ class PseudoOutcomeSpec(FromDict):
     binary_outcome: bool = False
 
     def __post_init__(self):
-        if self.target not in TARGETS:
-            raise ConfigError(
-                f"unknown target {self.target!r}; expected one of {TARGETS}"
-            )
-        for name, v in (("eps_clip", self.eps_clip), ("p_clip", self.p_clip)):
-            if not 0.0 < v < 0.5:
-                raise ConfigError(f"{name} must be in (0, 0.5), got {v}")
+        one_of("PseudoOutcomeSpec.target", self.target, TARGETS)
+        open_interval("PseudoOutcomeSpec.eps_clip", self.eps_clip, 0, 0.5)
+        open_interval("PseudoOutcomeSpec.p_clip", self.p_clip, 0, 0.5)
         if TARGET_TABLE[self.target].binary and not self.binary_outcome:
             raise ConfigError(
                 f"target {self.target!r} is only defined for binary outcomes; "

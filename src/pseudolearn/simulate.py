@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as rngmod
-from .config import FromDict
+from .config import FromDict, count_at_least, one_of
 from .data import Dataset, read_only_copy, write_csv
 from .errors import ConfigError, DomainError, EstimationError, SchemaError
 from .grouplearner import GroupConfig, fit_group_learner
@@ -109,19 +109,16 @@ def noise_variance_1d(x):
 
 def propensity_1d(x, mode: str, b: float = 0.0):
     """Assignment probability for the one-dimensional designs."""
+    one_of("propensity_1d.mode", mode, PROPENSITY_MODES_1D)
     x = np.asarray(x, dtype=float)
     if mode == "constant_half":
         out = np.full(x.shape, 0.5)
     elif mode == "strong_selection":
         out = 0.1 + 0.8 * (x > 0.0)
-    elif mode == "hidden_selection":
+    else:
         if not 0.0 <= b < 1.0:
             raise ConfigError(f"hidden-selection strength b must be in [0, 1), got {b}")
         out = 0.5 + 0.5 * b * np.abs(x) / 2.0
-    else:
-        raise ConfigError(
-            f"unknown propensity mode {mode!r}; expected one of {PROPENSITY_MODES_1D}"
-        )
     return out.item() if out.ndim == 0 else out
 
 
@@ -174,15 +171,10 @@ class Dgp1dConfig(FromDict):
     seed: int = 0
 
     def __post_init__(self):
-        if self.propensity not in PROPENSITY_MODES_1D:
-            raise ConfigError(
-                f"unknown propensity mode {self.propensity!r}; "
-                f"expected one of {PROPENSITY_MODES_1D}"
-            )
+        one_of("Dgp1dConfig.propensity", self.propensity, PROPENSITY_MODES_1D)
         if not 0.0 <= self.b < 1.0:
             raise ConfigError(f"b must be in [0, 1), got {self.b}")
-        if self.n < 1:
-            raise ConfigError(f"n must be >= 1, got {self.n}")
+        count_at_least("Dgp1dConfig.n", self.n, 1)
 
 
 @dataclass(frozen=True)
@@ -195,12 +187,8 @@ class Dgp10dConfig(FromDict):
     seed: int = 0
 
     def __post_init__(self):
-        if self.effect not in EFFECTS_10D:
-            raise ConfigError(
-                f"unknown effect {self.effect!r}; expected one of {EFFECTS_10D}"
-            )
-        if self.n < 1:
-            raise ConfigError(f"n must be >= 1, got {self.n}")
+        one_of("Dgp10dConfig.effect", self.effect, EFFECTS_10D)
+        count_at_least("Dgp10dConfig.n", self.n, 1)
 
 
 _DGP_KINDS = {"1d": Dgp1dConfig, "10d": Dgp10dConfig}
@@ -378,10 +366,7 @@ class MethodSpec(FromDict):
     def __post_init__(self):
         if not self.name:
             raise ConfigError("method name must be non-empty")
-        if self.kind not in METHOD_KINDS:
-            raise ConfigError(
-                f"unknown method kind {self.kind!r}; expected one of {METHOD_KINDS}"
-            )
+        one_of("MethodSpec.kind", self.kind, METHOD_KINDS)
         if self.kind == "group_if_learner" and self.group is None:
             raise ConfigError(f"method {self.name!r} needs grouping settings")
         unseeded = self.if_config.reseeded(0, 0)
@@ -417,7 +402,8 @@ class ExperimentConfig(FromDict):
         if not isinstance(self.dgp, (Dgp1dConfig, Dgp10dConfig)):
             raise ConfigError(f"not a design config: {type(self.dgp).__name__}")
         object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        sizes = [count_at_least("ExperimentConfig.n_grid", n, 1) for n in self.n_grid]
+        object.__setattr__(self, "n_grid", tuple(sizes))
         if not self.methods:
             raise ConfigError("at least one method is required")
         names = [m.name for m in self.methods]
@@ -425,12 +411,8 @@ class ExperimentConfig(FromDict):
             raise ConfigError(f"method names must be unique, got {names}")
         if not self.n_grid:
             raise ConfigError("n_grid must be non-empty")
-        if any(n < 1 for n in self.n_grid):
-            raise ConfigError(f"sample sizes must be positive, got {self.n_grid}")
-        if self.replications < 1:
-            raise ConfigError(f"replications must be >= 1, got {self.replications}")
-        if self.n_test < 1:
-            raise ConfigError(f"n_test must be >= 1, got {self.n_test}")
+        count_at_least("ExperimentConfig.replications", self.replications, 1)
+        count_at_least("ExperimentConfig.n_test", self.n_test, 1)
         for m in self.methods:
             target = m.if_config.pseudo.target
             if target not in SCORED_TARGETS:
@@ -583,11 +565,8 @@ def run_replications(exp: ExperimentConfig, R: int | None = None, jobs: int = 1)
     per (n, replication) task; results are keyed by replication index, so
     the table is identical for any job count.
     """
-    R = exp.replications if R is None else int(R)
-    if R < 1:
-        raise ConfigError(f"replication count must be >= 1, got {R}")
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    R = exp.replications if R is None else count_at_least("run_replications.R", R, 1)
+    count_at_least("run_replications.jobs", jobs, 1)
     tasks = [(n, rep) for n in exp.n_grid for rep in range(R)]
     workers = min(jobs, len(tasks))
     if workers == 1:

@@ -1,22 +1,27 @@
 """The shared config loader behind every ``from_dict``."""
 
 import dataclasses
+import re
 
+import numpy as np
 import pytest
 
+from pseudolearn.cli import FitFile
 from pseudolearn.config import _type_hints
 from pseudolearn.crossfit import CrossfitConfig
 from pseudolearn.data import ColumnMap
 from pseudolearn.errors import ConfigError
 from pseudolearn.grouplearner import GroupConfig
 from pseudolearn.iflearner import IFLearnerConfig
-from pseudolearn.learners import LearnerSpec
+from pseudolearn.learners import LearnerSpec, fit_probability
 from pseudolearn.pseudo import PseudoOutcomeSpec
 from pseudolearn.simulate import (
     Dgp1dConfig,
     Dgp10dConfig,
     ExperimentConfig,
     MethodSpec,
+    propensity_1d,
+    run_replications,
 )
 
 CONFIG_CLASSES = [
@@ -188,3 +193,100 @@ def test_second_load_resolves_no_type_hints():
     # GroupConfig, IFLearnerConfig, CrossfitConfig, LearnerSpec: all cached
     assert after.misses == before.misses
     assert after.hits == before.hits + 4
+
+
+def _experiment(**kw):
+    fields = dict(
+        experiment_id="x",
+        dgp=Dgp1dConfig(n=20),
+        methods=(MethodSpec(name="m", kind="plugin"),),
+        n_grid=(40,),
+        replications=1,
+    )
+    return ExperimentConfig(**{**fields, **kw})
+
+
+def _fit_probability(clip):
+    return fit_probability(LearnerSpec(kind="mean"), [[0.0], [1.0]], [0, 1], clip=clip)
+
+
+_COLUMNS = ColumnMap(covariates=("x",), outcome="y")
+_CHOICE = (2.5, True, "bogus")
+_INTERVAL = (True, 2.5, -0.1, 0, "0.1", float("nan"))
+
+# (where, build or call with the value, bad values)
+CHOICES_AND_INTERVALS = [
+    ("LearnerSpec.kind", lambda v: LearnerSpec(kind=v), _CHOICE),
+    ("LearnerSpec.kernel_shape", lambda v: LearnerSpec(kernel_shape=v), _CHOICE),
+    ("PseudoOutcomeSpec.target", lambda v: PseudoOutcomeSpec(target=v), _CHOICE),
+    ("GroupConfig.first_stage", lambda v: GroupConfig(first_stage=v), _CHOICE),
+    ("GroupConfig.second_stage_estimator",
+     lambda v: GroupConfig(second_stage_estimator=v), _CHOICE),
+    ("Dgp1dConfig.propensity", lambda v: Dgp1dConfig(propensity=v), _CHOICE),
+    ("propensity_1d.mode", lambda v: propensity_1d(0.5, v), _CHOICE),
+    ("Dgp10dConfig.effect", lambda v: Dgp10dConfig(effect=v), _CHOICE),
+    ("MethodSpec.kind", lambda v: MethodSpec(name="m", kind=v), _CHOICE),
+    ("FitFile.variant", lambda v: FitFile(columns=_COLUMNS, variant=v), _CHOICE),
+    ("PseudoOutcomeSpec.eps_clip", lambda v: PseudoOutcomeSpec(eps_clip=v), _INTERVAL),
+    ("PseudoOutcomeSpec.p_clip", lambda v: PseudoOutcomeSpec(p_clip=v), _INTERVAL),
+    ("IFLearnerConfig.winsorize", lambda v: IFLearnerConfig(winsorize=v), _INTERVAL),
+    ("GroupConfig.split_fraction", lambda v: GroupConfig(split_fraction=v), _INTERVAL),
+    ("GroupConfig.ci_level", lambda v: GroupConfig(ci_level=v), _INTERVAL),
+    ("fit_probability.clip", _fit_probability, _INTERVAL),
+]
+# (where, build or call with the value, the smallest count allowed)
+COUNTS = [
+    ("LearnerSpec.k", lambda v: LearnerSpec(k=v), 1),
+    ("LearnerSpec.cv_folds", lambda v: LearnerSpec(cv_folds=v), 2),
+    ("LearnerSpec.n_trees", lambda v: LearnerSpec(n_trees=v), 1),
+    ("LearnerSpec.min_leaf", lambda v: LearnerSpec(min_leaf=v), 1),
+    ("LearnerSpec.features_per_split", lambda v: LearnerSpec(features_per_split=v), 1),
+    ("CrossfitConfig.n_folds", lambda v: CrossfitConfig(n_folds=v), 2),
+    ("GroupConfig.n_groups", lambda v: GroupConfig(n_groups=v), 2),
+    ("Dgp1dConfig.n", lambda v: Dgp1dConfig(n=v), 1),
+    ("Dgp10dConfig.n", lambda v: Dgp10dConfig(n=v), 1),
+    ("ExperimentConfig.n_grid", lambda v: _experiment(n_grid=(40, v)), 1),
+    ("ExperimentConfig.replications", lambda v: _experiment(replications=v), 1),
+    ("ExperimentConfig.n_test", lambda v: _experiment(n_test=v), 1),
+    ("run_replications.R", lambda v: run_replications(_experiment(), R=v), 1),
+    ("run_replications.jobs", lambda v: run_replications(_experiment(), jobs=v), 1),
+]
+RULE_CASES = [
+    (where, build, v) for where, build, values in CHOICES_AND_INTERVALS for v in values
+] + [
+    (where, build, v) for where, build, low in COUNTS for v in (2.5, True, "5", low - 1)
+]
+
+
+@pytest.mark.parametrize(
+    "where, build, value",
+    RULE_CASES,
+    ids=[f"{where}={value!r}" for where, _, value in RULE_CASES],
+)
+def test_rule_names_the_field_when_built(where, build, value):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(where)} must be "):
+        build(value)
+
+
+@pytest.mark.parametrize("where, build, low", COUNTS, ids=[c[0] for c in COUNTS])
+def test_count_accepts_a_numpy_integer(where, build, low):
+    build(np.int64(2))
+
+
+def test_fractional_sample_size_is_not_truncated():
+    with pytest.raises(ConfigError) as err:
+        _experiment(n_grid=(100.7,))
+    assert str(err.value) == "ExperimentConfig.n_grid must be an integer >= 1, got 100.7"
+    assert _experiment(n_grid=(np.int64(40), 60)).n_grid == (40, 60)
+    assert type(_experiment(n_grid=(np.int64(40),)).n_grid[0]) is int
+
+
+def test_fractional_replication_count_is_not_truncated():
+    with pytest.raises(ConfigError, match=r"^run_replications.R must be an integer"):
+        run_replications(_experiment(), R=2.5)
+
+
+def test_count_messages_quote_the_value():
+    with pytest.raises(ConfigError) as err:
+        LearnerSpec(n_trees=2.5)
+    assert str(err.value) == "LearnerSpec.n_trees must be an integer >= 1, got 2.5"

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -61,6 +62,15 @@ class TestDataset:
     def test_empty_rejected(self):
         with pytest.raises(SchemaError):
             Dataset(np.zeros((0, 2)), np.zeros(0))
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 2, 2)], ids=["1-d", "3-d"])
+    def test_covariates_must_be_a_matrix(self, shape):
+        with pytest.raises(SchemaError, match=re.escape(f"got shape {shape}")):
+            Dataset(np.zeros(shape), np.zeros(4))
+
+    def test_indicator_shape_must_match_outcomes(self):
+        with pytest.raises(SchemaError, match=r"w has shape \(4, 2\), expected \(4,\)"):
+            Dataset(np.zeros((4, 1)), np.zeros(4), np.zeros((4, 2)))
 
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):

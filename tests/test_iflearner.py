@@ -230,6 +230,15 @@ class TestOracle:
         )
         assert np.all(np.isfinite(model.predict(ds.X)))
 
+    def test_provenance_is_the_shared_second_stage(self):
+        ds = rct_dataset(n=60, seed=12)
+        pseudo = PseudoOutcomeSpec(target="cate_aipw")
+        model = fit_oracle_learner(ds, TrueNuisances(), pseudo, KNN2, seed=4)
+        cfg = IFLearnerConfig(pseudo=pseudo, second_stage=KNN2, seed=4)
+        assert model.provenance["variant"] == "oracle"
+        assert model.provenance["config_hash"] == config_digest(cfg)
+        assert model.provenance["seed"] == 4
+
     def test_length_mismatch_rejected(self):
         ds = rct_dataset(n=50, seed=13)
         truth = TrueNuisances(mu0=np.zeros(49), mu1=1.0, pi=0.5)

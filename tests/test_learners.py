@@ -1546,6 +1546,10 @@ class TestQueryShapes:
         with pytest.raises(SchemaError):
             fit_learner(LearnerSpec(kind="mean"), np.zeros((0, 1)), [])
 
+    def test_three_dim_training_rejected(self):
+        with pytest.raises(SchemaError, match=r"shape \(4, 2, 2\)"):
+            fit_learner(LearnerSpec(kind="mean"), np.zeros((4, 2, 2)), np.zeros(4))
+
     @pytest.mark.parametrize("kind", ["mean", "knn", "kernel", "forest"])
     @pytest.mark.parametrize("bad", ["nan_outcome", "inf_covariate"])
     def test_nonfinite_training_row_is_estimation_error(self, kind, bad):
