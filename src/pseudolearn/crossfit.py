@@ -24,8 +24,10 @@ import numpy as np
 
 from . import rng as rngmod
 from .config import FromDict, count_at_least
-from .data import Dataset, FoldAssignment, NuisanceEstimates, make_folds
-from .errors import ConfigError, DomainError, EstimationError, SchemaError
+from .data import (
+    Dataset, FoldAssignment, NuisanceEstimates, all_probabilities, make_folds
+)
+from .errors import ConfigError, EstimationError, SchemaError
 from .learners import FittedModel, LearnerSpec, fit_learner, fit_probability
 from .pseudo import NUISANCES, PseudoOutcomeSpec
 
@@ -164,13 +166,7 @@ def evaluate_propensity(data: Dataset, pi_fn, eps_clip: float) -> np.ndarray:
     (0, 1) before clipping; anything else is an overlap violation.
     """
     vals = evaluate_nuisance(data, pi_fn, "propensity")
-    if not np.all(np.isfinite(vals)):
-        raise DomainError("known propensity produced a non-finite value")
-    if np.any(vals <= 0.0) or np.any(vals >= 1.0):
-        bad = float(vals[np.argmax((vals <= 0.0) | (vals >= 1.0))])
-        raise DomainError(
-            f"known propensity produced {bad}, outside the open interval (0, 1)"
-        )
+    all_probabilities("known propensity", vals)
     return np.clip(vals, eps_clip, 1.0 - eps_clip)
 
 
@@ -228,9 +224,7 @@ def crossfit_nuisances(
     NuisanceEstimates
         With ``fold_of`` filled in.
     """
-    if data.w is None:
-        raise SchemaError("cross-fitting needs a treatment/observation indicator")
-    w = data.w
+    w = data.require_indicator("cross-fitting")
     n = data.n
     if w.sum() in (0, n):
         raise EstimationError(
@@ -282,14 +276,12 @@ def oob_nuisances(
     and the opposite arm's rows with the full forest; the propensity
     forest predicts every row out-of-bag.  No fold provenance applies.
     """
-    if data.w is None:
-        raise SchemaError("out-of-bag nuisances need an indicator column")
+    w = data.require_indicator("the out-of-bag fit")
     reads = NUISANCES[pseudo.target]
     if {"mu0", "mu1"} & set(reads) and cfg.outcome_spec.kind != "forest":
         raise ConfigError("oob_nuisances requires a forest outcome_spec")
     if "pi" in reads and known_propensity is None and cfg.propensity_spec.kind != "forest":
         raise ConfigError("oob_nuisances requires a forest propensity_spec")
-    w = data.w
     n = data.n
     if w.sum() in (0, n):
         raise EstimationError("degenerate arm: all rows share one indicator value")

@@ -1,4 +1,4 @@
-"""Core data model: datasets, fold assignments, nuisance tables.
+"""Core data model: datasets, fold assignments, nuisance tables, value rules.
 
 A :class:`Dataset` is an immutable column store of covariates ``X``,
 outcomes ``y`` and an optional binary treatment/observation indicator
@@ -11,11 +11,13 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
 
+from . import rng as rngmod
 from .config import FromDict
 from .errors import ConfigError, DomainError, ParseError, SchemaError
 
@@ -45,6 +47,44 @@ def read_only_copy(a, dtype=float) -> np.ndarray:
     return a
 
 
+def scalar_or_array(a):
+    """A 0-d result as a plain Python number, any other as it is."""
+    return a.item() if np.ndim(a) == 0 else a
+
+
+def _refuse_unless(ok, where: str, rule: str, a) -> None:
+    """DomainError naming the first row (axis 0) of ``a`` where ``ok`` fails."""
+    if not ok.all():
+        i = int(np.argmin(ok))  # the first failing entry, rows first
+        row = np.unravel_index(i, ok.shape or (1,))[0]
+        raise DomainError(f"{where} must be {rule}; row {row} has {a.item(i)!r}")
+
+
+def all_finite(where: str, a) -> None:
+    """Refuse NaN and +-inf entries of ``a``."""
+    a = np.asarray(a, dtype=float)
+    _refuse_unless(np.isfinite(a), where, "finite", a)
+
+
+def all_probabilities(where: str, a) -> None:
+    """Refuse entries of ``a`` outside the open interval (0, 1), NaN included."""
+    a = np.asarray(a, dtype=float)
+    _refuse_unless((a > 0.0) & (a < 1.0), where, "strictly inside (0, 1)", a)
+
+
+def _is_binary(v) -> bool:
+    return isinstance(v, (numbers.Real, np.bool_)) and v in (0, 1)
+
+
+def all_binary(where: str, a) -> None:
+    """Refuse entries of ``a`` that are not the number 0 or 1, read as given
+    (a string, None or NaN fails even where ``float()`` would take it)."""
+    a = np.asarray(a)
+    numeric = a.dtype.kind in "biuf"
+    ok = (a == 0) | (a == 1) if numeric else np.vectorize(_is_binary, otypes=[bool])(a)
+    _refuse_unless(ok, where, "0 or 1", a)
+
+
 class Dataset:
     """Immutable sample of n observations with d covariates each.
 
@@ -70,25 +110,14 @@ class Dataset:
             )
         if X.shape[0] == 0:
             raise SchemaError("dataset is empty")
-        if not np.all(np.isfinite(X)):
-            bad = int(np.argwhere(~np.isfinite(X))[0][0])
-            raise DomainError(f"non-finite covariate in row {bad}")
-        if not np.all(np.isfinite(y)):
-            bad = int(np.argwhere(~np.isfinite(y))[0][0])
-            raise DomainError(f"non-finite outcome in row {bad}")
+        all_finite("covariates X", X)
+        all_finite("outcomes y", y)
         if w is not None:
             w = np.asarray(w)
             if w.shape != y.shape:
                 raise SchemaError(f"w has shape {w.shape}, expected {y.shape}")
-            wf = w.astype(float)
-            ok = np.isin(wf, (0.0, 1.0)) & np.isfinite(wf)
-            if not np.all(ok):
-                bad = int(np.argwhere(~ok)[0][0])
-                raise DomainError(
-                    "treatment indicator must be 0 or 1; "
-                    f"row {bad} has {w[bad].item()!r}"
-                )
-            w = read_only_copy(wf, np.int64)
+            all_binary("treatment indicator w", w)
+            w = read_only_copy(w, np.int64)
         self.X = X
         self.y = y
         self.w = w
@@ -106,6 +135,12 @@ class Dataset:
         idx = np.asarray(idx)
         w = None if self.w is None else self.w[idx]
         return Dataset(self.X[idx], self.y[idx], w)
+
+    def require_indicator(self, what: str) -> np.ndarray:
+        """``w``, which ``what`` reads; a SchemaError when the dataset has none."""
+        if self.w is None:
+            raise SchemaError(f"{what} needs a treatment/observation indicator column")
+        return self.w
 
     def __len__(self) -> int:
         return self.n
@@ -146,15 +181,15 @@ class FoldAssignment:
 def make_folds(n: int, n_folds: int, seed: int) -> FoldAssignment:
     """Uniformly random balanced partition of n rows into ``n_folds`` folds.
 
-    Deterministic in ``seed``.  Fold sizes differ by at most one
+    Deterministic in ``seed``, any integer (``rng.stream`` masks it to 64
+    bits).  Fold sizes differ by at most one
     (permute-then-chunk, so balance is exact).
     """
     if n_folds < 2 or n_folds > n:
         raise ConfigError(
             f"fold count must satisfy 2 <= K <= n; got K={n_folds}, n={n}"
         )
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
-    perm = rng.permutation(n)
+    perm = rngmod.stream(seed).permutation(n)
     fold_of = np.empty(n, dtype=np.int64)
     # chunk lengths n//K (+1 for the first n % K folds)
     base, extra = divmod(n, n_folds)
@@ -192,12 +227,8 @@ class NuisanceEstimates:
         if len({arr.shape for arr in vectors.values()}) > 1:
             raise SchemaError("nuisance vectors must have identical length")
         for name, arr in vectors.items():
-            if not np.all(np.isfinite(arr)):
-                raise DomainError(f"non-finite value in {name}")
+            (all_probabilities if name == "pi_hat" else all_finite)(name, arr)
             object.__setattr__(self, name, arr)
-        pi = self.pi_hat
-        if pi is not None and (np.any(pi <= 0.0) or np.any(pi >= 1.0)):
-            raise DomainError("pi_hat must lie strictly inside (0, 1)")
 
     @property
     def n(self) -> int:

@@ -20,8 +20,9 @@ class ParseError(PseudolearnError, ValueError):
 
 
 class DomainError(PseudolearnError, ValueError):
-    """A value lies outside its mathematical domain (w not in {0,1},
-    propensity outside (0,1), non-finite input, ...)."""
+    """A value outside its domain: ``data.all_finite``, ``all_probabilities``
+    and ``all_binary`` name the first row that is not finite, not inside
+    (0, 1) or not 0 or 1; clip floors and non-finite CSV cells raise it too."""
 
 
 class ConfigError(PseudolearnError, ValueError):

@@ -22,7 +22,7 @@ import numpy as np
 from . import rng as rngmod
 from .config import FromDict, count_at_least, one_of, open_interval
 from .crossfit import fit_then_predict, known_pi_values
-from .data import Dataset, NuisanceEstimates, read_only_copy, write_csv
+from .data import Dataset, NuisanceEstimates, all_finite, read_only_copy, write_csv
 from .errors import ConfigError, EstimationError, SchemaError
 from .iflearner import (
     IFLearnerConfig,
@@ -90,8 +90,7 @@ def group_efficient_estimate(values) -> tuple[float, float]:
         raise EstimationError(
             f"variance undefined: group has {n} row(s), needs at least 2"
         )
-    if not np.all(np.isfinite(v)):
-        raise SchemaError("group pseudo-outcomes must be finite")
+    all_finite("group pseudo-outcomes", v)
     psi = float(v.mean())
     var = float(np.sum((v - psi) ** 2) / (n * (n - 1)))
     return psi, var
@@ -128,8 +127,7 @@ class GroupEstimates:
     def __post_init__(self):
         for name in ("cutpoints", "psi_hat", "var_hat", "ci_lo", "ci_hi"):
             arr = read_only_copy(getattr(self, name))
-            if not np.all(np.isfinite(arr)):
-                raise SchemaError(f"{name} must be finite")
+            all_finite(name, arr)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "n_g", read_only_copy(self.n_g, np.int64))
         g = self.psi_hat.size
@@ -239,8 +237,7 @@ def fit_group_learner(
     row, or an array aligned with the full dataset; it is evaluated
     before the auxiliary/estimation split.
     """
-    if data.w is None:
-        raise SchemaError("group inference needs a treatment/indicator column")
+    data.require_indicator("group inference")
     n = data.n
     G = cfg.n_groups
     n_aux = int(round(cfg.split_fraction * n))

@@ -33,7 +33,7 @@ from .crossfit import (
     known_pi_values,
 )
 from .data import Dataset, NuisanceEstimates
-from .errors import EstimationError, SchemaError
+from .errors import EstimationError
 from .learners import FittedModel, LearnerSpec, fit_learner
 from .pseudo import NUISANCES, TARGET_TABLE, PseudoOutcomeSpec, build_pseudo_outcomes
 
@@ -237,14 +237,13 @@ def fit_plugin_learner(data: Dataset, cfg: IFLearnerConfig) -> TargetModel:
 
     def fit_arm(tag):
         seed = rngmod.derive_seed(cfg.seed, "plugin", tag)
-        rows = arm_rows(tag, data.w, np.arange(data.n))
+        w = data.require_indicator(f"target {cfg.pseudo.target!r}")
+        rows = arm_rows(tag, w, np.arange(data.n))
         return fit_nuisance(tag, data, rows, cf, cfg.pseudo, seed, "the plug-in fit")
 
     if not target.nuisances:
         seed = rngmod.derive_seed(cfg.seed, "plugin", "all")
         model = fit_learner(cf.outcome_spec, data.X, data.y, seed=seed)
-    elif data.w is None:
-        raise SchemaError(f"target {cfg.pseudo.target!r} needs an indicator column")
     elif target.plugin is None:
         model = _FunctionalOfArms({"mu1": fit_arm("mu")})
     else:

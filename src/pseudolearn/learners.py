@@ -50,8 +50,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rng as rngmod
 from .config import FromDict, count_at_least, one_of, open_interval
-from .data import make_folds
-from .errors import ConfigError, DomainError, EstimationError, SchemaError
+from .data import all_binary, make_folds
+from .errors import ConfigError, EstimationError, SchemaError
 
 __all__ = [
     "LearnerSpec",
@@ -753,7 +753,5 @@ def fit_probability(
     boundary.
     """
     open_interval("fit_probability.clip", clip, 0, 0.5)
-    y_arr = np.asarray(y, dtype=float).ravel()
-    if not np.all(np.isin(y_arr, (0.0, 1.0))):
-        raise DomainError("fit_probability needs a 0/1 outcome vector")
+    all_binary("fit_probability outcome", y)
     return _ClippedModel(fit_learner(spec, X, y, seed=seed), clip, 1.0 - clip)

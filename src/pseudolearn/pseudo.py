@@ -27,14 +27,14 @@ are all instances of this chain rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .config import FromDict, one_of, open_interval
 from .data import (
-    EPS_CLIP_DEFAULT, P_CLIP_DEFAULT, Dataset, NuisanceEstimates, read_only_copy
+    EPS_CLIP_DEFAULT, P_CLIP_DEFAULT, Dataset, NuisanceEstimates, all_binary,
+    all_finite, all_probabilities, read_only_copy, scalar_or_array,
 )
 from .errors import ConfigError, DomainError, SchemaError
 
@@ -92,8 +92,7 @@ class PseudoOutcomes:
 
     def __post_init__(self):
         d = read_only_copy(np.ravel(self.d))
-        if not np.all(np.isfinite(d)):
-            raise DomainError("pseudo-outcomes contain a non-finite value")
+        all_finite("pseudo-outcomes", d)
         object.__setattr__(self, "d", d)
 
     @property
@@ -102,22 +101,7 @@ class PseudoOutcomes:
 
 
 def _prep(*arrays):
-    out = [np.asarray(a, dtype=float) for a in arrays]
-    return out
-
-
-def _maybe_scalar(x: np.ndarray):
-    return x.item() if np.ndim(x) == 0 else x
-
-
-def _check_pi(pi: np.ndarray):
-    if np.any(pi <= 0.0) or np.any(pi >= 1.0):
-        raise DomainError("propensity must lie strictly inside (0, 1)")
-
-
-def _check_indicator(w: np.ndarray, name: str = "w"):
-    if not np.all(np.isin(w, (0.0, 1.0))):
-        raise DomainError(f"{name} must be 0 or 1")
+    return [np.asarray(a, dtype=float) for a in arrays]
 
 
 def ht_pseudo(y, w, pi):
@@ -127,16 +111,16 @@ def ht_pseudo(y, w, pi):
     propensity, but ignores the outcome regressions entirely, so its
     variance blows up as pi nears 0 or 1.
     """
+    all_binary("w", w)
     y, w, pi = _prep(y, w, pi)
-    _check_indicator(w)
-    _check_pi(pi)
-    return _maybe_scalar((w / pi - (1.0 - w) / (1.0 - pi)) * y)
+    all_probabilities("pi", pi)
+    return scalar_or_array((w / pi - (1.0 - w) / (1.0 - pi)) * y)
 
 
 def plugin_cate(mu0, mu1):
     """Plug-in contrast mu1 - mu0; no bias correction."""
     mu0, mu1 = _prep(mu0, mu1)
-    return _maybe_scalar(mu1 - mu0)
+    return scalar_or_array(mu1 - mu0)
 
 
 def aipw_pseudo(y, w, pi, mu0, mu1):
@@ -146,15 +130,15 @@ def aipw_pseudo(y, w, pi, mu0, mu1):
     correct if either the outcome means or the propensity are correct,
     and conditionally unbiased for mu1(x) - mu0(x) under the truth.
     """
+    all_binary("w", w)
     y, w, pi, mu0, mu1 = _prep(y, w, pi, mu0, mu1)
-    _check_indicator(w)
-    _check_pi(pi)
+    all_probabilities("pi", pi)
     out = (
         (mu1 - mu0)
         + (w / pi) * (y - mu1)
         - ((1.0 - w) / (1.0 - pi)) * (y - mu0)
     )
-    return _maybe_scalar(out)
+    return scalar_or_array(out)
 
 
 def rr_pseudo(y, w, pi, mu0, mu1, mu0_floor: float = P_CLIP_DEFAULT):
@@ -177,19 +161,17 @@ def transform_pseudo(y, w, pi, mu0, mu1, df_dmu0, df_dmu1, f):
     plugged-in (mu0, mu1); the chain rule combines the per-arm
     influence terms with those partials and re-adds f itself.
     """
+    all_binary("w", w)
     y, w, pi, mu0, mu1 = _prep(y, w, pi, mu0, mu1)
-    _check_indicator(w)
-    _check_pi(pi)
+    all_probabilities("pi", pi)
     g0 = np.asarray(df_dmu0(mu0, mu1), dtype=float)
     g1 = np.asarray(df_dmu1(mu0, mu1), dtype=float)
     f0 = np.asarray(f(mu0, mu1), dtype=float)
-    if not (
-        np.all(np.isfinite(g0)) and np.all(np.isfinite(g1)) and np.all(np.isfinite(f0))
-    ):
-        raise DomainError("transform partials or value non-finite at (mu0, mu1)")
+    for name, v in (("df_dmu0", g0), ("df_dmu1", g1), ("f", f0)):
+        all_finite(f"{name} at (mu0, mu1)", v)
     if_mu1 = (w / pi) * (y - mu1)
     if_mu0 = ((1.0 - w) / (1.0 - pi)) * (y - mu0)
-    return _maybe_scalar(if_mu0 * g0 + if_mu1 * g1 + f0)
+    return scalar_or_array(if_mu0 * g0 + if_mu1 * g1 + f0)
 
 
 def mar_pseudo(y, a, pi, mu):
@@ -204,25 +186,25 @@ def mar_pseudo(y, a, pi, mu):
     or ``mu`` is.  ``y`` on rows with a = 0 is multiplied by zero and
     never read.
     """
+    all_binary("a", a)
     y, a, pi, mu = _prep(y, a, pi, mu)
-    _check_indicator(a, name="a")
-    _check_pi(pi)
-    return _maybe_scalar((a / pi) * (y - mu) + mu)
+    all_probabilities("pi", pi)
+    return scalar_or_array((a / pi) * (y - mu) + mu)
 
 
 def risk_ratio_value(mu0, mu1):
-    return _maybe_scalar(np.asarray(mu1, dtype=float) / np.asarray(mu0, dtype=float))
+    return scalar_or_array(np.asarray(mu1, dtype=float) / np.asarray(mu0, dtype=float))
 
 
 def risk_ratio_partials(mu0, mu1):
     """(d/dmu0, d/dmu1) of mu1/mu0."""
     mu0, mu1 = _prep(mu0, mu1)
-    return _maybe_scalar(-mu1 / mu0**2), _maybe_scalar(1.0 / mu0)
+    return scalar_or_array(-mu1 / mu0**2), scalar_or_array(1.0 / mu0)
 
 
 def odds_ratio_value(mu0, mu1):
     mu0, mu1 = _prep(mu0, mu1)
-    return _maybe_scalar((mu1 * (1.0 - mu0)) / ((1.0 - mu1) * mu0))
+    return scalar_or_array((mu1 * (1.0 - mu0)) / ((1.0 - mu1) * mu0))
 
 
 def odds_ratio_partials(mu0, mu1):
@@ -230,17 +212,17 @@ def odds_ratio_partials(mu0, mu1):
     mu0, mu1 = _prep(mu0, mu1)
     d0 = -mu1 / ((1.0 - mu1) * mu0**2)
     d1 = (1.0 - mu0) / ((1.0 - mu1) ** 2 * mu0)
-    return _maybe_scalar(d0), _maybe_scalar(d1)
+    return scalar_or_array(d0), scalar_or_array(d1)
 
 
 def _chain_rule(value, partials):
     """The signal of f = ``value`` with (df/dmu0, df/dmu1) = ``partials``."""
-    return partial(
-        transform_pseudo,
-        df_dmu0=lambda mu0, mu1: partials(mu0, mu1)[0],
-        df_dmu1=lambda mu0, mu1: partials(mu0, mu1)[1],
-        f=value,
-    )
+
+    def signal(y, w, pi, mu0, mu1):
+        g0, g1 = partials(mu0, mu1)
+        return transform_pseudo(y, w, pi, mu0, mu1, lambda *_: g0, lambda *_: g1, value)
+
+    return signal
 
 
 @dataclass(frozen=True)
@@ -301,10 +283,7 @@ def build_pseudo_outcomes(
     reads = target.nuisances
     if not reads:
         return PseudoOutcomes(d=np.array(data.y, dtype=float))
-    if data.w is None:
-        raise SchemaError(
-            f"target {spec.target!r} needs a treatment/observation indicator"
-        )
+    w = data.require_indicator(f"target {spec.target!r}")
     missing = [m for m in reads if getattr(nuisances, f"{m}_hat", None) is None]
     if missing:
         raise SchemaError(f"target {spec.target!r} needs nuisance estimates {missing}")
@@ -332,4 +311,4 @@ def build_pseudo_outcomes(
                 "fit them with the probability clip"
             )
     values = {m: getattr(nuisances, f"{m}_hat") for m in reads}
-    return PseudoOutcomes(d=target.signal(data.y, data.w.astype(float), **values))
+    return PseudoOutcomes(d=target.signal(data.y, w.astype(float), **values))

@@ -26,7 +26,9 @@ import numpy as np
 
 from . import rng as rngmod
 from .config import FromDict, count_at_least, one_of
-from .data import Dataset, read_only_copy, write_csv
+from .data import (
+    Dataset, all_finite, all_probabilities, read_only_copy, scalar_or_array, write_csv
+)
 from .errors import ConfigError, DomainError, EstimationError, SchemaError
 from .grouplearner import GroupConfig, fit_group_learner
 from .iflearner import (
@@ -97,14 +99,14 @@ def mu0_piecewise(x):
         [0.5 * (x + 2.0) ** 2, x / 2.0 - 0.875, -5.0 * (x - 0.2) ** 2 + 1.075],
         default=x + 0.125,
     )
-    return out.item() if out.ndim == 0 else out
+    return scalar_or_array(out)
 
 
 def noise_variance_1d(x):
     """Heteroskedastic noise variance 0.2 - 0.1 cos(2 pi x)."""
     x = np.asarray(x, dtype=float)
     out = 0.2 - 0.1 * np.cos(2.0 * np.pi * x)
-    return out.item() if out.ndim == 0 else out
+    return scalar_or_array(out)
 
 
 def propensity_1d(x, mode: str, b: float = 0.0):
@@ -119,7 +121,7 @@ def propensity_1d(x, mode: str, b: float = 0.0):
         if not 0.0 <= b < 1.0:
             raise ConfigError(f"hidden-selection strength b must be in [0, 1), got {b}")
         out = 0.5 + 0.5 * b * np.abs(x) / 2.0
-    return out.item() if out.ndim == 0 else out
+    return scalar_or_array(out)
 
 
 def _exp(v: float) -> float:
@@ -144,7 +146,7 @@ def xi(t):
     """Smooth step from 1 to 2, centered at 1/3."""
     t = np.asarray(t, dtype=float)
     out = 1.0 + expit(20.0 * (t - 1.0 / 3.0))
-    return out.item() if out.ndim == 0 else out
+    return scalar_or_array(out)
 
 
 def beta24_density(t):
@@ -157,7 +159,7 @@ def beta24_density(t):
             f"beta density argument outside [0, 1]: {float(flat[outside][0])}"
         )
     out = 20.0 * t * (1.0 - t) ** 3
-    return out.item() if out.ndim == 0 else out
+    return scalar_or_array(out)
 
 
 @dataclass(frozen=True)
@@ -217,13 +219,8 @@ class LabeledSample:
             arr = read_only_copy(getattr(self, name))
             if arr.shape != (n,):
                 raise SchemaError(f"{name} must have shape ({n},), got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise SchemaError(f"{name} must be finite")
+            (all_probabilities if name.endswith("_pi") else all_finite)(name, arr)
             object.__setattr__(self, name, arr)
-        for name in ("true_pi", "nominal_pi"):
-            arr = getattr(self, name)
-            if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-                raise SchemaError(f"{name} must lie strictly inside (0, 1)")
 
     @property
     def n(self) -> int:

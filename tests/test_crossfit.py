@@ -86,11 +86,15 @@ class TestCrossfit:
         with pytest.raises(EstimationError, match="degenerate arm"):
             crossfit_nuisances(ds, cfg)
 
-    def test_missing_indicator_rejected(self):
+    @pytest.mark.parametrize(
+        "fit, what",
+        [(crossfit_nuisances, "cross-fitting"), (oob_nuisances, "the out-of-bag fit")],
+    )
+    def test_missing_indicator_rejected(self, fit, what):
         ds = Dataset(np.arange(6.0).reshape(-1, 1), np.zeros(6))
         cfg = CrossfitConfig(outcome_spec=MEAN, propensity_spec=MEAN)
-        with pytest.raises(SchemaError):
-            crossfit_nuisances(ds, cfg)
+        with pytest.raises(SchemaError, match=f"^{what} needs a treatment/observation"):
+            fit(ds, cfg)
 
     def test_deterministic(self):
         ds = rct_dataset(n=60, seed=2)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pseudolearn.crossfit import evaluate_propensity
 from pseudolearn.data import (
     ColumnMap,
     Dataset,
@@ -19,8 +20,11 @@ from pseudolearn.data import (
     read_csv_columns,
 )
 from pseudolearn.errors import ConfigError, DomainError, ParseError, SchemaError
-from pseudolearn.grouplearner import GroupEstimates
-from pseudolearn.pseudo import PseudoOutcomes
+from pseudolearn.grouplearner import GroupEstimates, group_efficient_estimate
+from pseudolearn.learners import LearnerSpec, fit_probability
+from pseudolearn.pseudo import (
+    PseudoOutcomes, aipw_pseudo, ht_pseudo, mar_pseudo, transform_pseudo
+)
 from pseudolearn.simulate import LabeledSample
 
 
@@ -73,14 +77,24 @@ class TestDataset:
             Dataset(np.zeros((4, 1)), np.zeros(4), np.zeros((4, 2)))
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="X must be finite; row 0 has nan$"):
             Dataset([[np.nan], [0.0]], [0.0, 1.0])
-        with pytest.raises(DomainError):
-            Dataset([[0.0], [0.0]], [np.inf, 1.0])
+        with pytest.raises(DomainError, match="y must be finite; row 1 has inf$"):
+            Dataset([[0.0], [0.0]], [1.0, np.inf])
 
-    def test_treatment_must_be_binary(self):
-        with pytest.raises(DomainError, match="row 1"):
-            Dataset(np.zeros((3, 1)), np.zeros(3), [0, 2, 1])
+    @pytest.mark.parametrize(
+        "w, where",
+        [
+            ([0, 2, 1], "row 1 has 2"),
+            ([None, 1, 0], "row 0 has None"),
+            (["a", "1", "0"], "row 0 has 'a'"),
+            (["1", "0", "1"], "row 0 has '1'"),
+            ([0.0, 1.0, np.nan], "row 2 has nan"),
+        ],
+    )
+    def test_treatment_must_be_binary(self, w, where):
+        with pytest.raises(DomainError, match=f"must be 0 or 1; {where}$"):
+            Dataset(np.zeros((3, 1)), np.zeros(3), w)
 
     def test_float_encoded_treatment_accepted(self):
         ds = Dataset(np.zeros((2, 1)), np.zeros(2), [0.0, 1.0])
@@ -125,6 +139,10 @@ class TestMakeFolds:
         c = make_folds(100, 5, seed=8)
         assert np.array_equal(a.fold_of, b.fold_of)
         assert not np.array_equal(a.fold_of, c.fold_of)
+
+    def test_negative_seed_is_masked_to_64_bits(self):
+        a = make_folds(10, 2, seed=-1)
+        assert np.array_equal(a.fold_of, make_folds(10, 2, seed=2**64 - 1).fold_of)
 
     def test_bad_k_rejected(self):
         with pytest.raises(ConfigError):
@@ -226,6 +244,85 @@ def test_value_objects_keep_a_read_only_copy(holder):
     # an invalid value written afterwards must not get behind the validation
     a[...] = np.nan if a.dtype.kind == "f" else 1
     assert np.array_equal(held, before)
+
+
+# One bad entry of each kind a value rule refuses; None only where the rule
+# reads the values as given, before any conversion to float.
+NAN, INF = float("nan"), float("inf")
+BAD_ENTRIES = {
+    "finite": [NAN, INF, -INF],
+    "probability": [NAN, INF, -INF, 0.0, 1.0, 2.0],
+    "binary": [NAN, INF, -INF, 2, None],
+}
+N_ROWS = 5
+ZEROS, HALVES, ARMS = [0.0] * N_ROWS, [0.5] * N_ROWS, [0, 1, 0, 1, 1]
+X5 = np.zeros((N_ROWS, 1))
+DS5 = Dataset(X5, ZEROS, ARMS)
+
+
+def _zero(mu0, mu1):
+    return np.zeros(N_ROWS)
+
+
+# public entry point -> (the rule it applies, valid values, the call on values)
+RULED_INPUTS = {
+    "Dataset.X": ("finite", ZEROS, lambda v: Dataset(np.column_stack([ZEROS, v]), ZEROS)),
+    "Dataset.y": ("finite", ZEROS, lambda v: Dataset(X5, v)),
+    "Dataset.w": ("binary", ARMS, lambda v: Dataset(X5, ZEROS, v)),
+    "NuisanceEstimates.mu1_hat": (
+        "finite", ZEROS, lambda v: NuisanceEstimates(mu0_hat=ZEROS, mu1_hat=v)
+    ),
+    "NuisanceEstimates.pi_hat": (
+        "probability", HALVES, lambda v: NuisanceEstimates(pi_hat=v)
+    ),
+    "evaluate_propensity": (
+        "probability", HALVES, lambda v: evaluate_propensity(DS5, v, 0.01)
+    ),
+    "LabeledSample.true_mu1": (
+        "finite", ZEROS, lambda v: LabeledSample(DS5, ZEROS, v, HALVES, HALVES)
+    ),
+    "LabeledSample.nominal_pi": (
+        "probability", HALVES, lambda v: LabeledSample(DS5, ZEROS, ZEROS, HALVES, v)
+    ),
+    "group_efficient_estimate": ("finite", ZEROS, group_efficient_estimate),
+    "PseudoOutcomes": ("finite", ZEROS, lambda v: PseudoOutcomes(d=v)),
+    "aipw_pseudo.w": ("binary", ARMS, lambda v: aipw_pseudo(ZEROS, v, HALVES, 0, 0)),
+    "aipw_pseudo.pi": ("probability", HALVES, lambda v: aipw_pseudo(ZEROS, ARMS, v, 0, 0)),
+    "ht_pseudo.w": ("binary", ARMS, lambda v: ht_pseudo(ZEROS, v, HALVES)),
+    "ht_pseudo.pi": ("probability", HALVES, lambda v: ht_pseudo(ZEROS, ARMS, v)),
+    "mar_pseudo.a": ("binary", ARMS, lambda v: mar_pseudo(ZEROS, v, HALVES, ZEROS)),
+    "mar_pseudo.pi": ("probability", HALVES, lambda v: mar_pseudo(ZEROS, ARMS, v, ZEROS)),
+    "transform_pseudo.w": (
+        "binary", ARMS,
+        lambda v: transform_pseudo(ZEROS, v, HALVES, 0.5, 0.5, _zero, _zero, _zero),
+    ),
+    "transform_pseudo.pi": (
+        "probability", HALVES,
+        lambda v: transform_pseudo(ZEROS, ARMS, v, 0.5, 0.5, _zero, _zero, _zero),
+    ),
+    "transform_pseudo.df_dmu1": (
+        "finite", ZEROS,
+        lambda v: transform_pseudo(
+            ZEROS, ARMS, HALVES, 0.5, 0.5, _zero, lambda mu0, mu1: np.array(v), _zero
+        ),
+    ),
+    "fit_probability": (
+        "binary", ARMS, lambda v: fit_probability(LearnerSpec(kind="mean"), X5, v)
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", RULED_INPUTS)
+@settings(max_examples=20, deadline=None)
+@given(row=st.integers(0, N_ROWS - 1), data=st.data())
+def test_one_bad_entry_is_a_domain_error_naming_its_row(entry, row, data):
+    rule, good, call = RULED_INPUTS[entry]
+    call(good)
+    bad = data.draw(st.sampled_from(BAD_ENTRIES[rule]), label="bad")
+    values = list(good)
+    values[row] = bad
+    with pytest.raises(DomainError, match=rf"; row {row} has {re.escape(repr(bad))}$"):
+        call(values)
 
 
 class TestLoadCsv:

@@ -14,7 +14,7 @@ import pseudolearn.iflearner as iflearner_mod
 from pseudolearn import rng as rngmod
 from pseudolearn.crossfit import CrossfitConfig, arm_rows, fit_nuisance, known_pi_values
 from pseudolearn.data import Dataset, NuisanceEstimates
-from pseudolearn.errors import ConfigError, EstimationError, SchemaError
+from pseudolearn.errors import ConfigError, DomainError, EstimationError, SchemaError
 from pseudolearn.grouplearner import (
     GroupConfig,
     GroupEstimates,
@@ -80,7 +80,7 @@ class TestGroupEfficientEstimate:
             group_efficient_estimate([1.0])
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(DomainError, match="row 1 has inf"):
             group_efficient_estimate([1.0, np.inf])
 
 

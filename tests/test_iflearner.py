@@ -105,6 +105,8 @@ class TestCollapseIdentity:
         cfg = basic_config(second_stage=KNN2, target="regression_mean")
         model = fit_if_learner(ds, cfg)
         assert model.predict(np.array([[0.5]])).shape == (1,)
+        with pytest.raises(SchemaError, match="^target 'cate_aipw' needs a treatment"):
+            fit_plugin_learner(ds, basic_config(second_stage=KNN2))
 
 
 class TestFitIfLearner:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pseudolearn import pseudo as pseudo_mod
 from pseudolearn.data import Dataset, NuisanceEstimates
 from pseudolearn.errors import ConfigError, DomainError, SchemaError
 from pseudolearn.pseudo import (
@@ -251,6 +252,25 @@ class TestTransformChainRule:
             risk_ratio_value,
         )
         assert np.max(np.abs(via_transform - rr_pseudo(y, w, pi, mu0, mu1))) < 1e-12
+
+    def test_ratio_signal_evaluates_its_partials_once(self, monkeypatch):
+        calls = []
+
+        def counted(mu0, mu1):
+            calls.append(None)
+            return risk_ratio_partials(mu0, mu1)
+
+        monkeypatch.setattr(pseudo_mod, "risk_ratio_partials", counted)
+        y, w, pi, mu0, mu1 = self.random_inputs(50, 113)
+        d = rr_pseudo(y, w, pi, mu0, mu1)
+        assert len(calls) == 1
+        via_transform = transform_pseudo(
+            y, w, pi, mu0, mu1,
+            lambda a, b: risk_ratio_partials(a, b)[0],
+            lambda a, b: risk_ratio_partials(a, b)[1],
+            risk_ratio_value,
+        )
+        assert np.array_equal(d, via_transform)
 
     def test_constant_functional(self):
         y, w, pi, mu0, mu1 = self.random_inputs(100, 112)

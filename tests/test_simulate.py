@@ -240,7 +240,7 @@ class TestLabeledSample:
     def test_length_and_range_validation(self):
         with pytest.raises(SchemaError):
             self.toy(true_mu0=np.zeros(4))
-        with pytest.raises(SchemaError):
+        with pytest.raises(DomainError, match=r"true_pi .* row 1 has 1\.0"):
             self.toy(true_pi=np.array([0.5, 1.0, 0.5]))
 
 
