@@ -97,16 +97,23 @@ _EXPRESSION_NODES = (
 )
 
 
-def _check_expression(tree: ast.Expression, expr: str) -> None:
-    """Reject any syntax outside the arithmetic whitelist.
+def _check_expression(tree: ast.Expression, expr: str) -> bool:
+    """Reject any syntax outside the arithmetic whitelist; return whether the
+    expression may see whole covariate columns as ``x[i]``.
 
     Allowed: numeric constants, ``x[...]``, ``abs(...)``,
     ``np.<f>(...)`` for ``f`` in ``_NP_FUNCTIONS``, arithmetic,
     comparisons, ``and``/``or``/``not`` and conditional expressions.
     Shifts, and powers in which neither operand reads ``x``, are refused:
     they can build huge integers (``9**9**9``), again on every row.
+
+    Columns may stand for rows when every ``x`` is indexed by an integer
+    literal, nothing takes the truth value of a number, which an array lacks
+    (``and``, ``or``, ``not``, ``if``, a chained comparison), and there is no
+    ``**``: numpy's scalar and array powers can differ in the last bit.
     """
-    for node in ast.walk(tree):
+    by_column, indexed = True, set()
+    for node in ast.walk(tree):  # breadth first: a subscript before its ``x``
         if isinstance(node, ast.BinOp):
             ok = not isinstance(node.op, (ast.LShift, ast.RShift, ast.Pow)) or (
                 isinstance(node.op, ast.Pow)
@@ -120,10 +127,16 @@ def _check_expression(tree: ast.Expression, expr: str) -> None:
             )
         elif isinstance(node, ast.Name):
             ok = node.id in ("x", "np", "abs")
+            by_column &= node.id != "x" or id(node) in indexed
         elif isinstance(node, ast.Constant):
             ok = type(node.value) in (int, float, bool)
         elif isinstance(node, ast.Subscript):
             ok = isinstance(node.value, ast.Name) and node.value.id == "x"
+            index = node.slice
+            if isinstance(index, ast.UnaryOp) and isinstance(index.op, ast.USub):
+                index = index.operand
+            if isinstance(index, ast.Constant) and type(index.value) is int:
+                indexed.add(id(node.value))
         elif isinstance(node, ast.Call):
             ok = not node.keywords and (
                 (
@@ -134,6 +147,10 @@ def _check_expression(tree: ast.Expression, expr: str) -> None:
             )
         else:
             ok = isinstance(node, _EXPRESSION_NODES)
+            if isinstance(node, (ast.BoolOp, ast.Not, ast.IfExp, ast.Pow)) or (
+                isinstance(node, ast.Compare) and len(node.ops) > 1
+            ):
+                by_column = False
         if not ok:
             rule = (
                 "a power needs an operand that reads x, and << and >> are refused"
@@ -145,35 +162,7 @@ def _check_expression(tree: ast.Expression, expr: str) -> None:
                 f"propensity expression {expr!r} uses {ast.unparse(node)!r}, "
                 f"which is not allowed; {rule}"
             )
-
-
-def _elementwise(tree: ast.Expression) -> bool:
-    """Whether the expression may see whole covariate columns as ``x[i]``.
-
-    It may when every ``x`` is indexed by an integer literal and nothing
-    takes the truth value of a number (``and``, ``or``, ``not``, a
-    conditional expression, a chained comparison): an array has none.
-    ``**`` also stays row-wise, since numpy's scalar and array powers
-    can differ in the last bit.
-    """
-    indexed = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.BoolOp, ast.Not, ast.IfExp, ast.Pow)) or (
-            isinstance(node, ast.Compare) and len(node.ops) > 1
-        ):
-            return False
-        if isinstance(node, ast.Subscript):
-            index = node.slice
-            if isinstance(index, ast.UnaryOp) and isinstance(index.op, ast.USub):
-                index = index.operand
-            if not (isinstance(index, ast.Constant) and type(index.value) is int):
-                return False
-            indexed.add(id(node.value))
-    return all(
-        id(node) in indexed
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Name) and node.id == "x"
-    )
+    return by_column
 
 
 def propensity_expression(expr: str):
@@ -192,11 +181,10 @@ def propensity_expression(expr: str):
     """
     try:
         tree = ast.parse(expr, "<known-propensity>", mode="eval")
-        _check_expression(tree, expr)
+        by_column = _check_expression(tree, expr)
         code = compile(tree, "<known-propensity>", "eval")
     except (SyntaxError, RecursionError) as e:  # the latter: nested too deeply
         raise ConfigError(f"bad propensity expression {expr!r}: {e}") from None
-    by_column = _elementwise(tree)
     # one globals dict for every row: it holds the warnings registry, so a
     # numpy warning repeated on many rows is shown once
     env = {"__builtins__": {}}
@@ -281,9 +269,7 @@ class GroupFile(FromDict):
     group: GroupConfig = field(default_factory=GroupConfig)
 
     def reseeded(self, seed: int) -> "GroupFile":
-        icfg = self.group.if_config.reseeded(seed, seed)
-        group = dataclasses.replace(self.group, seed=seed, if_config=icfg)
-        return dataclasses.replace(self, group=group)
+        return dataclasses.replace(self, group=self.group.reseeded(seed, seed, seed))
 
 
 def _load_file(args, file_class):
@@ -380,12 +366,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except EstimationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except PseudolearnError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(e, EstimationError) else 2
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ import numpy as np
 from . import rng as rngmod
 from .config import FromDict, count_at_least
 from .data import (
-    Dataset, FoldAssignment, NuisanceEstimates, all_probabilities, make_folds
+    Dataset, FoldAssignment, NuisanceEstimates, all_numbers, all_probabilities, make_folds
 )
 from .errors import ConfigError, EstimationError, SchemaError
 from .learners import FittedModel, LearnerSpec, fit_learner, fit_probability
@@ -141,16 +141,14 @@ def evaluate_nuisance(data: Dataset, value, name: str) -> np.ndarray:
 
     An array must have one entry per row; a callable is applied to each
     covariate row, or to all rows at once through its ``on_rows(X)``
-    method when it has one.
+    method when it has one.  Every value must be a real number.
     """
     if callable(value):
         on_rows = getattr(value, "on_rows", None)
-        if on_rows is not None:
-            return on_rows(data.X)
-        return np.asarray([float(value(x)) for x in data.X])
-    if np.isscalar(value):
-        return np.full(data.n, float(value))
-    vals = np.asarray(value, dtype=float).ravel()
+        value = on_rows(data.X) if on_rows is not None else [value(x) for x in data.X]
+    elif np.isscalar(value):
+        value = np.full(data.n, value)
+    vals = all_numbers(name, value).ravel()
     if vals.shape[0] != data.n:
         raise SchemaError(
             f"{name} array has length {vals.shape[0]}, expected {data.n}"

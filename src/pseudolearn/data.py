@@ -72,16 +72,35 @@ def all_probabilities(where: str, a) -> None:
     _refuse_unless((a > 0.0) & (a < 1.0), where, "strictly inside (0, 1)", a)
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (numbers.Real, np.bool_))
+
+
 def _is_binary(v) -> bool:
-    return isinstance(v, (numbers.Real, np.bool_)) and v in (0, 1)
+    return _is_number(v) and v in (0, 1)
+
+
+def _as_given(a) -> np.ndarray:
+    """``a`` as an array; a non-numeric one holds its entries as given (beside
+    a string, numpy would turn 1.0 into "1.0")."""
+    arr = np.asarray(a)
+    return arr if arr.dtype.kind in "biuf" else np.asarray(a, dtype=object)
+
+
+def all_numbers(where: str, a) -> np.ndarray:
+    """``a`` as a float array, refusing entries that are not real numbers, read
+    as given (a string or None fails even where ``float()`` would take it)."""
+    a = _as_given(a)
+    if a.dtype == object:
+        _refuse_unless(np.vectorize(_is_number, otypes=[bool])(a), where, "real numbers", a)
+    return np.asarray(a, dtype=float)
 
 
 def all_binary(where: str, a) -> None:
     """Refuse entries of ``a`` that are not the number 0 or 1, read as given
     (a string, None or NaN fails even where ``float()`` would take it)."""
-    a = np.asarray(a)
-    numeric = a.dtype.kind in "biuf"
-    ok = (a == 0) | (a == 1) if numeric else np.vectorize(_is_binary, otypes=[bool])(a)
+    a = _as_given(a)
+    ok = np.vectorize(_is_binary, otypes=[bool])(a) if a.dtype == object else (a == 0) | (a == 1)
     _refuse_unless(ok, where, "0 or 1", a)
 
 
@@ -91,17 +110,17 @@ class Dataset:
     Parameters
     ----------
     X : array-like, shape (n, d)
-        Covariate matrix; all entries finite.
+        Covariate matrix; all entries finite real numbers.
     y : array-like, shape (n,)
-        Outcomes; all entries finite.
+        Outcomes; all entries finite real numbers.
     w : array-like of {0, 1}, shape (n,), optional
         Treatment / observation indicator.  Absent for pure regression
         problems.
     """
 
     def __init__(self, X, y, w=None):
-        X = read_only_copy(X)
-        y = read_only_copy(np.ravel(y))
+        X = read_only_copy(all_numbers("covariates X", X))
+        y = read_only_copy(all_numbers("outcomes y", y).ravel())
         if X.ndim != 2:
             raise SchemaError(f"X must be 2-D (n, d), got shape {X.shape}")
         if X.shape[0] != y.shape[0]:
@@ -300,21 +319,18 @@ def read_csv_columns(path, names) -> np.ndarray:
     except (IndexError, ValueError):
         pass
     # A bad cell: the row loop names the first one, by row, then by column.
-    rows = []
     for rownum, rec in enumerate(records):
-        rows.append([])
         for j, name in zip(idx, names):
             at = f"{path}: row {rownum}, column {name!r}"
             if j >= len(rec):
                 raise ParseError(f"{path}: row {rownum}: too few fields for column {name!r}")
             raw = rec[j].strip()
             try:
-                rows[-1].append(float(raw))
+                value = float(raw)
             except ValueError:
                 raise ParseError(f"{at}: cannot parse {raw!r} as a number") from None
-            if not math.isfinite(rows[-1][-1]):
+            if not math.isfinite(value):
                 raise DomainError(f"{at}: non-finite value {raw!r}")
-    return np.asarray(rows, dtype=float)
 
 
 def load_csv(path, column_map) -> Dataset:

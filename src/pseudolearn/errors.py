@@ -20,9 +20,9 @@ class ParseError(PseudolearnError, ValueError):
 
 
 class DomainError(PseudolearnError, ValueError):
-    """A value outside its domain: ``data.all_finite``, ``all_probabilities``
-    and ``all_binary`` name the first row that is not finite, not inside
-    (0, 1) or not 0 or 1; clip floors and non-finite CSV cells raise it too."""
+    """A value outside its domain: ``data.all_numbers``, ``all_finite``,
+    ``all_probabilities`` and ``all_binary`` name the first row not a number,
+    finite, inside (0, 1) or 0 or 1; clip floors and non-finite CSV cells too."""
 
 
 class ConfigError(PseudolearnError, ValueError):

@@ -77,6 +77,10 @@ class GroupConfig(FromDict):
                 f"contrasts only, not target {self.if_config.pseudo.target!r}"
             )
 
+    def reseeded(self, seed: int, stage2: int, crossfit: int) -> "GroupConfig":
+        """This config with its split, second-stage and cross-fitting seeds replaced."""
+        return replace(self, seed=seed, if_config=self.if_config.reseeded(stage2, crossfit))
+
 
 def group_efficient_estimate(values) -> tuple[float, float]:
     """Mean and unbiased variance-of-the-mean of one group's signals.

@@ -50,7 +50,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rng as rngmod
 from .config import FromDict, count_at_least, one_of, open_interval
-from .data import all_binary, make_folds
+from .data import Dataset, all_binary, all_numbers, make_folds
 from .errors import ConfigError, EstimationError, SchemaError
 
 __all__ = [
@@ -288,8 +288,6 @@ def _nearest_rows(dist: np.ndarray, k: int) -> np.ndarray:
     only its columns no farther than the k-th; one whose k-th is NaN
     takes the full stable sort.
     """
-    if k >= dist.shape[1]:
-        return np.argsort(dist, axis=1, kind="stable")[:, :k]
     # the k smallest in some order, then sorted by (distance, column)
     cand = np.sort(np.argpartition(dist, k - 1, axis=1)[:, :k], axis=1)
     d = np.take_along_axis(dist, cand, axis=1)
@@ -701,31 +699,12 @@ class _ClippedModel(FittedModel):
         return np.clip(self._base.predict_oob(), self._lo, self._hi)
 
 
-def _training_arrays(X, y, kind: str):
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
-    if X.ndim != 2:
-        raise SchemaError(f"X must be 1-D or 2-D, got shape {X.shape}")
-    y = np.asarray(y, dtype=float).ravel()
-    if X.shape[0] != y.shape[0]:
-        raise SchemaError(
-            f"X has {X.shape[0]} rows but y has {y.shape[0]} entries"
-        )
-    if X.shape[0] == 0:
-        raise SchemaError("cannot fit a learner on zero rows")
-    bad = ~(np.isfinite(y) & np.isfinite(X).all(axis=1))
-    if np.any(bad):
-        raise EstimationError(
-            f"cannot fit a {kind} learner: training row {int(np.argmax(bad))} "
-            "has a non-finite outcome or covariate"
-        )
-    return X, y
-
-
 def fit_learner(spec: LearnerSpec, X, y, seed: int = 0) -> FittedModel:
-    """Fit ``spec`` on (X, y); deterministic in ``seed``."""
-    X, y = _training_arrays(X, y, spec.kind)
+    """Fit ``spec`` on (X, y), checked as a :class:`Dataset`; deterministic in
+    ``seed``.  A 1-D ``X`` is one feature."""
+    X = all_numbers("covariates X", X)
+    data = Dataset(X.reshape(-1, 1) if X.ndim == 1 else X, y)
+    X, y = data.X, data.y
     if X.shape[0] < spec.min_rows:
         raise EstimationError(
             f"too few rows: a {spec.kind} learner needs at least {spec.min_rows} "

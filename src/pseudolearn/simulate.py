@@ -464,15 +464,11 @@ class ResultTable:
 def _reseeded_method(m: MethodSpec, exp: ExperimentConfig, n: int, rep: int) -> MethodSpec:
     """Give every random component its own replication-specific stream."""
     base = (exp.seed, exp.experiment_id, n, rep, m.name)
-    icfg = m.if_config.reseeded(
-        rngmod.derive_seed(*base, "stage2"), rngmod.derive_seed(*base, "crossfit")
+    split, stage2, crossfit = (
+        rngmod.derive_seed(*base, part) for part in ("split", "stage2", "crossfit")
     )
-    group = m.group
-    if group is not None:
-        group = dataclasses.replace(
-            group, seed=rngmod.derive_seed(*base, "split"), if_config=icfg
-        )
-    return dataclasses.replace(m, if_config=icfg, group=group)
+    group = None if m.group is None else m.group.reseeded(split, stage2, crossfit)
+    return dataclasses.replace(m, if_config=m.if_config.reseeded(stage2, crossfit), group=group)
 
 
 def _fit_method(m: MethodSpec, train: LabeledSample):

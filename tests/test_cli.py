@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from pseudolearn.cli import _NP_FUNCTIONS, _elementwise, main, propensity_expression
+from pseudolearn.cli import _NP_FUNCTIONS, _check_expression, main, propensity_expression
 from pseudolearn.data import ColumnMap, load_csv
 from pseudolearn.errors import ConfigError
 from pseudolearn.iflearner import IFLearnerConfig, fit_if_learner
@@ -704,7 +704,7 @@ class TestPropensityExpression:
         ],
     )
     def test_elementwise_expressions_take_columns(self, expr, by_column):
-        assert _elementwise(ast.parse(expr, mode="eval")) == by_column
+        assert _check_expression(ast.parse(expr, mode="eval"), expr) == by_column
 
     def test_columns_equal_rows_bit_for_bit(self):
         rng = np.random.default_rng(11)

@@ -21,7 +21,7 @@ from pseudolearn.data import (
 )
 from pseudolearn.errors import ConfigError, DomainError, ParseError, SchemaError
 from pseudolearn.grouplearner import GroupEstimates, group_efficient_estimate
-from pseudolearn.learners import LearnerSpec, fit_probability
+from pseudolearn.learners import LearnerSpec, fit_learner, fit_probability
 from pseudolearn.pseudo import (
     PseudoOutcomes, aipw_pseudo, ht_pseudo, mar_pseudo, transform_pseudo
 )
@@ -254,10 +254,14 @@ BAD_ENTRIES = {
     "probability": [NAN, INF, -INF, 0.0, 1.0, 2.0],
     "binary": [NAN, INF, -INF, 2, None],
 }
+# entry points that read their values as numbers also refuse a string or None
+BAD_ENTRIES["finite number"] = BAD_ENTRIES["finite"] + ["a", None]
+BAD_ENTRIES["probability number"] = BAD_ENTRIES["probability"] + ["a", None]
 N_ROWS = 5
 ZEROS, HALVES, ARMS = [0.0] * N_ROWS, [0.5] * N_ROWS, [0, 1, 0, 1, 1]
 X5 = np.zeros((N_ROWS, 1))
 DS5 = Dataset(X5, ZEROS, ARMS)
+ROWS5 = Dataset(np.arange(N_ROWS)[:, None], ZEROS)  # x[0] is the row number
 
 
 def _zero(mu0, mu1):
@@ -266,8 +270,8 @@ def _zero(mu0, mu1):
 
 # public entry point -> (the rule it applies, valid values, the call on values)
 RULED_INPUTS = {
-    "Dataset.X": ("finite", ZEROS, lambda v: Dataset(np.column_stack([ZEROS, v]), ZEROS)),
-    "Dataset.y": ("finite", ZEROS, lambda v: Dataset(X5, v)),
+    "Dataset.X": ("finite number", ZEROS, lambda v: Dataset([[0.0, e] for e in v], ZEROS)),
+    "Dataset.y": ("finite number", ZEROS, lambda v: Dataset(X5, v)),
     "Dataset.w": ("binary", ARMS, lambda v: Dataset(X5, ZEROS, v)),
     "NuisanceEstimates.mu1_hat": (
         "finite", ZEROS, lambda v: NuisanceEstimates(mu0_hat=ZEROS, mu1_hat=v)
@@ -276,7 +280,11 @@ RULED_INPUTS = {
         "probability", HALVES, lambda v: NuisanceEstimates(pi_hat=v)
     ),
     "evaluate_propensity": (
-        "probability", HALVES, lambda v: evaluate_propensity(DS5, v, 0.01)
+        "probability number", HALVES, lambda v: evaluate_propensity(DS5, v, 0.01)
+    ),
+    "evaluate_propensity.callable": (
+        "probability number", HALVES,
+        lambda v: evaluate_propensity(ROWS5, lambda x: v[int(x[0])], 0.01),
     ),
     "LabeledSample.true_mu1": (
         "finite", ZEROS, lambda v: LabeledSample(DS5, ZEROS, v, HALVES, HALVES)
@@ -308,6 +316,12 @@ RULED_INPUTS = {
     ),
     "fit_probability": (
         "binary", ARMS, lambda v: fit_probability(LearnerSpec(kind="mean"), X5, v)
+    ),
+    "fit_learner.X": (
+        "finite number", ZEROS, lambda v: fit_learner(LearnerSpec(kind="mean"), v, ZEROS)
+    ),
+    "fit_learner.y": (
+        "finite number", ZEROS, lambda v: fit_learner(LearnerSpec(kind="mean"), X5, v)
     ),
 }
 

@@ -1,6 +1,6 @@
 """Quantile grouping, per-group estimates, and interval construction."""
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -23,7 +23,8 @@ from pseudolearn.grouplearner import (
     fit_group_learner,
     group_efficient_estimate,
 )
-from pseudolearn.iflearner import IFLearnerConfig
+from pseudolearn.cli import GroupFile
+from pseudolearn.iflearner import IFLearnerConfig, config_digest
 from pseudolearn.learners import LearnerSpec
 from pseudolearn.pseudo import (
     NUISANCES,
@@ -33,7 +34,7 @@ from pseudolearn.pseudo import (
     build_pseudo_outcomes,
     ht_pseudo,
 )
-from pseudolearn.simulate import Dgp1dConfig, sample_1d
+from pseudolearn.simulate import Dgp1dConfig, ExperimentConfig, _reseeded_method, sample_1d
 
 Z95 = float(ndtri(0.975))
 
@@ -123,6 +124,70 @@ class TestGroupConfig:
         )
         with pytest.raises(ConfigError, match="contrast"):
             GroupConfig(second_stage_estimator="ht", if_config=rr)
+
+    def test_reseeded_changes_exactly_the_three_seeds(self):
+        icfg = IFLearnerConfig(seed=4, crossfit=CrossfitConfig(n_folds=3, seed=5))
+        cfg = GroupConfig(n_groups=3, first_stage="plugin", if_config=icfg, seed=6)
+        got = cfg.reseeded(7, 8, 9)
+        assert (got.seed, got.if_config.seed, got.if_config.crossfit.seed) == (7, 8, 9)
+
+        def unseeded(c):
+            d = asdict(c)
+            d["seed"] = d["if_config"]["seed"] = d["if_config"]["crossfit"]["seed"] = None
+            return d
+
+        assert unseeded(got) == unseeded(cfg)
+        assert cfg.seed == 6 and cfg.if_config == icfg  # frozen: a new config
+
+    # the group configs of the benchmark's sim_kernel_cv and cli_csv workloads
+    CV_KERNEL = {
+        "crossfit": {
+            "outcome_spec": {"kind": "kernel"},
+            "propensity_spec": {"kind": "kernel"},
+            "n_folds": 5,
+        },
+        "second_stage": {"kind": "kernel"},
+    }
+    FIXED_KERNEL = {
+        "crossfit": {
+            "outcome_spec": {"kind": "kernel", "bandwidth": 0.1},
+            "propensity_spec": {"kind": "kernel", "bandwidth": 0.1},
+            "n_folds": 5,
+        },
+        "second_stage": {"kind": "kernel", "bandwidth": 0.1},
+    }
+
+    def test_group_file_reseeded_equals_the_hand_built_config(self):
+        cfg = GroupFile.from_dict({
+            "columns": {"covariates": ["x"], "outcome": "y", "treatment": "w"},
+            "group": {"n_groups": 5, "first_stage": "plugin", "if_config": self.FIXED_KERNEL},
+        })
+        icfg = cfg.group.if_config.reseeded(17, 17)
+        want = replace(cfg, group=replace(cfg.group, seed=17, if_config=icfg))
+        got = cfg.reseeded(17)
+        assert got == want and config_digest(got) == config_digest(want)
+
+    def test_reseeded_method_equals_the_hand_built_method(self):
+        exp = ExperimentConfig.from_dict({
+            "experiment_id": "sim_kernel_cv",
+            "dgp": {"kind": "1d", "propensity": "strong_selection"},
+            "methods": [
+                {"name": "group_eif", "kind": "group_if_learner", "use_known_propensity": True,
+                 "if_config": self.CV_KERNEL,
+                 "group": {"n_groups": 5, "first_stage": "plugin",
+                           "second_stage_estimator": "eif"}},
+            ],
+            "n_grid": [2000], "replications": 1, "n_test": 1000, "seed": 3,
+        })
+        (m,) = exp.methods
+        base = (exp.seed, exp.experiment_id, 2000, 1, m.name)
+        icfg = m.if_config.reseeded(
+            rngmod.derive_seed(*base, "stage2"), rngmod.derive_seed(*base, "crossfit")
+        )
+        group = replace(m.group, seed=rngmod.derive_seed(*base, "split"), if_config=icfg)
+        want = replace(m, if_config=icfg, group=group)
+        got = _reseeded_method(m, exp, 2000, 1)
+        assert got == want and config_digest(got) == config_digest(want)
 
 
 class TestGroupEstimates:

@@ -1,6 +1,8 @@
-"""No package module imports a name it never uses (no linter needed)."""
+"""No package module imports a name it never uses, defines a private name
+that nothing reads, or exports a name it lacks (no linter needed)."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -47,3 +49,49 @@ def test_an_unused_import_is_found():
     assert _unused_imports(source) == ["ConfigError (line 2)", "math (line 1)"]
     source = "import numpy.linalg\nfrom . import rng as r\n__all__ = ['r']\nnumpy.pi"
     assert _unused_imports(source) == []
+
+
+def _unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions, classes and constants that no module reads."""
+    defined, read = {}, set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{module}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(f"{name} ({where})" for name, where in defined.items() if name not in read)
+
+
+def test_every_private_name_is_read():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert _unread_private_names(sources) == []
+
+
+def test_an_unread_private_name_is_found():
+    sources = {
+        "a": "_LIMIT = 3\n_USED = 1\ndef _orphan():\n    return _USED\nclass _Gone:\n    pass",
+        "b": "from .a import _USED\n__all__ = ['_USED']",
+    }
+    assert _unread_private_names(sources) == ["_Gone (a:5)", "_LIMIT (a:1)", "_orphan (a:3)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_export_resolves(path):
+    name = "pseudolearn" if path.stem == "__init__" else f"pseudolearn.{path.stem}"
+    module = importlib.import_module(name)
+    assert [e for e in getattr(module, "__all__", []) if not hasattr(module, e)] == []

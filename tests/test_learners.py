@@ -187,6 +187,25 @@ class TestKnn:
         for k in (1, 2, 3):
             assert np.array_equal(_nearest_rows(dist, k), full[:, :k])
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        arrays(
+            float,
+            st.tuples(st.integers(0, 6), st.integers(1, 12)),
+            elements=st.sampled_from((0.0, 0.5, 1.0, np.inf, -np.inf, np.nan))
+            | st.floats(0.0, 2.0),
+        )
+    )
+    def test_k_equal_to_columns_is_the_stable_argsort(self, dist):
+        # at k == n the general path gives the stable sort's bits
+        from pseudolearn.learners import _nearest_rows
+
+        n = dist.shape[1]
+        dist = np.vstack([dist, np.full((1, n), np.nan), np.full((1, n), np.inf)])
+        want = np.argsort(dist, axis=1, kind="stable")
+        got = _nearest_rows(dist, n)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_tied_rows_match_full_stable_sort(self):
         # few integer distances tie most rows at the k-th place; NaNs make
         # some k-th distances NaN (full sort) and leave others finite
@@ -1552,11 +1571,11 @@ class TestQueryShapes:
 
     @pytest.mark.parametrize("kind", ["mean", "knn", "kernel", "forest"])
     @pytest.mark.parametrize("bad", ["nan_outcome", "inf_covariate"])
-    def test_nonfinite_training_row_is_estimation_error(self, kind, bad):
+    def test_nonfinite_training_row_is_domain_error(self, kind, bad):
         X, y = np.zeros((30, 2)), np.zeros(30)
         if bad == "nan_outcome":
             y[7] = np.nan
         else:
             X[7, 1] = -np.inf
-        with pytest.raises(EstimationError, match=f"{kind} learner: training row 7 "):
+        with pytest.raises(DomainError, match="must be finite; row 7 has"):
             fit_learner(LearnerSpec(kind=kind), X, y)
