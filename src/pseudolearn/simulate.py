@@ -19,6 +19,7 @@ so results do not depend on worker scheduling.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -551,24 +552,29 @@ def summarize_replications(
     return rows
 
 
+def _fan_out(fn, tasks: list[tuple], jobs: int) -> dict:
+    """``{task: fn(*task)}`` over ``jobs`` worker processes, at most one per
+    task, or in this process when that is one.  Keyed by task, the result
+    does not depend on the worker count."""
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        return {t: fn(*t) for t in tasks}
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = {t: pool.submit(fn, *t) for t in tasks}
+        return {t: f.result() for t, f in futures.items()}
+
+
 def run_replications(exp: ExperimentConfig, R: int | None = None, jobs: int = 1) -> ResultTable:
     """Run the full grid of (n, replication) fits and aggregate.
 
-    ``jobs`` > 1 fans replications out to worker processes, at most one
-    per (n, replication) task; results are keyed by replication index, so
-    the table is identical for any job count.
+    ``jobs`` worker processes share the (n, replication) tasks
+    (``_fan_out``), so the table is identical for any job count.
     """
     R = exp.replications if R is None else count_at_least("run_replications.R", R, 1)
     count_at_least("run_replications.jobs", jobs, 1)
     tasks = [(n, rep) for n in exp.n_grid for rep in range(R)]
-    workers = min(jobs, len(tasks))
-    if workers == 1:
-        results = {t: _run_one(exp, *t) for t in tasks}
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {t: pool.submit(_run_one, exp, *t) for t in tasks}
-            results = {t: f.result() for t, f in futures.items()}
+    results = _fan_out(functools.partial(_run_one, exp), tasks, jobs)
     names = [m.name for m in exp.methods]
     rows: list[ResultRow] = []
     for n in exp.n_grid:

@@ -7,9 +7,10 @@ was verified once and is bit-reproducible, so these are regression
 tests, not flaky samplers.
 """
 
-import dataclasses
 import json
+import os
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -40,9 +41,9 @@ from pseudolearn.simulate import (
     Dgp10dConfig,
     ExperimentConfig,
     MethodSpec,
+    _fan_out,
     _run_one,
     beta24_density,
-    keep_mask,
     mu0_piecewise,
     noise_variance_1d,
     propensity_1d,
@@ -63,6 +64,10 @@ CV_KERNEL_IF = IFLearnerConfig(
     ),
     second_stage=CV_KERNEL,
 )
+
+# the replication gates run on every usable CPU; their rows are keyed by
+# replication, so they read the same at any worker count
+JOBS = len(os.sched_getaffinity(0))
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -258,8 +263,8 @@ def test_05_if_learner_beats_plugin_under_known_selection():
         replications=100,
         seed=11,
     )
-    rows = [_run_one(exp, 2000, rep) for rep in range(100)]
-    wins = sum(r["if"] < r["plugin"] for r in rows)
+    rows = _fan_out(partial(_run_one, exp), [(2000, rep) for rep in range(100)], JOBS)
+    wins = sum(r["if"] < r["plugin"] for r in rows.values())
     elapsed = time.monotonic() - t0
     ok = wins >= 90 and elapsed < 600.0
     report(5, ok, f"corrected learner wins {wins}/100 replications, {elapsed:.0f}s")
@@ -287,11 +292,25 @@ def test_06_if_learner_tracks_oracle_with_known_propensity():
         replications=200,
         seed=13,
     )
-    table = run_replications(exp)
+    table = run_replications(exp, jobs=JOBS)
     mse = {r.method: r.mean_mse for r in table.rows}
     ratio = mse["if"] / mse["oracle"]
     ok = ratio <= 2.0
     report(6, ok, f"mean-MSE ratio feasible/oracle = {ratio:.3f} over 200 reps")
+
+
+def _coverage_hits(rep):
+    """Which of acceptance 07's five group intervals cover zero in one replication."""
+    s = sample_1d(Dgp1dConfig(
+        propensity="strong_selection", n=2000,
+        seed=rngmod.derive_seed(78, "group-coverage", rep, "data"),
+    ))
+    cfg = GroupConfig(
+        n_groups=5, first_stage="plugin", if_config=CV_KERNEL_IF,
+        seed=rngmod.derive_seed(78, "group-coverage", rep, "fit"),
+    )
+    est = fit_group_learner(s.dataset, cfg, known_propensity=s.nominal_pi)
+    return (est.ci_lo <= 0.0) & (0.0 <= est.ci_hi)
 
 
 def test_07_group_ci_coverage_within_band():
@@ -302,19 +321,8 @@ def test_07_group_ci_coverage_within_band():
     [0.92, 0.975] inside a ten-minute budget.
     """
     t0 = time.monotonic()
-    base = GroupConfig(n_groups=5, first_stage="plugin", if_config=CV_KERNEL_IF)
     reps = 500
-    hits = np.zeros(5)
-    for rep in range(reps):
-        s = sample_1d(Dgp1dConfig(
-            propensity="strong_selection", n=2000,
-            seed=rngmod.derive_seed(78, "group-coverage", rep, "data"),
-        ))
-        cfg = dataclasses.replace(
-            base, seed=rngmod.derive_seed(78, "group-coverage", rep, "fit")
-        )
-        est = fit_group_learner(s.dataset, cfg, known_propensity=s.nominal_pi)
-        hits += (est.ci_lo <= 0.0) & (0.0 <= est.ci_hi)
+    hits = sum(_fan_out(_coverage_hits, [(rep,) for rep in range(reps)], JOBS).values())
     coverage = hits / reps
     elapsed = time.monotonic() - t0
     ok = bool(np.all((coverage >= 0.92) & (coverage <= 0.975))) and elapsed < 600.0
@@ -346,13 +354,8 @@ def test_08_second_stage_small_sample_tradeoff():
         replications=200,
         seed=2,
     )
-    mse = {}
-    for n in exp.n_grid:
-        rows = [_run_one(exp, n, rep) for rep in range(exp.replications)]
-        mask = keep_mask(rows)
-        for name in ("eif", "ht"):
-            vals = np.array([r[name] for r in rows])[mask]
-            mse[(name, n)] = float(vals.mean())
+    table = run_replications(exp, jobs=JOBS)
+    mse = {(r.method, r.n): r.mean_mse for r in table.rows}
 
     small_ok = mse[("ht", 100)] < mse[("eif", 100)]
     large_ok = all(mse[("eif", n)] < mse[("ht", n)] for n in (500, 1000, 2000))

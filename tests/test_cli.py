@@ -484,13 +484,14 @@ class TestGroup:
         assert a.read_bytes() != b.read_bytes()
 
 
-def scipy_modules_after(tmp_path, code, *argv):
-    """The scipy modules a fresh interpreter holds after running ``code``."""
+def modules_after(tmp_path, code, *argv):
+    """The scipy and concurrent modules a fresh interpreter holds after
+    running ``code``."""
     listing = tmp_path / "modules.txt"
     script = (
         f"import sys\n{code}\n"
         f"open({str(listing)!r}, 'w').write("
-        "' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "' '.join(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, *map(str, argv)], capture_output=True, text=True
@@ -516,7 +517,7 @@ class TestStartup:
 
     def test_import_loads_no_scipy(self, tmp_path):
         code = "import pseudolearn, pseudolearn.cli"
-        assert scipy_modules_after(tmp_path, code) == set()
+        assert modules_after(tmp_path, code) == set()
 
     def data_and_config(self, tmp_path, blob):
         rng = np.random.default_rng(0)
@@ -530,7 +531,7 @@ class TestStartup:
         data, cfg = self.data_and_config(
             tmp_path, {"columns": self.COLUMNS, "if_config": self.FIXED_IF}
         )
-        modules = scipy_modules_after(
+        modules = modules_after(
             tmp_path, self.RUN_MAIN, "fit", "--data", data, "--config", cfg,
             "--known-propensity", "0.5", "--grid", "0:1:5",
             "--out", tmp_path / "fit.csv",
@@ -541,14 +542,15 @@ class TestStartup:
 
     def test_group_and_simulate_load_no_scipy_stats(self, tmp_path):
         """Normal intervals and both designs' draws need no scipy.special;
-        t intervals load it for stdtrit, and nothing loads scipy.stats."""
+        t intervals load it for stdtrit, and nothing loads scipy.stats.  A
+        one-worker simulate starts no process pool."""
         for t_intervals in (False, True):
             group_cfg = {"n_groups": 2, "first_stage": "plugin",
                          "use_t_intervals": t_intervals, "if_config": self.FIXED_IF}
             data, cfg = self.data_and_config(
                 tmp_path, {"columns": self.COLUMNS, "group": group_cfg}
             )
-            group = scipy_modules_after(
+            group = modules_after(
                 tmp_path, self.RUN_MAIN, "group", "--data", data, "--config", cfg,
                 "--known-propensity", "0.5", "--out", tmp_path / "group.csv",
             )
@@ -564,12 +566,13 @@ class TestStartup:
         }
         for design in ({}, design_10d):
             sim = write_json(tmp_path / "exp.json", {**SIM_CONFIG, **design})
-            simulate = scipy_modules_after(
+            simulate = modules_after(
                 tmp_path, self.RUN_MAIN, "simulate", "--config", sim,
-                "--out", tmp_path / "sim.csv",
+                "--out", tmp_path / "sim.csv", "--jobs", "1",
             )
             assert not loads(simulate, "scipy.special"), design
             assert not loads(simulate, "scipy.stats"), design
+            assert not loads(simulate, "concurrent.futures"), design
 
 
 class TestEntryPoints:
