@@ -72,6 +72,12 @@ def all_probabilities(where: str, a) -> None:
     _refuse_unless((a > 0.0) & (a < 1.0), where, "strictly inside (0, 1)", a)
 
 
+def all_between(where: str, a, lo: float, hi: float) -> None:
+    """Refuse entries of ``a`` outside the closed interval [lo, hi], NaN included."""
+    a = np.asarray(a, dtype=float)
+    _refuse_unless((a >= lo) & (a <= hi), where, f"in [{lo}, {hi}]", a)
+
+
 def _is_number(v) -> bool:
     return isinstance(v, (numbers.Real, np.bool_))
 

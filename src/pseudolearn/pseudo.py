@@ -33,10 +33,10 @@ import numpy as np
 
 from .config import FromDict, one_of, open_interval
 from .data import (
-    EPS_CLIP_DEFAULT, P_CLIP_DEFAULT, Dataset, NuisanceEstimates, all_binary,
-    all_finite, all_probabilities, read_only_copy, scalar_or_array,
+    EPS_CLIP_DEFAULT, P_CLIP_DEFAULT, Dataset, NuisanceEstimates, all_between,
+    all_binary, all_finite, all_probabilities, read_only_copy, scalar_or_array,
 )
-from .errors import ConfigError, DomainError, SchemaError
+from .errors import ConfigError, SchemaError
 
 __all__ = [
     "Target",
@@ -147,10 +147,7 @@ def rr_pseudo(y, w, pi, mu0, mu1, mu0_floor: float = P_CLIP_DEFAULT):
     Requires ``mu0 >= mu0_floor`` because mu0 appears squared in a
     denominator; binary-outcome clipping guarantees the floor upstream.
     """
-    if np.any(np.asarray(mu0, dtype=float) < mu0_floor):
-        raise DomainError(
-            f"rr_pseudo needs mu0 >= {mu0_floor} (division by mu0^2)"
-        )
+    all_between("rr_pseudo mu0 (divided by mu0^2)", mu0, mu0_floor, np.inf)
     return _chain_rule(risk_ratio_value, risk_ratio_partials)(y, w, pi, mu0, mu1)
 
 
@@ -291,24 +288,14 @@ def build_pseudo_outcomes(
         raise SchemaError(
             f"nuisances cover {nuisances.n} rows, dataset has {data.n}"
         )
-    pi, lo = nuisances.pi_hat, spec.eps_clip
-    if "pi" in reads and (np.any(pi < lo) or np.any(pi > 1.0 - lo)):
-        raise DomainError(
-            f"pi_hat outside [{lo}, {1.0 - lo}]; propensities must arrive clipped"
-        )
+    if "pi" in reads:
+        lo = spec.eps_clip
+        all_between("clipped pi_hat", nuisances.pi_hat, lo, 1.0 - lo)
     if spec.binary_outcome:
-        if not np.all(np.isin(data.y, (0.0, 1.0))):
-            raise ConfigError(
-                f"target {spec.target!r} configured for binary outcomes, "
-                "but y contains non-0/1 values"
-            )
-    mu0, mu1 = nuisances.mu0_hat, nuisances.mu1_hat
+        all_binary(f"y of binary-outcome target {spec.target!r}", data.y)
     if target.binary:
-        lo, hi = spec.p_clip, 1.0 - spec.p_clip
-        if np.any(mu0 < lo) or np.any(mu0 > hi) or np.any(mu1 < lo) or np.any(mu1 > hi):
-            raise DomainError(
-                f"binary-outcome means outside [{lo}, {hi}]; "
-                "fit them with the probability clip"
-            )
+        lo = spec.p_clip
+        for m, mu in (("mu0", nuisances.mu0_hat), ("mu1", nuisances.mu1_hat)):
+            all_between(f"{m}_hat under the probability clip", mu, lo, 1.0 - lo)
     values = {m: getattr(nuisances, f"{m}_hat") for m in reads}
     return PseudoOutcomes(d=target.signal(data.y, w.astype(float), **values))

@@ -28,9 +28,10 @@ import numpy as np
 from . import rng as rngmod
 from .config import FromDict, count_at_least, one_of
 from .data import (
-    Dataset, all_finite, all_probabilities, read_only_copy, scalar_or_array, write_csv
+    Dataset, all_between, all_finite, all_probabilities, read_only_copy, scalar_or_array,
+    write_csv,
 )
-from .errors import ConfigError, DomainError, EstimationError, SchemaError
+from .errors import ConfigError, EstimationError, SchemaError
 from .grouplearner import GroupConfig, fit_group_learner
 from .iflearner import (
     IFLearnerConfig,
@@ -153,12 +154,7 @@ def xi(t):
 def beta24_density(t):
     """Beta(2, 4) density, 20 t (1-t)^3 on [0, 1]."""
     t = np.asarray(t, dtype=float)
-    flat = np.atleast_1d(t)
-    outside = (flat < 0.0) | (flat > 1.0)
-    if np.any(outside):
-        raise DomainError(
-            f"beta density argument outside [0, 1]: {float(flat[outside][0])}"
-        )
+    all_between("beta density argument", t, 0.0, 1.0)
     out = 20.0 * t * (1.0 - t) ** 3
     return scalar_or_array(out)
 

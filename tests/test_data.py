@@ -23,9 +23,10 @@ from pseudolearn.errors import ConfigError, DomainError, ParseError, SchemaError
 from pseudolearn.grouplearner import GroupEstimates, group_efficient_estimate
 from pseudolearn.learners import LearnerSpec, fit_learner, fit_probability
 from pseudolearn.pseudo import (
-    PseudoOutcomes, aipw_pseudo, ht_pseudo, mar_pseudo, transform_pseudo
+    PseudoOutcomes, PseudoOutcomeSpec, aipw_pseudo, build_pseudo_outcomes, ht_pseudo,
+    mar_pseudo, rr_pseudo, transform_pseudo,
 )
-from pseudolearn.simulate import LabeledSample
+from pseudolearn.simulate import LabeledSample, beta24_density
 
 
 def toy_dataset(n=10, d=2, seed=0, treated=True):
@@ -257,6 +258,11 @@ BAD_ENTRIES = {
 # entry points that read their values as numbers also refuse a string or None
 BAD_ENTRIES["finite number"] = BAD_ENTRIES["finite"] + ["a", None]
 BAD_ENTRIES["probability number"] = BAD_ENTRIES["probability"] + ["a", None]
+BAD_ENTRIES["binary number"] = BAD_ENTRIES["finite number"] + [0.5, 2.0]
+# closed intervals: the default clip floors 0.01 and 0.99, and [0, 1]
+BAD_ENTRIES["clipped"] = BAD_ENTRIES["probability"] + [0.005, 0.995]
+BAD_ENTRIES["floored"] = [NAN, -INF, 0.0, 0.005]
+BAD_ENTRIES["unit interval"] = [NAN, INF, -INF, -0.5, 1.5]
 N_ROWS = 5
 ZEROS, HALVES, ARMS = [0.0] * N_ROWS, [0.5] * N_ROWS, [0, 1, 0, 1, 1]
 X5 = np.zeros((N_ROWS, 1))
@@ -266,6 +272,14 @@ ROWS5 = Dataset(np.arange(N_ROWS)[:, None], ZEROS)  # x[0] is the row number
 
 def _zero(mu0, mu1):
     return np.zeros(N_ROWS)
+
+
+RISK_RATIO = PseudoOutcomeSpec(target="risk_ratio", binary_outcome=True)
+
+
+def _risk_ratio_signal(y=ARMS, mu0=HALVES, mu1=HALVES):
+    nuis = NuisanceEstimates(mu0_hat=mu0, mu1_hat=mu1, pi_hat=HALVES)
+    return build_pseudo_outcomes(Dataset(X5, y, ARMS), nuis, RISK_RATIO)
 
 
 # public entry point -> (the rule it applies, valid values, the call on values)
@@ -323,6 +337,16 @@ RULED_INPUTS = {
     "fit_learner.y": (
         "finite number", ZEROS, lambda v: fit_learner(LearnerSpec(kind="mean"), X5, v)
     ),
+    "build_pseudo_outcomes.pi_hat": (
+        "clipped", HALVES, lambda v: build_pseudo_outcomes(
+            DS5, NuisanceEstimates(pi_hat=v), PseudoOutcomeSpec(target="cate_ht")
+        ),
+    ),
+    "build_pseudo_outcomes.mu0_hat": ("clipped", HALVES, lambda v: _risk_ratio_signal(mu0=v)),
+    "build_pseudo_outcomes.mu1_hat": ("clipped", HALVES, lambda v: _risk_ratio_signal(mu1=v)),
+    "build_pseudo_outcomes.y": ("binary number", ARMS, lambda v: _risk_ratio_signal(y=v)),
+    "rr_pseudo.mu0": ("floored", HALVES, lambda v: rr_pseudo(ZEROS, ARMS, HALVES, v, HALVES)),
+    "beta24_density": ("unit interval", HALVES, beta24_density),
 }
 
 

@@ -442,7 +442,7 @@ class TestBuild:
     def test_binary_mode_rejects_continuous_y(self):
         ds, nuis = self.hand_dataset()  # y is continuous
         spec = PseudoOutcomeSpec(target="risk_ratio", binary_outcome=True)
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError, match="must be 0 or 1; row 0 has 2.0$"):
             build_pseudo_outcomes(ds, nuis, spec)
 
     def test_unclipped_propensity_rejected(self):
