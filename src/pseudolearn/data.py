@@ -86,17 +86,20 @@ def _is_binary(v) -> bool:
     return _is_number(v) and v in (0, 1)
 
 
-def _as_given(a) -> np.ndarray:
+def _as_given(where: str, a) -> np.ndarray:
     """``a`` as an array; a non-numeric one holds its entries as given (beside
-    a string, numpy would turn 1.0 into "1.0")."""
-    arr = np.asarray(a)
+    a string, numpy would turn 1.0 into "1.0").  Ragged rows are a SchemaError."""
+    try:
+        arr = np.asarray(a)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise SchemaError(f"{where} has rows of unequal length") from None
     return arr if arr.dtype.kind in "biuf" else np.asarray(a, dtype=object)
 
 
 def all_numbers(where: str, a) -> np.ndarray:
     """``a`` as a float array, refusing entries that are not real numbers, read
     as given (a string or None fails even where ``float()`` would take it)."""
-    a = _as_given(a)
+    a = _as_given(where, a)
     if a.dtype == object:
         _refuse_unless(np.vectorize(_is_number, otypes=[bool])(a), where, "real numbers", a)
     return np.asarray(a, dtype=float)
@@ -105,7 +108,7 @@ def all_numbers(where: str, a) -> np.ndarray:
 def all_binary(where: str, a) -> None:
     """Refuse entries of ``a`` that are not the number 0 or 1, read as given
     (a string, None or NaN fails even where ``float()`` would take it)."""
-    a = _as_given(a)
+    a = _as_given(where, a)
     ok = np.vectorize(_is_binary, otypes=[bool])(a) if a.dtype == object else (a == 0) | (a == 1)
     _refuse_unless(ok, where, "0 or 1", a)
 
@@ -138,7 +141,7 @@ class Dataset:
         all_finite("covariates X", X)
         all_finite("outcomes y", y)
         if w is not None:
-            w = np.asarray(w)
+            w = _as_given("treatment indicator w", w)
             if w.shape != y.shape:
                 raise SchemaError(f"w has shape {w.shape}, expected {y.shape}")
             all_binary("treatment indicator w", w)

@@ -3,6 +3,7 @@
 import csv
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -68,10 +69,22 @@ class TestDataset:
         with pytest.raises(SchemaError):
             Dataset(np.zeros((0, 2)), np.zeros(0))
 
-    @pytest.mark.parametrize("shape", [(4,), (4, 2, 2)], ids=["1-d", "3-d"])
-    def test_covariates_must_be_a_matrix(self, shape):
-        with pytest.raises(SchemaError, match=re.escape(f"got shape {shape}")):
-            Dataset(np.zeros(shape), np.zeros(4))
+    RAGGED = [[0.0], [0.0, 1.0], [0.0], [0.0]]
+
+    @pytest.mark.parametrize(
+        "build, X, message",
+        [
+            (Dataset, np.zeros(4), "got shape (4,)"),
+            (Dataset, np.zeros((4, 2, 2)), "got shape (4, 2, 2)"),
+            (Dataset, RAGGED, "covariates X has rows of unequal length"),
+            (partial(fit_learner, LearnerSpec(kind="mean")), RAGGED,
+             "covariates X has rows of unequal length"),
+        ],
+        ids=["1-d", "3-d", "ragged", "ragged-fit_learner"],
+    )
+    def test_covariates_must_be_a_matrix(self, build, X, message):
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            build(X, np.zeros(4))
 
     def test_indicator_shape_must_match_outcomes(self):
         with pytest.raises(SchemaError, match=r"w has shape \(4, 2\), expected \(4,\)"):
