@@ -29,7 +29,8 @@ Available kinds
     pass, and each prediction reuses one block workspace.  1-d values
     all 0 or of magnitude in [2**-458, 2**510] give weights from signed
     differences (no square root).  Every weight keeps the plain
-    computation's bits.
+    computation's bits.  A Gaussian query whose total weight underflows
+    is redone with its exponents shifted by their largest (log-sum-exp).
 ``forest``
     Subsampled regression forest with variance-reduction splits.  When
     ``honest`` each tree's subsample is halved: one half chooses the
@@ -307,6 +308,9 @@ def _nearest_rows(dist: np.ndarray, k: int) -> np.ndarray:
 # whatever the result, and exp(x) is exactly +0.0 for every x < -745.14
 _EXP_FAST_MIN = -700.0
 _EXP_ZERO_BELOW = -746.0
+# a Gaussian total weight below 2**53 times the least normal double has
+# lost its row's weights to underflow
+_GAUSS_TOT_MIN = 2.0**-969
 
 
 def _bandwidth_families(bandwidths) -> list:
@@ -402,8 +406,9 @@ def _nw_predict(Xq, Xt, yt, bandwidths, shape) -> list:
 
     Each row block's distances are computed once and serve every
     bandwidth, and each family of bandwidths h0 * 2**k shares one
-    kernel-argument pass.  A query with zero total weight is outside the
-    kernel's reach and gets the training mean.
+    kernel-argument pass.  An Epanechnikov query with zero total weight is
+    outside the kernel's reach and gets the training mean; a Gaussian one
+    whose total underflows is redone by ``_shifted_gaussian``.
     """
     m, n = Xq.shape[0], Xt.shape[0]
     preds = [np.empty(m) for _ in bandwidths]
@@ -440,7 +445,7 @@ def _nw_predict(Xq, Xt, yt, bandwidths, shape) -> list:
                     np.sum(w, axis=1, out=tots[i][rows])
                     np.divide(w @ yt, tots[i][rows], out=preds[i][rows])
     for h, pred, tot in zip(bandwidths, preds, tots):
-        dead = tot <= 0.0
+        dead = tot < _GAUSS_TOT_MIN if shape == "gaussian" else tot <= 0.0
         if np.any(dead):
             live = ~dead
             if np.any(live):
@@ -448,8 +453,28 @@ def _nw_predict(Xq, Xt, yt, bandwidths, shape) -> list:
                 # with it: redo the live rows without the dead ones, so
                 # their bits do not depend on where the blocks cut
                 (pred[live],) = _nw_predict(Xq[live], Xt, yt, (h,), shape)
-            pred[dead] = yt.mean()
+            if shape == "gaussian":
+                pred[dead] = _shifted_gaussian(Xq[dead], Xt, yt, h)
+            else:
+                pred[dead] = yt.mean()
     return preds
+
+
+def _shifted_gaussian(Xq, Xt, yt, bandwidth: float) -> np.ndarray:
+    """Gaussian means with each row's exponents shifted by that row's largest
+    (log-sum-exp), so the nearest training rows keep their weight however
+    far away they are.  A row without a finite exponent gets the training mean."""
+    pred = np.empty(Xq.shape[0])
+    for rows in _row_blocks(*pred.shape, Xt.shape[0]):
+        dist = _distances(Xq[rows], Xt)
+        arg = _kernel_arg(dist, bandwidth, "gaussian", dist)
+        top = arg.max(axis=1)
+        with np.errstate(invalid="ignore"):  # -inf - -inf
+            np.subtract(arg, top[:, None], out=arg)
+            _clamped_exp(arg)
+            pred[rows] = (arg @ yt) / arg.sum(axis=1)
+        pred[rows][np.isneginf(top)] = yt.mean()
+    return pred
 
 
 class _KernelModel(FittedModel):

@@ -299,12 +299,12 @@ def _panel_digest(outputs):
 
 # (kind, target, learner, known propensity) -> digest
 _PANEL_DIGESTS = {
-    ("crossfit", "cate_aipw", "kernel_cv", "none"): "872c5b400697d725",
-    ("if_learner", "cate_aipw", "kernel_cv", "none"): "270d0b9ee0c29023",
-    ("crossfit", "cate_aipw", "kernel_cv", "scalar"): "5c440c29e56e7196",
-    ("if_learner", "cate_aipw", "kernel_cv", "scalar"): "e2fb8bd51b25397c",
-    ("crossfit", "cate_aipw", "kernel_cv", "array"): "ebd79bfec8aa0d62",
-    ("if_learner", "cate_aipw", "kernel_cv", "array"): "780603ddb504820b",
+    ("crossfit", "cate_aipw", "kernel_cv", "none"): "11a1ff5a03a9637f",
+    ("if_learner", "cate_aipw", "kernel_cv", "none"): "04b5dec53bb5dbfc",
+    ("crossfit", "cate_aipw", "kernel_cv", "scalar"): "8262b9d3c862ad3d",
+    ("if_learner", "cate_aipw", "kernel_cv", "scalar"): "feef27177c1dd611",
+    ("crossfit", "cate_aipw", "kernel_cv", "array"): "787a8fb4ddcbae54",
+    ("if_learner", "cate_aipw", "kernel_cv", "array"): "8948a250de57790b",
     ("crossfit", "cate_aipw", "knn", "none"): "86afd4f79208f227",
     ("if_learner", "cate_aipw", "knn", "none"): "5a06536ab767072a",
     ("crossfit", "cate_aipw", "knn", "scalar"): "9cbb3e571e34ff4e",
@@ -335,12 +335,12 @@ _PANEL_DIGESTS = {
     ("if_learner", "cate_ht", "forest", "scalar"): "bfe2f2ebf682cd0d",
     ("crossfit", "cate_ht", "forest", "array"): "76724f3a93b2bef9",
     ("if_learner", "cate_ht", "forest", "array"): "dc7109321d9cc21e",
-    ("crossfit", "cate_plugin", "kernel_cv", "none"): "90d02ca6e4ca18b9",
-    ("if_learner", "cate_plugin", "kernel_cv", "none"): "35e26a1016286181",
-    ("crossfit", "cate_plugin", "kernel_cv", "scalar"): "90d02ca6e4ca18b9",
-    ("if_learner", "cate_plugin", "kernel_cv", "scalar"): "35e26a1016286181",
-    ("crossfit", "cate_plugin", "kernel_cv", "array"): "90d02ca6e4ca18b9",
-    ("if_learner", "cate_plugin", "kernel_cv", "array"): "35e26a1016286181",
+    ("crossfit", "cate_plugin", "kernel_cv", "none"): "536e4d00fd35a0d7",
+    ("if_learner", "cate_plugin", "kernel_cv", "none"): "d2d772669034d7fe",
+    ("crossfit", "cate_plugin", "kernel_cv", "scalar"): "536e4d00fd35a0d7",
+    ("if_learner", "cate_plugin", "kernel_cv", "scalar"): "d2d772669034d7fe",
+    ("crossfit", "cate_plugin", "kernel_cv", "array"): "536e4d00fd35a0d7",
+    ("if_learner", "cate_plugin", "kernel_cv", "array"): "d2d772669034d7fe",
     ("crossfit", "cate_plugin", "knn", "none"): "63ae04583251aacb",
     ("if_learner", "cate_plugin", "knn", "none"): "f43bca57f36b8db8",
     ("crossfit", "cate_plugin", "knn", "scalar"): "63ae04583251aacb",
@@ -353,12 +353,12 @@ _PANEL_DIGESTS = {
     ("if_learner", "cate_plugin", "forest", "scalar"): "381c6a449d933898",
     ("crossfit", "cate_plugin", "forest", "array"): "805bf8ef6df85b7f",
     ("if_learner", "cate_plugin", "forest", "array"): "381c6a449d933898",
-    ("crossfit", "risk_ratio", "kernel_cv", "none"): "c81fbdc2197a2735",
-    ("if_learner", "risk_ratio", "kernel_cv", "none"): "2432383a93f7d6b3",
-    ("crossfit", "risk_ratio", "kernel_cv", "scalar"): "c011b524ff02120c",
-    ("if_learner", "risk_ratio", "kernel_cv", "scalar"): "33bdc2fb48b3c75e",
-    ("crossfit", "risk_ratio", "kernel_cv", "array"): "5878ee3335d793ee",
-    ("if_learner", "risk_ratio", "kernel_cv", "array"): "469d0643239cad1f",
+    ("crossfit", "risk_ratio", "kernel_cv", "none"): "41e16b8e896636bc",
+    ("if_learner", "risk_ratio", "kernel_cv", "none"): "e5fc719477ae1c27",
+    ("crossfit", "risk_ratio", "kernel_cv", "scalar"): "0453fae5be9eb900",
+    ("if_learner", "risk_ratio", "kernel_cv", "scalar"): "0320509ab8129472",
+    ("crossfit", "risk_ratio", "kernel_cv", "array"): "0f5ce53a0064a03b",
+    ("if_learner", "risk_ratio", "kernel_cv", "array"): "7165cfa04065b577",
     ("crossfit", "risk_ratio", "knn", "none"): "981dcd5b02e55620",
     ("if_learner", "risk_ratio", "knn", "none"): "ed53cd019699165c",
     ("crossfit", "risk_ratio", "knn", "scalar"): "fd5d74632c05314e",
@@ -371,12 +371,12 @@ _PANEL_DIGESTS = {
     ("if_learner", "risk_ratio", "forest", "scalar"): "f666096cac515503",
     ("crossfit", "risk_ratio", "forest", "array"): "6408b1107f59606e",
     ("if_learner", "risk_ratio", "forest", "array"): "0cfae13c362b4e3f",
-    ("crossfit", "odds_ratio", "kernel_cv", "none"): "c81fbdc2197a2735",
-    ("if_learner", "odds_ratio", "kernel_cv", "none"): "1ee2e1aaadbb0d47",
-    ("crossfit", "odds_ratio", "kernel_cv", "scalar"): "c011b524ff02120c",
-    ("if_learner", "odds_ratio", "kernel_cv", "scalar"): "462977cae95d3c22",
-    ("crossfit", "odds_ratio", "kernel_cv", "array"): "5878ee3335d793ee",
-    ("if_learner", "odds_ratio", "kernel_cv", "array"): "90fe172b853d9768",
+    ("crossfit", "odds_ratio", "kernel_cv", "none"): "41e16b8e896636bc",
+    ("if_learner", "odds_ratio", "kernel_cv", "none"): "fa11bb12d45b1ecc",
+    ("crossfit", "odds_ratio", "kernel_cv", "scalar"): "0453fae5be9eb900",
+    ("if_learner", "odds_ratio", "kernel_cv", "scalar"): "20aede42776fdb7f",
+    ("crossfit", "odds_ratio", "kernel_cv", "array"): "0f5ce53a0064a03b",
+    ("if_learner", "odds_ratio", "kernel_cv", "array"): "361e6e4701d1095b",
     ("crossfit", "odds_ratio", "knn", "none"): "981dcd5b02e55620",
     ("if_learner", "odds_ratio", "knn", "none"): "344a53e2e86a39a0",
     ("crossfit", "odds_ratio", "knn", "scalar"): "fd5d74632c05314e",
@@ -389,12 +389,12 @@ _PANEL_DIGESTS = {
     ("if_learner", "odds_ratio", "forest", "scalar"): "c7da372372e08c01",
     ("crossfit", "odds_ratio", "forest", "array"): "6408b1107f59606e",
     ("if_learner", "odds_ratio", "forest", "array"): "15da1e13a7639dd6",
-    ("crossfit", "mar_mean", "kernel_cv", "none"): "07696e70b9f11798",
-    ("if_learner", "mar_mean", "kernel_cv", "none"): "5266dabd3ad9b14e",
-    ("crossfit", "mar_mean", "kernel_cv", "scalar"): "83c5ecf3fd123ff7",
-    ("if_learner", "mar_mean", "kernel_cv", "scalar"): "5da4e329634bbe97",
-    ("crossfit", "mar_mean", "kernel_cv", "array"): "b6de3d4ad97a32d8",
-    ("if_learner", "mar_mean", "kernel_cv", "array"): "3581daf85b4281d7",
+    ("crossfit", "mar_mean", "kernel_cv", "none"): "4a2f2b32f3b0828c",
+    ("if_learner", "mar_mean", "kernel_cv", "none"): "088157791c79aa5c",
+    ("crossfit", "mar_mean", "kernel_cv", "scalar"): "eb5f4b7fdf4c5f37",
+    ("if_learner", "mar_mean", "kernel_cv", "scalar"): "cce014bbea85044a",
+    ("crossfit", "mar_mean", "kernel_cv", "array"): "49f024d25efdfed8",
+    ("if_learner", "mar_mean", "kernel_cv", "array"): "cf88469ddc505ad5",
     ("crossfit", "mar_mean", "knn", "none"): "47adee7d02dcf82e",
     ("if_learner", "mar_mean", "knn", "none"): "a881bc0bf7f567af",
     ("crossfit", "mar_mean", "knn", "scalar"): "d900af984e6982bb",
@@ -474,9 +474,9 @@ _PANEL_DIGESTS = {
     ("oracle", "odds_ratio", "none", "none"): "debbd050cbeea080",
     ("oracle", "mar_mean", "none", "none"): "56faeaab301587ce",
     ("oracle", "regression_mean", "none", "none"): "06e67523fdac3923",
-    ("group_eif_plugin", "cate_aipw", "kernel_cv", "none"): "b9de8dba08a23b30",
-    ("group_eif_plugin", "cate_aipw", "kernel_cv", "scalar"): "c441ec6f399f5e99",
-    ("group_eif_plugin", "cate_aipw", "kernel_cv", "array"): "aab4a3aaca46f213",
+    ("group_eif_plugin", "cate_aipw", "kernel_cv", "none"): "2d26cc4a6739b37d",
+    ("group_eif_plugin", "cate_aipw", "kernel_cv", "scalar"): "db63d82ed5eeacb9",
+    ("group_eif_plugin", "cate_aipw", "kernel_cv", "array"): "ddda87681e8d4117",
     ("group_eif_plugin", "cate_aipw", "knn", "none"): "3e9bacfd639d5e86",
     ("group_eif_plugin", "cate_aipw", "knn", "scalar"): "5392487163e31311",
     ("group_eif_plugin", "cate_aipw", "knn", "array"): "21cbc6f3f636d0ac",
@@ -492,9 +492,9 @@ _PANEL_DIGESTS = {
     ("group_eif_plugin", "cate_ht", "forest", "none"): "ff26b04279fd9d7c",
     ("group_eif_plugin", "cate_ht", "forest", "scalar"): "04eb5cf38346905a",
     ("group_eif_plugin", "cate_ht", "forest", "array"): "4a8bff8649953752",
-    ("group_eif_plugin", "cate_plugin", "kernel_cv", "none"): "88c5cb9c16363d10",
-    ("group_eif_plugin", "cate_plugin", "kernel_cv", "scalar"): "88c5cb9c16363d10",
-    ("group_eif_plugin", "cate_plugin", "kernel_cv", "array"): "88c5cb9c16363d10",
+    ("group_eif_plugin", "cate_plugin", "kernel_cv", "none"): "57acb7eef639e634",
+    ("group_eif_plugin", "cate_plugin", "kernel_cv", "scalar"): "57acb7eef639e634",
+    ("group_eif_plugin", "cate_plugin", "kernel_cv", "array"): "57acb7eef639e634",
     ("group_eif_plugin", "cate_plugin", "knn", "none"): "3adf23bb815ec54c",
     ("group_eif_plugin", "cate_plugin", "knn", "scalar"): "3adf23bb815ec54c",
     ("group_eif_plugin", "cate_plugin", "knn", "array"): "3adf23bb815ec54c",
@@ -537,9 +537,9 @@ _PANEL_DIGESTS = {
     ("group_eif_plugin", "regression_mean", "forest", "none"): "305bac119000f8b3",
     ("group_eif_plugin", "regression_mean", "forest", "scalar"): "305bac119000f8b3",
     ("group_eif_plugin", "regression_mean", "forest", "array"): "305bac119000f8b3",
-    ("group_eif_if_learner", "cate_aipw", "kernel_cv", "none"): "e9748832f3b87d60",
-    ("group_eif_if_learner", "cate_aipw", "kernel_cv", "scalar"): "a789b58cd0637c69",
-    ("group_eif_if_learner", "cate_aipw", "kernel_cv", "array"): "62fa53118e4ba5e5",
+    ("group_eif_if_learner", "cate_aipw", "kernel_cv", "none"): "2a4ee6bdb9ab63e0",
+    ("group_eif_if_learner", "cate_aipw", "kernel_cv", "scalar"): "78f2dba8751759af",
+    ("group_eif_if_learner", "cate_aipw", "kernel_cv", "array"): "1bb4a7446a0fdcc8",
     ("group_eif_if_learner", "cate_aipw", "knn", "none"): "65aaf175aeb076cc",
     ("group_eif_if_learner", "cate_aipw", "knn", "scalar"): "3d3737557454c1a9",
     ("group_eif_if_learner", "cate_aipw", "knn", "array"): "6af54ff0b5731165",
@@ -555,27 +555,27 @@ _PANEL_DIGESTS = {
     ("group_eif_if_learner", "cate_ht", "forest", "none"): "9aa046baa0d16886",
     ("group_eif_if_learner", "cate_ht", "forest", "scalar"): "09514b2031c0947a",
     ("group_eif_if_learner", "cate_ht", "forest", "array"): "d9b61fc160886ac8",
-    ("group_eif_if_learner", "cate_plugin", "kernel_cv", "none"): "e419c720a43bf6b0",
-    ("group_eif_if_learner", "cate_plugin", "kernel_cv", "scalar"): "e419c720a43bf6b0",
-    ("group_eif_if_learner", "cate_plugin", "kernel_cv", "array"): "e419c720a43bf6b0",
+    ("group_eif_if_learner", "cate_plugin", "kernel_cv", "none"): "e3355d092a5ffa62",
+    ("group_eif_if_learner", "cate_plugin", "kernel_cv", "scalar"): "e3355d092a5ffa62",
+    ("group_eif_if_learner", "cate_plugin", "kernel_cv", "array"): "e3355d092a5ffa62",
     ("group_eif_if_learner", "cate_plugin", "knn", "none"): "ad8d12a82364d0a0",
     ("group_eif_if_learner", "cate_plugin", "knn", "scalar"): "ad8d12a82364d0a0",
     ("group_eif_if_learner", "cate_plugin", "knn", "array"): "ad8d12a82364d0a0",
     ("group_eif_if_learner", "cate_plugin", "forest", "none"): "0d4f859de870042e",
     ("group_eif_if_learner", "cate_plugin", "forest", "scalar"): "0d4f859de870042e",
     ("group_eif_if_learner", "cate_plugin", "forest", "array"): "0d4f859de870042e",
-    ("group_eif_if_learner", "risk_ratio", "kernel_cv", "none"): "c26331fa812eaacc",
-    ("group_eif_if_learner", "risk_ratio", "kernel_cv", "scalar"): "85bd2ea166e36f59",
-    ("group_eif_if_learner", "risk_ratio", "kernel_cv", "array"): "e6048fa93a4ee6a2",
+    ("group_eif_if_learner", "risk_ratio", "kernel_cv", "none"): "5b748181242b036a",
+    ("group_eif_if_learner", "risk_ratio", "kernel_cv", "scalar"): "e9fa295554f8824e",
+    ("group_eif_if_learner", "risk_ratio", "kernel_cv", "array"): "6faaf16efeac1976",
     ("group_eif_if_learner", "risk_ratio", "knn", "none"): "3f52859547c61d11",
     ("group_eif_if_learner", "risk_ratio", "knn", "scalar"): "4816d8df1fadf6be",
     ("group_eif_if_learner", "risk_ratio", "knn", "array"): "d493baad306f42b2",
     ("group_eif_if_learner", "risk_ratio", "forest", "none"): "1356ee5b0ef32381",
     ("group_eif_if_learner", "risk_ratio", "forest", "scalar"): "9039d23a7d8ee5ea",
     ("group_eif_if_learner", "risk_ratio", "forest", "array"): "4b8ce3dd51897d9f",
-    ("group_eif_if_learner", "odds_ratio", "kernel_cv", "none"): "5f0b44bfa2f6e8da",
-    ("group_eif_if_learner", "odds_ratio", "kernel_cv", "scalar"): "1b4e94f1adcd8764",
-    ("group_eif_if_learner", "odds_ratio", "kernel_cv", "array"): "cbf258e0abe82dfd",
+    ("group_eif_if_learner", "odds_ratio", "kernel_cv", "none"): "95681d4855491686",
+    ("group_eif_if_learner", "odds_ratio", "kernel_cv", "scalar"): "5c3139d2821c227b",
+    ("group_eif_if_learner", "odds_ratio", "kernel_cv", "array"): "40dbdf1c00af7ae7",
     ("group_eif_if_learner", "odds_ratio", "knn", "none"): "a17073c7104db345",
     ("group_eif_if_learner", "odds_ratio", "knn", "scalar"): "362b76ca85fd2fe8",
     ("group_eif_if_learner", "odds_ratio", "knn", "array"): "7a70eb45325a368c",

@@ -315,16 +315,28 @@ class TestKernel:
 
 def _reference_nw_predict(dist, yt, bandwidth, shape):
     u2 = (dist / bandwidth) ** 2
-    w = np.exp(-0.5 * u2) if shape == "gaussian" else np.maximum(1.0 - u2, 0.0)
+    gaussian = shape == "gaussian"
+    w = np.exp(-0.5 * u2) if gaussian else np.maximum(1.0 - u2, 0.0)
     tot = w.sum(axis=1)
     out = np.empty(dist.shape[0])
-    dead = tot <= 0.0
+    # Epanechnikov rows without weight get the mean; Gaussian rows whose
+    # total underflows below 2**-969 shift their exponents by their largest
+    dead = tot < 2.0**-969 if gaussian else tot <= 0.0
     live = ~dead
     if not np.any(dead):
         out[:] = (w @ yt) / tot
     elif np.any(live):
         out[live] = (w[live] @ yt) / tot[live]
-    out[dead] = yt.mean()
+    if gaussian and np.any(dead):
+        arg = -0.5 * u2[dead]
+        top = arg.max(axis=1)
+        with np.errstate(invalid="ignore"):  # a row of -inf exponents
+            shifted = np.exp(arg - top[:, None])
+            pred = (shifted @ yt) / shifted.sum(axis=1)
+        pred[np.isneginf(top)] = yt.mean()
+        out[dead] = pred
+    else:
+        out[dead] = yt.mean()
     return out
 
 
@@ -630,6 +642,20 @@ class TestGaussianFastPath:
         for pred, ref in zip(preds, want):
             assert pred.tobytes() == ref.tobytes()
         assert alone.tobytes() == preds[1].tobytes()
+
+    @pytest.mark.parametrize("entries", [64, 2**16])
+    def test_underflowed_rows_match_dense(self, entries):
+        # queries from inside the data to 100 bandwidths past it; the 17
+        # beyond about 38.6 bandwidths (two row blocks at 64 entries)
+        # take the shifted redo
+        x = np.linspace(-1.0, 1.0, 201)
+        y = np.sin(3.0 * x)
+        Xq = col(np.concatenate([x[::20], np.linspace(1.5, 3.0, 21)]))
+        with mock.patch.object(learners, "_BLOCK_ENTRIES", entries):
+            (pred,) = _nw_predict(Xq, col(x), y, (0.02,), "gaussian")
+        want = _reference_nw_predict(cdist(Xq, col(x)), y, 0.02, "gaussian")
+        assert pred.tobytes() == want.tobytes()
+        assert np.all(np.abs(pred[11:] - y[-1]) < 1e-3)
 
     @settings(max_examples=100, deadline=None)
     @given(

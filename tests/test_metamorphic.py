@@ -140,10 +140,7 @@ def _scaled(data: Dataset, a: float) -> Dataset:
     return Dataset(data.X, a * data.y, data.w)
 
 
-# 10-d CV kernels are left out of the property: see the strict xfail below
-SCALE_CASES = [(False, spec) for spec in SCALABLE] + [
-    (True, spec) for spec in SCALABLE if spec != KERNEL_CV
-]
+SCALE_CASES = [(ten_d, spec) for ten_d in (False, True) for spec in SCALABLE]
 
 
 class TestOutcomeScale:
@@ -183,12 +180,6 @@ class TestOutcomeScale:
         assert np.array_equal(est_a.var_hat, a * a * est.var_hat)
         assert np.array_equal(est_a.n_g, est.n_g)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="ROADMAP item 1: Gaussian weights that underflow to subnormals "
-        "lose the bits that scaling y by a power of two should keep",
-    )
     @pytest.mark.parametrize("fit", ["if_learner", "group"])
     def test_ten_d_cv_kernel_fit_scales_with_the_outcome(self, fit):
         data = _design(True, 0).dataset
