@@ -21,9 +21,12 @@ from __future__ import annotations
 import argparse
 import ast
 import dataclasses
+import functools
 import json
+import operator
 import sys
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -33,12 +36,7 @@ from .config import FromDict, one_of
 from .data import ColumnMap, load_csv, read_csv_columns, write_csv
 from .errors import ConfigError, EstimationError, ParseError, PseudolearnError
 from .grouplearner import GroupConfig, fit_group_learner
-from .iflearner import (
-    IFLearnerConfig,
-    config_digest,
-    fit_if_learner,
-    fit_plugin_learner,
-)
+from .iflearner import IFLearnerConfig, config_digest, fit_if_learner, fit_plugin_learner
 from .simulate import ExperimentConfig, run_replications
 
 __all__ = ["main", "propensity_expression"]
@@ -85,134 +83,115 @@ def _write_manifest(out_path: str, command: str, config: dict, summary: str) -> 
     print(f"wrote {out_path} ({summary})")
 
 
-# the numpy functions a --known-propensity expression may call, with the
-# most positional arguments each takes (one more would be ``out``)
+# the numpy functions a --known-propensity expression may call, and their arities
 _NP_FUNCTIONS = {
     "tanh": 1, "exp": 1, "log": 1, "sqrt": 1, "sin": 1, "cos": 1, "abs": 1,
     "minimum": 2, "maximum": 2, "clip": 3, "where": 3,
 }
-_EXPRESSION_NODES = (
-    ast.Expression, ast.BinOp, ast.UnaryOp, ast.BoolOp, ast.Compare, ast.IfExp,
-    ast.expr_context, ast.operator, ast.unaryop, ast.boolop, ast.cmpop,
-)
+# its operators, elementwise on columns and as in Python on numbers
+_OPERATORS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.FloorDiv: operator.floordiv, ast.Mod: operator.mod,
+    ast.BitAnd: operator.and_, ast.BitOr: operator.or_, ast.BitXor: operator.xor,
+    ast.UAdd: operator.pos, ast.USub: operator.neg, ast.Invert: operator.invert,
+    ast.Eq: operator.eq, ast.NotEq: operator.ne, ast.Lt: operator.lt,
+    ast.LtE: operator.le, ast.Gt: operator.gt, ast.GtE: operator.ge,
+    ast.Not: lambda v: _where(v, False, True),
+    ast.And: lambda *v: functools.reduce(lambda a, b: _where(a, b, a), v),  # b if a else a
+    ast.Or: lambda *v: functools.reduce(lambda a, b: _where(a, a, b), v),
+}
 
 
-def _check_expression(tree: ast.Expression, expr: str) -> bool:
-    """Reject any syntax outside the arithmetic whitelist; return whether the
-    expression may see whole covariate columns as ``x[i]``.
+def _where(c, a, b):
+    """``a if c else b``, row by row when ``c`` is a column."""
+    if isinstance(c, np.ndarray):
+        return np.where(c != 0, a, b)  # NaN is true, as in ``bool``
+    return a if c else b
 
-    Allowed: numeric constants, ``x[...]``, ``abs(...)``,
-    ``np.<f>(...)`` for ``f`` in ``_NP_FUNCTIONS``, arithmetic,
-    comparisons, ``and``/``or``/``not`` and conditional expressions.
-    Shifts, and powers in which neither operand reads ``x``, are refused:
-    they can build huge integers (``9**9**9``), again on every row.
 
-    Columns may stand for rows when every ``x`` is indexed by an integer
-    literal, nothing takes the truth value of a number, which an array lacks
-    (``and``, ``or``, ``not``, ``if``, a chained comparison), and there is no
-    ``**``: numpy's scalar and array powers can differ in the last bit.
+def _by_rows(fn, *args):
+    """``fn`` on each row's values: numpy's array ``**`` and ``clip`` can round
+    apart from its scalar ones."""
+    if all(np.ndim(a) == 0 for a in args):
+        return fn(*args)
+    return np.array([fn(*r) for r in zip(*[a if np.ndim(a) else repeat(a) for a in args])])
+
+
+def _evaluate(node, column, expr):
+    """The value of a --known-propensity expression's ``node``, with ``x[i]``
+    read as ``column(i)``.  Every operand is computed, of ``if`` and ``and``
+    too.  Shifts, and powers in which neither operand reads ``x``, are refused
+    before anything is computed: they can build huge integers (``9**9**9``).
     """
-    by_column, indexed = True, set()
-    for node in ast.walk(tree):  # breadth first: a subscript before its ``x``
-        if isinstance(node, ast.BinOp):
-            ok = not isinstance(node.op, (ast.LShift, ast.RShift, ast.Pow)) or (
-                isinstance(node.op, ast.Pow)
-                and any(isinstance(n, ast.Name) and n.id == "x" for n in ast.walk(node))
-            )
-        elif isinstance(node, ast.Attribute):
-            ok = (
-                isinstance(node.value, ast.Name)
-                and node.value.id == "np"
-                and node.attr in _NP_FUNCTIONS
-            )
-        elif isinstance(node, ast.Name):
-            ok = node.id in ("x", "np", "abs")
-            by_column &= node.id != "x" or id(node) in indexed
-        elif isinstance(node, ast.Constant):
-            ok = type(node.value) in (int, float, bool)
-        elif isinstance(node, ast.Subscript):
-            ok = isinstance(node.value, ast.Name) and node.value.id == "x"
-            index = node.slice
-            if isinstance(index, ast.UnaryOp) and isinstance(index.op, ast.USub):
-                index = index.operand
-            if isinstance(index, ast.Constant) and type(index.value) is int:
-                indexed.add(id(node.value))
-        elif isinstance(node, ast.Call):
-            ok = not node.keywords and (
-                (
-                    isinstance(node.func, ast.Attribute)
-                    and len(node.args) <= _NP_FUNCTIONS.get(node.func.attr, 0)
-                )
-                or (isinstance(node.func, ast.Name) and node.func.id == "abs")
-            )
-        else:
-            ok = isinstance(node, _EXPRESSION_NODES)
-            if isinstance(node, (ast.BoolOp, ast.Not, ast.IfExp, ast.Pow)) or (
-                isinstance(node, ast.Compare) and len(node.ops) > 1
-            ):
-                by_column = False
-        if not ok:
-            rule = (
-                "a power needs an operand that reads x, and << and >> are refused"
-                if isinstance(node, ast.BinOp)
-                else "use x[i], numbers, arithmetic, comparisons, abs and "
-                f"np.{{{','.join(_NP_FUNCTIONS)}}}"
-            )
-            raise ConfigError(
-                f"propensity expression {expr!r} uses {ast.unparse(node)!r}, "
-                f"which is not allowed; {rule}"
-            )
-    return by_column
+    op = type(getattr(node, "op", None))
+    operands = [n for n in ast.iter_child_nodes(node) if isinstance(n, ast.expr)]
+    name = ast.unparse(node.func) if isinstance(node, ast.Call) and not node.keywords else ""
+    f = name.removeprefix("np.")
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float, bool):
+        return node.value
+    if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "x":
+        fn, operands = lambda i: column(operator.index(i)), [node.slice]
+    elif isinstance(node, (ast.UnaryOp, ast.BoolOp, ast.BinOp)) and op in _OPERATORS:
+        fn = _OPERATORS[op]
+    elif op is ast.Pow and any(getattr(n, "id", "") == "x" for n in ast.walk(node)):
+        # on a row np.where gives an array, which has numpy's array power
+        row = [np.asarray if ast.unparse(getattr(n, "func", n)) == "np.where"
+               else (lambda v: v) for n in operands]
+        fn = functools.partial(_by_rows, lambda p, q: row[0](p) ** row[1](q))
+    elif isinstance(node, ast.Compare) and all(type(o) in _OPERATORS for o in node.ops):
+        ops = [_OPERATORS[type(o)] for o in node.ops]  # a < b < c: a < b and b < c
+        fn = lambda *t: _OPERATORS[ast.And](*(o(a, b) for o, a, b in zip(ops, t, t[1:])))
+    elif isinstance(node, ast.IfExp):
+        fn = _where
+    elif name in ("abs", f"np.{f}") and len(node.args) == _NP_FUNCTIONS.get(f, -1):
+        fn, operands = abs if name == "abs" else getattr(np, f), node.args
+        fn = functools.partial(_by_rows, fn) if f == "clip" else fn
+    else:
+        rule = (
+            "a power needs an operand that reads x, and << and >> are refused"
+            if isinstance(node, ast.BinOp)
+            else "use x[i], numbers, arithmetic, comparisons, abs and "
+            f"np.{{{','.join(_NP_FUNCTIONS)}}}"
+        )
+        raise ConfigError(
+            f"propensity expression {expr!r} uses {ast.unparse(node)!r}, "
+            f"which is not allowed; {rule}"
+        )
+    values = []
+    for n in operands:  # a loop, not a comprehension: one frame per level
+        values.append(_evaluate(n, column, expr))
+    return fn(*values)
 
 
 def propensity_expression(expr: str):
     """Compile a --known-propensity expression into a row-wise callable.
 
-    The expression sees the covariate row as ``x`` (a float array) and
-    may call ``abs`` and a few elementwise ``np`` functions; for example
-    ``"0.1 + 0.8*(x[0] > 0)"``.  Anything else (other names, attribute
-    access, strings, an ``out`` argument) is a ``ConfigError`` when the
-    expression is compiled.
-
-    The callable's ``on_rows(X)`` gives the values of all rows of ``X``.
-    It evaluates an elementwise expression once, on the columns of
-    ``X``, and any other once per row; the bits are those of the
-    row-wise calls either way.
+    The expression sees the covariate row as ``x``; for example
+    ``"0.1 + 0.8*(x[0] > 0)"``.  Syntax outside the language is a
+    ``ConfigError`` when compiling, which computes it once on stand-in columns.
+    The callable's ``on_rows(X)`` computes it once on the columns of ``X``.
     """
-    try:
-        tree = ast.parse(expr, "<known-propensity>", mode="eval")
-        by_column = _check_expression(tree, expr)
-        code = compile(tree, "<known-propensity>", "eval")
-    except (SyntaxError, RecursionError) as e:  # the latter: nested too deeply
-        raise ConfigError(f"bad propensity expression {expr!r}: {e}") from None
-    # one globals dict for every row: it holds the warnings registry, so a
-    # numpy warning repeated on many rows is shown once
-    env = {"__builtins__": {}}
 
-    def evaluate(x, convert):
+    def evaluate(column, n):
         try:
-            return convert(eval(code, env, {"x": x, "np": np, "abs": abs}))
+            return np.full(n, _evaluate(tree, column, expr), float)
         except PseudolearnError:
             raise
         except Exception as e:
-            raise ConfigError(
-                f"propensity expression {expr!r} failed: {e}"
-            ) from None
-
-    def pi(x):
-        return evaluate(x, float)
+            raise ConfigError(f"propensity expression {expr!r} failed: {e}") from None
 
     def on_rows(X):
-        n = X.shape[0]
-        if not by_column or n == 0:
-            return np.asarray([pi(x) for x in X])
+        return evaluate(np.ascontiguousarray(np.transpose(X)).__getitem__, len(X))
 
-        def column(v):
-            # a result that does not involve x holds for every row
-            return np.full(n, float(v)) if np.ndim(v) == 0 else np.asarray(v, float)
+    def pi(x):
+        return float(on_rows(np.reshape(x, (1, -1)))[0])
 
-        return evaluate(np.ascontiguousarray(X.T), column)
-
+    try:
+        tree = ast.parse(expr, "<known-propensity>", mode="eval").body
+    except (SyntaxError, RecursionError) as e:  # the latter: nested too deeply
+        raise ConfigError(f"bad propensity expression {expr!r}: {e}") from None
+    with np.errstate(all="ignore"):
+        evaluate(lambda i: np.zeros(1), 1)
     pi.on_rows = on_rows
     return pi
 

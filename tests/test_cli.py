@@ -1,6 +1,5 @@
 """Subcommand behavior, exit codes, output files, and determinism."""
 
-import ast
 import csv
 import json
 import subprocess
@@ -11,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from pseudolearn.cli import _NP_FUNCTIONS, _check_expression, main, propensity_expression
+from pseudolearn.cli import _NP_FUNCTIONS, main, propensity_expression
 from pseudolearn.data import ColumnMap, load_csv
 from pseudolearn.errors import ConfigError
 from pseudolearn.iflearner import IFLearnerConfig, fit_if_learner
@@ -691,23 +690,6 @@ class TestPropensityExpression:
                      "np.clip(x[0], 0.1, 0.9, x)"):
             with pytest.raises(ConfigError, match="not allowed"):
                 propensity_expression(expr)
-
-    @pytest.mark.parametrize(
-        "expr,by_column",
-        [
-            ("0.1 + 0.8*(x[0] > 0)", True),
-            ("0.5", True),
-            ("np.clip(x[-1], 0.1, 0.9)", True),
-            ("0.2 if x[0] > 0 else 0.3", False),
-            ("0.5 + 0.1*(x[0] > 0 and x[1] > 0)", False),
-            ("0.5 + 0.1*(not x[0] > 0)", False),
-            ("0.5 + 0.1*(0 < x[0] < 1)", False),
-            ("0.5 + 0.01*x[0]**2", False),
-            ("0.5 + 0.0*x", False),
-        ],
-    )
-    def test_elementwise_expressions_take_columns(self, expr, by_column):
-        assert _check_expression(ast.parse(expr, mode="eval"), expr) == by_column
 
     def test_columns_equal_rows_bit_for_bit(self):
         rng = np.random.default_rng(11)
