@@ -95,3 +95,24 @@ def test_every_export_resolves(path):
     name = "pseudolearn" if path.stem == "__init__" else f"pseudolearn.{path.stem}"
     module = importlib.import_module(name)
     assert [e for e in getattr(module, "__all__", []) if not hasattr(module, e)] == []
+
+
+def _dynamic_code(source: str) -> list[str]:
+    """Calls of the builtins that run or build code from text."""
+    return sorted(
+        f"{name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (name := ast.unparse(node.func).removeprefix("builtins."))
+        in ("eval", "exec", "compile", "__import__")
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_runs_code_from_text(path):
+    assert _dynamic_code(path.read_text(encoding="utf-8")) == []
+
+
+def test_dynamic_code_is_found():
+    source = "import builtins\nx = eval('1')\nbuiltins.exec(s)\nre.compile(p)\n__import__('os')"
+    assert _dynamic_code(source) == ["__import__ (line 5)", "eval (line 2)", "exec (line 3)"]
