@@ -289,10 +289,12 @@ def read_csv_columns(path, names) -> np.ndarray:
     ConfigError
         The file does not exist.
     SchemaError
-        Missing column, empty or header-only file.
+        Missing column, or one the header names twice; empty or
+        header-only file.
     ParseError
-        A byte that is not UTF-8, with its offset named; a missing or
-        non-numeric cell, with row and column named.
+        A byte that is not UTF-8, with its offset named; a record whose
+        field count differs from the header's, with the row and both counts
+        named; an empty or non-numeric cell, with row and column named.
     DomainError
         Non-finite value, with row and column named.
     """
@@ -312,12 +314,18 @@ def read_csv_columns(path, names) -> np.ndarray:
     header = [h.strip() for h in header]
     idx = []
     for name in names:
-        if name not in header:
-            raise SchemaError(f"{path}: missing column {name!r}")
+        if header.count(name) != 1:
+            problem = "missing column" if name not in header else "header repeats column"
+            raise SchemaError(f"{path}: {problem} {name!r}")
         idx.append(header.index(name))
     records = list(reader)
     if not records:
         raise SchemaError(f"{path}: no data rows (header only)")
+    if set(map(len, records)) != {len(header)}:
+        r = next(r for r, rec in enumerate(records) if len(rec) != len(header))
+        raise ParseError(
+            f"{path}: row {r} has {len(records[r])} fields, the header {len(header)}"
+        )
     # One C-level float() pass per column (float strips whitespace itself).
     table = np.empty((len(records), len(idx)))
     try:
@@ -325,14 +333,12 @@ def read_csv_columns(path, names) -> np.ndarray:
             table[:, col] = list(map(float, map(itemgetter(j), records)))
         if np.isfinite(table).all():
             return table
-    except (IndexError, ValueError):
+    except ValueError:
         pass
     # A bad cell: the row loop names the first one, by row, then by column.
     for rownum, rec in enumerate(records):
         for j, name in zip(idx, names):
             at = f"{path}: row {rownum}, column {name!r}"
-            if j >= len(rec):
-                raise ParseError(f"{path}: row {rownum}: too few fields for column {name!r}")
             raw = rec[j].strip()
             try:
                 value = float(raw)

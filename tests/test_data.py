@@ -444,6 +444,22 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="row 0"):
             load_csv(p, self.CMAP)
 
+    def test_stray_field_is_a_parse_error(self, tmp_path):
+        # 0.5 written with a decimal comma: read as x = 0, y = 5 before
+        p = self.write(tmp_path, "x,y,w\n1.0,2.0,1\n0,5,1,0\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(p, ColumnMap(covariates=("x",), outcome="y", treatment="w"))
+        assert str(err.value) == f"{p}: row 1 has 4 fields, the header 3"
+
+    def test_column_named_twice_is_a_schema_error(self, tmp_path):
+        p = self.write(tmp_path, "x,y,w,x\n1.0,2.0,1,3.0\n")
+        cmap = ColumnMap(covariates=("x",), outcome="y", treatment="w")
+        with pytest.raises(SchemaError, match="header repeats column 'x'"):
+            load_csv(p, cmap)
+        # a column that is not read may repeat
+        p = self.write(tmp_path, "x,y,w,z,z\n1.0,2.0,1,a,b\n")
+        assert load_csv(p, cmap).X.tolist() == [[1.0]]
+
     def test_column_map_from_dict(self):
         cm = ColumnMap.from_dict(
             {"covariates": ["a", "b"], "outcome": "y", "treatment": "t"}
@@ -469,14 +485,16 @@ def _reference_read_csv_columns(path, names):
             if name not in header:
                 raise SchemaError(f"{path}: missing column {name!r}")
             idx.append(header.index(name))
+        records = list(reader)
+        for rownum, rec in enumerate(records):
+            if len(rec) != len(header):
+                raise ParseError(
+                    f"{path}: row {rownum} has {len(rec)} fields, the header {len(header)}"
+                )
         rows = []
-        for rownum, rec in enumerate(reader):
+        for rownum, rec in enumerate(records):
             vals = []
             for j, name in zip(idx, names):
-                if j >= len(rec):
-                    raise ParseError(
-                        f"{path}: row {rownum}: too few fields for column {name!r}"
-                    )
                 raw = rec[j].strip()
                 try:
                     val = float(raw)
@@ -533,7 +551,13 @@ class TestReadCsvColumns:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        rows=st.lists(st.lists(_PADDED, min_size=0, max_size=5), max_size=12),
+        # one row in ten has a field count unlike the header's
+        rows=st.lists(
+            st.integers(0, 9).flatmap(
+                lambda k: st.lists(_PADDED, min_size=4 * (k > 0), max_size=4 + (k == 0))
+            ),
+            max_size=12,
+        ),
         names=st.permutations(["a", "b", "c"]).flatmap(
             lambda p: st.integers(1, 3).map(lambda k: p[:k])
         ),
