@@ -178,6 +178,10 @@ def _arms_ok(fold_of: np.ndarray, w: np.ndarray, n_folds: int) -> bool:
 
 
 def _draw_folds(data: Dataset, cfg: CrossfitConfig) -> FoldAssignment:
+    if data.n < cfg.n_folds:  # the realised n, so not a ConfigError
+        raise EstimationError(
+            f"insufficient data: n={data.n} with {cfg.n_folds} folds (need n >= K)"
+        )
     for attempt in range(MAX_FOLD_REDRAWS + 1):
         fa = make_folds(
             data.n, cfg.n_folds, seed=rngmod.derive_seed(cfg.seed, "folds", attempt)

@@ -86,6 +86,13 @@ class TestCrossfit:
         with pytest.raises(EstimationError, match="degenerate arm"):
             crossfit_nuisances(ds, cfg)
 
+    def test_fewer_rows_than_folds_is_an_estimation_error(self):
+        # the realised n fails, not the config: exit 1, like fit_if_learner's check
+        ds = Dataset(np.arange(3.0).reshape(-1, 1), np.zeros(3), [0, 1, 0])
+        cfg = CrossfitConfig(outcome_spec=MEAN, propensity_spec=MEAN, n_folds=5)
+        with pytest.raises(EstimationError, match=r"insufficient data: n=3 with 5 folds"):
+            crossfit_nuisances(ds, cfg)
+
     @pytest.mark.parametrize(
         "fit, what",
         [(crossfit_nuisances, "cross-fitting"), (oob_nuisances, "the out-of-bag fit")],
