@@ -46,7 +46,6 @@ from .grouplearner import (
 )
 from .iflearner import (
     IFLearnerConfig,
-    TargetModel,
     TrueNuisances,
     config_digest,
     fit_if_learner,
@@ -57,7 +56,6 @@ from .iflearner import (
 from .learners import FittedModel, LearnerSpec, fit_learner, fit_probability
 from .pseudo import (
     PseudoOutcomeSpec,
-    PseudoOutcomes,
     aipw_pseudo,
     build_pseudo_outcomes,
     ht_pseudo,
@@ -86,10 +84,8 @@ __all__ = [
     "NuisanceEstimates",
     "ParseError",
     "PseudoOutcomeSpec",
-    "PseudoOutcomes",
     "PseudolearnError",
     "SchemaError",
-    "TargetModel",
     "TrueNuisances",
     "aipw_pseudo",
     "build_pseudo_outcomes",

@@ -120,8 +120,8 @@ def _by_rows(fn, *args):
 def _evaluate(node, column, expr):
     """The value of a --known-propensity expression's ``node``, with ``x[i]``
     read as ``column(i)``.  Every operand is computed, of ``if`` and ``and``
-    too.  Shifts, and powers in which neither operand reads ``x``, are refused
-    before anything is computed: they can build huge integers (``9**9**9``).
+    too.  Shifts, and powers neither of whose operands is a column, are refused
+    before they are computed: they can build huge integers (``9**9**9``).
     """
     op = type(getattr(node, "op", None))
     operands = [n for n in ast.iter_child_nodes(node) if isinstance(n, ast.expr)]
@@ -133,7 +133,7 @@ def _evaluate(node, column, expr):
         fn, operands = lambda i: column(operator.index(i)), [node.slice]
     elif isinstance(node, (ast.UnaryOp, ast.BoolOp, ast.BinOp)) and op in _OPERATORS:
         fn = _OPERATORS[op]
-    elif op is ast.Pow and any(getattr(n, "id", "") == "x" for n in ast.walk(node)):
+    elif op is ast.Pow:
         # on a row np.where gives an array, which has numpy's array power
         row = [np.asarray if ast.unparse(getattr(n, "func", n)) == "np.where"
                else (lambda v: v) for n in operands]
@@ -147,20 +147,26 @@ def _evaluate(node, column, expr):
         fn, operands = abs if name == "abs" else getattr(np, f), node.args
         fn = functools.partial(_by_rows, fn) if f == "clip" else fn
     else:
-        rule = (
-            "a power needs an operand that reads x, and << and >> are refused"
-            if isinstance(node, ast.BinOp)
-            else "use x[i], numbers, arithmetic, comparisons, abs and "
-            f"np.{{{','.join(_NP_FUNCTIONS)}}}"
-        )
-        raise ConfigError(
-            f"propensity expression {expr!r} uses {ast.unparse(node)!r}, "
-            f"which is not allowed; {rule}"
-        )
+        raise _refused(node, expr)
     values = []
     for n in operands:  # a loop, not a comprehension: one frame per level
         values.append(_evaluate(n, column, expr))
+    if op is ast.Pow and not any(np.ndim(v) for v in values):
+        raise _refused(node, expr)
     return fn(*values)
+
+
+def _refused(node, expr) -> ConfigError:
+    rule = (
+        "a power needs an operand that reads x, and << and >> are refused"
+        if isinstance(node, ast.BinOp)
+        else "use x[i], numbers, arithmetic, comparisons, abs and "
+        f"np.{{{','.join(_NP_FUNCTIONS)}}}"
+    )
+    return ConfigError(
+        f"propensity expression {expr!r} uses {ast.unparse(node)!r}, "
+        f"which is not allowed; {rule}"
+    )
 
 
 def propensity_expression(expr: str):

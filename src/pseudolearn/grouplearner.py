@@ -274,9 +274,10 @@ def fit_group_learner(
     else:
         known_aux = pi_full[aux_rows] if pi_full is not None else None
         scorer = fit_if_learner(aux, cfg.if_config, known_propensity=known_aux)
-    scores, arms = scorer.predict_arms(est.X)
     # a plug-in scorer's arms are fit on the auxiliary arm rows, in order, with
     # the same spec and clip: if the fit reads no seed, it is fit_then_predict's
+    arms = {name: arm.predict(est.X) for name, arm in getattr(scorer, "arms", {}).items()}
+    scores = scorer.combine(arms) if arms else scorer.predict(est.X)
     if not cfg.if_config.crossfit.outcome_spec.reads_seed:
         given.update(arms)
 
@@ -285,7 +286,7 @@ def fit_group_learner(
         seed_of=lambda name: rngmod.derive_seed(cfg.seed, "nuisance", name),
         where="the auxiliary half", given=given,
     )
-    d = build_pseudo_outcomes(est, NuisanceEstimates(**preds), pseudo).d
+    d = build_pseudo_outcomes(est, NuisanceEstimates(**preds), pseudo)
 
     cutpoints = _group_cutpoints(scores, G)
     gidx = np.searchsorted(cutpoints, scores, side="left")

@@ -39,7 +39,6 @@ from .pseudo import NUISANCES, TARGET_TABLE, PseudoOutcomeSpec, build_pseudo_out
 
 __all__ = [
     "IFLearnerConfig",
-    "TargetModel",
     "TrueNuisances",
     "fit_if_learner",
     "fit_oracle_learner",
@@ -83,30 +82,6 @@ class IFLearnerConfig(FromDict):
         """This config with its second-stage and cross-fitting seeds replaced."""
         crossfit = dataclasses.replace(self.crossfit, seed=crossfit_seed)
         return dataclasses.replace(self, seed=seed, crossfit=crossfit)
-
-
-class TargetModel:
-    """A fitted target-function estimate with provenance."""
-
-    def __init__(self, model: FittedModel, provenance: dict):
-        self._model = model
-        self.provenance = provenance
-        self.n_features = model.n_features
-
-    def predict(self, Xq) -> np.ndarray:
-        return self._model.predict(Xq)
-
-    def predict_arms(self, Xq) -> tuple[np.ndarray, dict]:
-        """``predict(Xq)`` and, for a plug-in model, each arm's predictions by slot."""
-        arms = getattr(self._model, "arms", {})
-        values = {name: arm.predict(Xq) for name, arm in arms.items()}
-        return (self._model.combine(values) if arms else self.predict(Xq)), values
-
-    def __repr__(self) -> str:
-        return (
-            f"TargetModel(target={self.provenance.get('target')!r}, "
-            f"n={self.provenance.get('n')}, d={self.n_features})"
-        )
 
 
 def winsorize_values(d: np.ndarray, q: float) -> np.ndarray:
@@ -154,16 +129,15 @@ def _second_stage(cfg: IFLearnerConfig, data: Dataset, d: np.ndarray, variant: s
     if cfg.winsorize is not None:
         d = winsorize_values(d, cfg.winsorize)
     model = fit_learner(cfg.second_stage, data.X, d, seed=cfg.seed)
-    return TargetModel(
-        model, _provenance(cfg, data, cfg.pseudo.target, variant, cfg.seed)
-    )
+    model.provenance = _provenance(cfg, data, cfg.pseudo.target, variant, cfg.seed)
+    return model
 
 
 def fit_if_learner(
     data: Dataset,
     cfg: IFLearnerConfig,
     known_propensity=None,
-) -> TargetModel:
+) -> FittedModel:
     """Cross-fit nuisances, build pseudo-outcomes, regress them on X.
 
     A target that reads no nuisances (``regression_mean``) has y itself
@@ -183,7 +157,7 @@ def fit_if_learner(
         nuis = crossfit_nuisances(
             data, cfg.crossfit, cfg.pseudo, known_propensity=known_propensity
         )
-    d = build_pseudo_outcomes(data, nuis, cfg.pseudo).d
+    d = build_pseudo_outcomes(data, nuis, cfg.pseudo)
     return _second_stage(cfg, data, d, "if_learner")
 
 
@@ -193,7 +167,7 @@ def fit_oracle_learner(
     pseudo: PseudoOutcomeSpec,
     second_stage: LearnerSpec,
     seed: int = 0,
-) -> TargetModel:
+) -> FittedModel:
     """Infeasible benchmark: exact nuisances, no cross-fitting.
 
     The second-stage regression sees the true per-row signal
@@ -201,7 +175,7 @@ def fit_oracle_learner(
     second-stage regression error.
     """
     cfg = IFLearnerConfig(pseudo=pseudo, second_stage=second_stage, seed=seed)
-    d = build_pseudo_outcomes(data, true_nuisances.as_estimates(data, pseudo), pseudo).d
+    d = build_pseudo_outcomes(data, true_nuisances.as_estimates(data, pseudo), pseudo)
     return _second_stage(cfg, data, d, "oracle")
 
 
@@ -223,7 +197,7 @@ class _FunctionalOfArms(FittedModel):
         return self.combine({name: arm.predict(Xq) for name, arm in self.arms.items()})
 
 
-def fit_plugin_learner(data: Dataset, cfg: IFLearnerConfig) -> TargetModel:
+def fit_plugin_learner(data: Dataset, cfg: IFLearnerConfig) -> FittedModel:
     """Uncorrected baseline: contrast (or ratio) of arm-wise fits.
 
     Fits the outcome learner separately on each arm's rows (all of
@@ -249,5 +223,5 @@ def fit_plugin_learner(data: Dataset, cfg: IFLearnerConfig) -> TargetModel:
     else:
         arms = {"mu0": fit_arm("mu0"), "mu1": fit_arm("mu1")}
         model = _FunctionalOfArms(arms, target.plugin)
-    provenance = _provenance(cfg, data, cfg.pseudo.target, "plugin", cfg.seed)
-    return TargetModel(model, provenance)
+    model.provenance = _provenance(cfg, data, cfg.pseudo.target, "plugin", cfg.seed)
+    return model

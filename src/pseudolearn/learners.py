@@ -127,8 +127,8 @@ class LearnerSpec(FromDict):
 
 
 def _as_matrix(Xq, d: int) -> np.ndarray:
-    """Coerce query points to shape (m, d)."""
-    Xq = np.asarray(Xq, dtype=float)
+    """Coerce query points, real numbers (NaN and +-inf too), to shape (m, d)."""
+    Xq = all_numbers("query points", Xq)
     if Xq.ndim == 1:
         # A flat vector is m separate points when d == 1, otherwise one point.
         Xq = Xq.reshape(-1, 1) if d == 1 else Xq.reshape(1, -1)
@@ -205,10 +205,12 @@ def _sort_rows(a: np.ndarray, ids: np.ndarray | None = None):
 class FittedModel:
     """A frozen regression fit: ``predict`` maps (m, d) points to (m,).
 
-    Every fitted model records its training dimension (``n_features``).
+    Every fitted model records its training dimension (``n_features``); a
+    target fit also carries a ``provenance`` dict, a nuisance fit does not.
     """
 
     n_features: int
+    provenance: dict
 
     def predict(self, Xq) -> np.ndarray:
         raise NotImplementedError

@@ -34,7 +34,8 @@ import numpy as np
 from .config import FromDict, one_of, open_interval
 from .data import (
     EPS_CLIP_DEFAULT, P_CLIP_DEFAULT, Dataset, NuisanceEstimates, all_between,
-    all_binary, all_finite, all_probabilities, read_only_copy, scalar_or_array,
+    all_binary, all_finite, all_numbers, all_probabilities, read_only_copy,
+    scalar_or_array,
 )
 from .errors import ConfigError, SchemaError
 
@@ -45,7 +46,6 @@ __all__ = [
     "NUISANCES",
     "CONTRAST_TARGETS",
     "PseudoOutcomeSpec",
-    "PseudoOutcomes",
     "aipw_pseudo",
     "ht_pseudo",
     "plugin_cate",
@@ -84,24 +84,9 @@ class PseudoOutcomeSpec(FromDict):
             )
 
 
-@dataclass(frozen=True)
-class PseudoOutcomes:
-    """Per-row pseudo-outcome values, ready for second-stage regression."""
-
-    d: np.ndarray
-
-    def __post_init__(self):
-        d = read_only_copy(np.ravel(self.d))
-        all_finite("pseudo-outcomes", d)
-        object.__setattr__(self, "d", d)
-
-    @property
-    def n(self) -> int:
-        return self.d.shape[0]
-
-
-def _prep(*arrays):
-    return [np.asarray(a, dtype=float) for a in arrays]
+def _prep(**arrays):
+    """Each named array as floats; an entry that is not a real number is refused."""
+    return [all_numbers(name, a) for name, a in arrays.items()]
 
 
 def ht_pseudo(y, w, pi):
@@ -112,14 +97,14 @@ def ht_pseudo(y, w, pi):
     variance blows up as pi nears 0 or 1.
     """
     all_binary("w", w)
-    y, w, pi = _prep(y, w, pi)
+    y, w, pi = _prep(y=y, w=w, pi=pi)
     all_probabilities("pi", pi)
     return scalar_or_array((w / pi - (1.0 - w) / (1.0 - pi)) * y)
 
 
 def plugin_cate(mu0, mu1):
     """Plug-in contrast mu1 - mu0; no bias correction."""
-    mu0, mu1 = _prep(mu0, mu1)
+    mu0, mu1 = _prep(mu0=mu0, mu1=mu1)
     return scalar_or_array(mu1 - mu0)
 
 
@@ -131,7 +116,7 @@ def aipw_pseudo(y, w, pi, mu0, mu1):
     and conditionally unbiased for mu1(x) - mu0(x) under the truth.
     """
     all_binary("w", w)
-    y, w, pi, mu0, mu1 = _prep(y, w, pi, mu0, mu1)
+    y, w, pi, mu0, mu1 = _prep(y=y, w=w, pi=pi, mu0=mu0, mu1=mu1)
     all_probabilities("pi", pi)
     out = (
         (mu1 - mu0)
@@ -159,7 +144,7 @@ def transform_pseudo(y, w, pi, mu0, mu1, df_dmu0, df_dmu1, f):
     influence terms with those partials and re-adds f itself.
     """
     all_binary("w", w)
-    y, w, pi, mu0, mu1 = _prep(y, w, pi, mu0, mu1)
+    y, w, pi, mu0, mu1 = _prep(y=y, w=w, pi=pi, mu0=mu0, mu1=mu1)
     all_probabilities("pi", pi)
     g0 = np.asarray(df_dmu0(mu0, mu1), dtype=float)
     g1 = np.asarray(df_dmu1(mu0, mu1), dtype=float)
@@ -184,29 +169,30 @@ def mar_pseudo(y, a, pi, mu):
     never read.
     """
     all_binary("a", a)
-    y, a, pi, mu = _prep(y, a, pi, mu)
+    y, a, pi, mu = _prep(y=y, a=a, pi=pi, mu=mu)
     all_probabilities("pi", pi)
     return scalar_or_array((a / pi) * (y - mu) + mu)
 
 
 def risk_ratio_value(mu0, mu1):
-    return scalar_or_array(np.asarray(mu1, dtype=float) / np.asarray(mu0, dtype=float))
+    mu0, mu1 = _prep(mu0=mu0, mu1=mu1)
+    return scalar_or_array(mu1 / mu0)
 
 
 def risk_ratio_partials(mu0, mu1):
     """(d/dmu0, d/dmu1) of mu1/mu0."""
-    mu0, mu1 = _prep(mu0, mu1)
+    mu0, mu1 = _prep(mu0=mu0, mu1=mu1)
     return scalar_or_array(-mu1 / mu0**2), scalar_or_array(1.0 / mu0)
 
 
 def odds_ratio_value(mu0, mu1):
-    mu0, mu1 = _prep(mu0, mu1)
+    mu0, mu1 = _prep(mu0=mu0, mu1=mu1)
     return scalar_or_array((mu1 * (1.0 - mu0)) / ((1.0 - mu1) * mu0))
 
 
 def odds_ratio_partials(mu0, mu1):
     """(d/dmu0, d/dmu1) of the odds ratio [mu1/(1-mu1)] / [mu0/(1-mu0)]."""
-    mu0, mu1 = _prep(mu0, mu1)
+    mu0, mu1 = _prep(mu0=mu0, mu1=mu1)
     d0 = -mu1 / ((1.0 - mu1) * mu0**2)
     d1 = (1.0 - mu0) / ((1.0 - mu1) ** 2 * mu0)
     return scalar_or_array(d0), scalar_or_array(d1)
@@ -268,8 +254,8 @@ def build_pseudo_outcomes(
     data: Dataset,
     nuisances: NuisanceEstimates | None,
     spec: PseudoOutcomeSpec,
-) -> PseudoOutcomes:
-    """Vectorised pseudo-outcome construction for a whole dataset.
+) -> np.ndarray:
+    """Vectorised pseudo-outcome construction for a whole dataset: D, read-only.
 
     Reads the vectors ``NUISANCES`` lists for the target and enforces the
     clip floors on them (they are produced clipped; arriving outside the
@@ -279,7 +265,7 @@ def build_pseudo_outcomes(
     target = TARGET_TABLE[spec.target]
     reads = target.nuisances
     if not reads:
-        return PseudoOutcomes(d=np.array(data.y, dtype=float))
+        return read_only_copy(data.y)
     w = data.require_indicator(f"target {spec.target!r}")
     missing = [m for m in reads if getattr(nuisances, f"{m}_hat", None) is None]
     if missing:
@@ -298,4 +284,6 @@ def build_pseudo_outcomes(
         for m, mu in (("mu0", nuisances.mu0_hat), ("mu1", nuisances.mu1_hat)):
             all_between(f"{m}_hat under the probability clip", mu, lo, 1.0 - lo)
     values = {m: getattr(nuisances, f"{m}_hat") for m in reads}
-    return PseudoOutcomes(d=target.signal(data.y, w.astype(float), **values))
+    d = read_only_copy(np.ravel(target.signal(data.y, w.astype(float), **values)))
+    all_finite("pseudo-outcomes", d)
+    return d

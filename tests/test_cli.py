@@ -681,6 +681,15 @@ class TestPropensityExpression:
         assert "<< and >> are refused" in msg
         assert "arithmetic" not in msg
 
+    @pytest.mark.parametrize(
+        "expr", ["(9 if 1 else x[0]) ** (1000000 if 1 else x[0])", "(x[0] if 0 else 9)**1000000"]
+    )
+    def test_power_refused_by_its_operands_values(self, expr):
+        # an x in a branch that a constant condition discards leaves a number,
+        # so the power is refused, not computed
+        with pytest.raises(ConfigError, match="a power needs an operand that reads x"):
+            propensity_expression(expr)
+
     def test_other_refusals_keep_the_whitelist_message(self):
         with pytest.raises(ConfigError, match="use x\\[i\\], numbers, arithmetic"):
             propensity_expression("x.__class__")

@@ -24,8 +24,8 @@ from pseudolearn.errors import ConfigError, DomainError, ParseError, SchemaError
 from pseudolearn.grouplearner import GroupEstimates, group_efficient_estimate
 from pseudolearn.learners import LearnerSpec, fit_learner, fit_probability
 from pseudolearn.pseudo import (
-    PseudoOutcomes, PseudoOutcomeSpec, aipw_pseudo, build_pseudo_outcomes, ht_pseudo,
-    mar_pseudo, rr_pseudo, transform_pseudo,
+    PseudoOutcomeSpec, aipw_pseudo, build_pseudo_outcomes, ht_pseudo, mar_pseudo,
+    plugin_cate, risk_ratio_value, rr_pseudo, transform_pseudo,
 )
 from pseudolearn.simulate import LabeledSample, beta24_density
 
@@ -238,7 +238,6 @@ HOLDERS = {
     "NuisanceEstimates.mu0_hat": (
         lambda a: NuisanceEstimates(mu0_hat=a), "mu0_hat", np.zeros(4)
     ),
-    "PseudoOutcomes.d": (lambda a: PseudoOutcomes(d=a), "d", np.zeros(4)),
     "LabeledSample.true_pi": (_labeled, "true_pi", np.full(4, 0.5)),
     "GroupEstimates.psi_hat": (
         lambda a: _group_estimates(psi_hat=a), "psi_hat", np.array([0.0, 1.0])
@@ -269,6 +268,7 @@ BAD_ENTRIES = {
     "binary": [NAN, INF, -INF, 2, None],
 }
 # entry points that read their values as numbers also refuse a string or None
+BAD_ENTRIES["number"] = ["a", None]
 BAD_ENTRIES["finite number"] = BAD_ENTRIES["finite"] + ["a", None]
 BAD_ENTRIES["probability number"] = BAD_ENTRIES["probability"] + ["a", None]
 BAD_ENTRIES["binary number"] = BAD_ENTRIES["finite number"] + [0.5, 2.0]
@@ -320,13 +320,20 @@ RULED_INPUTS = {
         "probability", HALVES, lambda v: LabeledSample(DS5, ZEROS, ZEROS, HALVES, v)
     ),
     "group_efficient_estimate": ("finite", ZEROS, group_efficient_estimate),
-    "PseudoOutcomes": ("finite", ZEROS, lambda v: PseudoOutcomes(d=v)),
+    "aipw_pseudo.y": ("number", ZEROS, lambda v: aipw_pseudo(v, ARMS, HALVES, 0, 0)),
+    "aipw_pseudo.mu1": ("number", ZEROS, lambda v: aipw_pseudo(ZEROS, ARMS, HALVES, 0, v)),
     "aipw_pseudo.w": ("binary", ARMS, lambda v: aipw_pseudo(ZEROS, v, HALVES, 0, 0)),
     "aipw_pseudo.pi": ("probability", HALVES, lambda v: aipw_pseudo(ZEROS, ARMS, v, 0, 0)),
     "ht_pseudo.w": ("binary", ARMS, lambda v: ht_pseudo(ZEROS, v, HALVES)),
     "ht_pseudo.pi": ("probability", HALVES, lambda v: ht_pseudo(ZEROS, ARMS, v)),
+    "mar_pseudo.y": ("number", ZEROS, lambda v: mar_pseudo(v, ARMS, HALVES, ZEROS)),
+    "mar_pseudo.mu": ("number", ZEROS, lambda v: mar_pseudo(ZEROS, ARMS, HALVES, v)),
     "mar_pseudo.a": ("binary", ARMS, lambda v: mar_pseudo(ZEROS, v, HALVES, ZEROS)),
     "mar_pseudo.pi": ("probability", HALVES, lambda v: mar_pseudo(ZEROS, ARMS, v, ZEROS)),
+    "plugin_cate.mu0": ("number", ZEROS, lambda v: plugin_cate(v, ZEROS)),
+    "plugin_cate.mu1": ("number", ZEROS, lambda v: plugin_cate(ZEROS, v)),
+    "risk_ratio_value.mu0": ("number", HALVES, lambda v: risk_ratio_value(v, HALVES)),
+    "risk_ratio_value.mu1": ("number", HALVES, lambda v: risk_ratio_value(HALVES, v)),
     "transform_pseudo.w": (
         "binary", ARMS,
         lambda v: transform_pseudo(ZEROS, v, HALVES, 0.5, 0.5, _zero, _zero, _zero),
@@ -349,6 +356,9 @@ RULED_INPUTS = {
     ),
     "fit_learner.y": (
         "finite number", ZEROS, lambda v: fit_learner(LearnerSpec(kind="mean"), X5, v)
+    ),
+    "FittedModel.predict": (
+        "number", ZEROS, fit_learner(LearnerSpec(kind="kernel", bandwidth=0.5), X5, ZEROS).predict
     ),
     "build_pseudo_outcomes.pi_hat": (
         "clipped", HALVES, lambda v: build_pseudo_outcomes(

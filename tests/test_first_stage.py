@@ -127,7 +127,7 @@ class TestNuisanceTable:
     def test_build_needs_the_vectors_its_target_reads(self):
         data = sample_for("mar_mean").dataset
         only_pi = NuisanceEstimates(pi_hat=np.full(data.n, 0.5))
-        d = build_pseudo_outcomes(data, only_pi, pseudo_for("cate_ht")).d
+        d = build_pseudo_outcomes(data, only_pi, pseudo_for("cate_ht"))
         assert np.array_equal(d, ht_pseudo(data.y, data.w.astype(float), 0.5))
         with pytest.raises(SchemaError, match=r"needs nuisance estimates \['mu1'\]"):
             build_pseudo_outcomes(data, only_pi, pseudo_for("mar_mean"))

@@ -517,7 +517,7 @@ def _reference_plugin_group(data, cfg, known_propensity=None):
         rows = arm_rows(name, data.w, aux_rows)
         model = fit_nuisance(name, data, rows, icfg.crossfit, pseudo, seed, "aux")
         preds[f"{name}_hat"] = model.predict(data.X[est_rows])
-    d = build_pseudo_outcomes(est, NuisanceEstimates(**preds), pseudo).d
+    d = build_pseudo_outcomes(est, NuisanceEstimates(**preds), pseudo)
 
     cuts = _group_cutpoints(scores, cfg.n_groups)
     gidx = np.searchsorted(cuts, scores, side="left")

@@ -1,4 +1,4 @@
-"""Two-stage pipeline: collapse identity, oracles, baselines, provenance."""
+"""Two-stage pipeline: collapse identity, oracles, baselines, provenance, fit results."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from pseudolearn.iflearner import (
     fit_plugin_learner,
     winsorize_values,
 )
-from pseudolearn.learners import LearnerSpec, fit_learner
+from pseudolearn.learners import FittedModel, LearnerSpec, fit_learner
 from pseudolearn.pseudo import PseudoOutcomeSpec, aipw_pseudo
 
 KNN2 = LearnerSpec(kind="knn", k=2)
@@ -178,6 +178,32 @@ class TestFitIfLearner:
         import json
 
         json.dumps(p)  # must be serializable as-is
+
+
+PROVENANCE_KEYS = {"variant", "target", "config_hash", "n", "d", "seed", "stream_version"}
+# every fit entry point, and each branch of the plug-in baseline
+FITS = {
+    "if_learner": lambda ds: fit_if_learner(ds, basic_config(), known_propensity=0.5),
+    "oracle": lambda ds: fit_oracle_learner(
+        ds, TrueNuisances(), PseudoOutcomeSpec(), KNN2, seed=4
+    ),
+    "plugin two arms": lambda ds: fit_plugin_learner(ds, basic_config()),
+    "plugin mar_mean": lambda ds: fit_plugin_learner(ds, basic_config(target="mar_mean")),
+    "plugin regression_mean": lambda ds: fit_plugin_learner(
+        ds, basic_config(target="regression_mean")
+    ),
+}
+
+
+@pytest.mark.parametrize("fit", FITS)
+def test_fit_result_is_the_fitted_model_with_its_provenance(fit):
+    ds = rct_dataset(n=60, seed=14)
+    model = FITS[fit](ds)
+    assert isinstance(model, FittedModel) and model.n_features == 1
+    assert model.predict(ds.X[:3]).shape == (3,)
+    assert set(model.provenance) == PROVENANCE_KEYS
+    assert model.provenance["variant"] == fit.split()[0]
+    assert (model.provenance["n"], model.provenance["d"]) == (60, 1)
 
 
 class TestWinsorize:

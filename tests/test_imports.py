@@ -1,8 +1,11 @@
 """No package module imports a name it never uses, defines a private name
-that nothing reads, or exports a name it lacks (no linter needed)."""
+that nothing reads, or exports a name it lacks, and every example imports
+names that exist (no linter needed)."""
 
 import ast
 import importlib
+import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,8 @@ import pytest
 import pseudolearn
 
 MODULES = sorted(Path(pseudolearn.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+EXAMPLES = sorted((ROOT / "demos").glob("*.py")) + [ROOT / "README.md"]
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -116,3 +121,34 @@ def test_no_module_runs_code_from_text(path):
 def test_dynamic_code_is_found():
     source = "import builtins\nx = eval('1')\nbuiltins.exec(s)\nre.compile(p)\n__import__('os')"
     assert _dynamic_code(source) == ["__import__ (line 5)", "eval (line 2)", "exec (line 3)"]
+
+
+def _unresolved_imports(source: str) -> list[str]:
+    """Names that ``from pseudolearn... import`` statements ask for and lack
+    (a submodule of the package counts as present)."""
+    missing = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "pseudolearn":
+            module = importlib.import_module(node.module)
+            missing += [
+                f"{node.module}.{alias.name}" for alias in node.names
+                if not hasattr(module, alias.name) and not (
+                    hasattr(module, "__path__")
+                    and importlib.util.find_spec(f"{node.module}.{alias.name}")
+                )
+            ]
+    return missing
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)
+def test_every_example_imports_what_exists(path):
+    text = path.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S) if path.suffix == ".md" else [text]
+    assert path.suffix == ".py" or blocks  # README has python blocks to check
+    assert [name for block in blocks for name in _unresolved_imports(block)] == []
+
+
+def test_an_unresolved_import_is_found():
+    source = "from pseudolearn import Dataset, Gone\nfrom pseudolearn.pseudo import PseudoOutcomes"
+    assert _unresolved_imports(source) == ["pseudolearn.Gone", "pseudolearn.pseudo.PseudoOutcomes"]
+    assert _unresolved_imports("from pseudolearn import simulate\nimport numpy") == []

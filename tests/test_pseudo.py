@@ -21,7 +21,6 @@ from pseudolearn.pseudo import (
     NUISANCES,
     TARGETS,
     PseudoOutcomeSpec,
-    PseudoOutcomes,
     aipw_pseudo,
     build_pseudo_outcomes,
     ht_pseudo,
@@ -338,10 +337,6 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             PseudoOutcomeSpec(p_clip=0.5)
 
-    def test_outcomes_must_be_finite(self):
-        with pytest.raises(DomainError):
-            PseudoOutcomes(d=np.array([1.0, np.inf]))
-
 
 class TestBuild:
     def hand_dataset(self):
@@ -358,28 +353,28 @@ class TestBuild:
     def test_regression_mean_is_identity(self):
         ds = Dataset(np.zeros((3, 1)), [5.0, 6.0, 7.0])
         out = build_pseudo_outcomes(ds, None, PseudoOutcomeSpec(target="regression_mean"))
-        assert np.array_equal(out.d, ds.y)
+        assert np.array_equal(out, ds.y)
 
     def test_plugin_vectorizes(self):
         ds, nuis = self.hand_dataset()
         out = build_pseudo_outcomes(ds, nuis, PseudoOutcomeSpec(target="cate_plugin"))
-        assert np.allclose(out.d, nuis.mu1_hat - nuis.mu0_hat)
+        assert np.allclose(out, nuis.mu1_hat - nuis.mu0_hat)
 
     def test_aipw_hand_triple(self):
         ds, nuis = self.hand_dataset()
         out = build_pseudo_outcomes(ds, nuis, PseudoOutcomeSpec(target="cate_aipw"))
-        assert np.allclose(out.d, [2.0, 13.0 / 6.0, -0.1], atol=1e-12)
+        assert np.allclose(out, [2.0, 13.0 / 6.0, -0.1], atol=1e-12)
 
     def test_ht_matches_scalar_constructor(self):
         ds, nuis = self.hand_dataset()
         out = build_pseudo_outcomes(ds, nuis, PseudoOutcomeSpec(target="cate_ht"))
-        assert np.array_equal(out.d, ht_pseudo(ds.y, ds.w.astype(float), nuis.pi_hat))
+        assert np.array_equal(out, ht_pseudo(ds.y, ds.w.astype(float), nuis.pi_hat))
 
     def test_mar_uses_mu1_slot(self):
         ds, nuis = self.hand_dataset()
         out = build_pseudo_outcomes(ds, nuis, PseudoOutcomeSpec(target="mar_mean"))
         expected = mar_pseudo(ds.y, ds.w.astype(float), nuis.pi_hat, nuis.mu1_hat)
-        assert np.array_equal(out.d, expected)
+        assert np.array_equal(out, expected)
 
     def binary_dataset(self, n=200, seed=115):
         rng = np.random.default_rng(seed)
@@ -400,7 +395,7 @@ class TestBuild:
         direct = rr_pseudo(
             ds.y, ds.w.astype(float), nuis.pi_hat, nuis.mu0_hat, nuis.mu1_hat
         )
-        assert np.allclose(rr.d, direct, atol=1e-12)
+        assert np.allclose(rr, direct, atol=1e-12)
 
         or_spec = PseudoOutcomeSpec(target="odds_ratio", binary_outcome=True)
         odds = build_pseudo_outcomes(ds, nuis, or_spec)
@@ -414,7 +409,7 @@ class TestBuild:
             lambda a, b: odds_ratio_partials(a, b)[1],
             odds_ratio_value,
         )
-        assert np.allclose(odds.d, direct_or, atol=1e-12)
+        assert np.allclose(odds, direct_or, atol=1e-12)
 
     @pytest.mark.parametrize("target", TARGETS)
     def test_every_target_equals_its_constructor_bit_for_bit(self, target):
@@ -436,8 +431,29 @@ class TestBuild:
             "regression_mean": lambda: y,
         }
         spec = PseudoOutcomeSpec(target=target, binary_outcome=True)
-        got = build_pseudo_outcomes(ds, nuis, spec).d
+        got = build_pseudo_outcomes(ds, nuis, spec)
         assert got.tobytes() == np.asarray(public[target](), dtype=float).tobytes()
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_signal_is_a_read_only_array(self, target):
+        ds, nuis = self.binary_dataset()
+        spec = PseudoOutcomeSpec(target=target, binary_outcome=True)
+        d = build_pseudo_outcomes(ds, nuis, spec)
+        assert type(d) is np.ndarray and d.shape == (ds.n,) and d.dtype == float
+        with pytest.raises(ValueError, match="read-only"):
+            d[0] = 0.0
+
+    def test_non_finite_signal_names_its_row(self):
+        ds = Dataset(np.zeros((3, 1)), [0.0, 1e308, 0.0], [1, 1, 0])
+        nuis = NuisanceEstimates(
+            mu0_hat=np.zeros(3), mu1_hat=np.zeros(3), pi_hat=np.array([0.5, 0.01, 0.5])
+        )
+        spec = PseudoOutcomeSpec(target="cate_aipw")
+        # 1e308 / 0.01 overflows to inf
+        with np.errstate(over="ignore"), pytest.raises(
+            DomainError, match="pseudo-outcomes must be finite; row 1 has inf$"
+        ):
+            build_pseudo_outcomes(ds, nuis, spec)
 
     def test_binary_mode_rejects_continuous_y(self):
         ds, nuis = self.hand_dataset()  # y is continuous
@@ -504,7 +520,7 @@ class TestBuild:
             + np.mean(wf * (y - nuis.mu1_hat) / nuis.pi_hat)
             - np.mean((1 - wf) * (y - nuis.mu0_hat) / (1 - nuis.pi_hat))
         )
-        assert abs(out.d.mean() - direct) < 1e-12
+        assert abs(out.mean() - direct) < 1e-12
 
 
 def test_readme_target_table_lists_exactly_the_nuisances():
