@@ -51,7 +51,6 @@ from .iflearner import (
     fit_if_learner,
     fit_oracle_learner,
     fit_plugin_learner,
-    winsorize_values,
 )
 from .learners import FittedModel, LearnerSpec, fit_learner, fit_probability
 from .pseudo import (
@@ -109,6 +108,5 @@ __all__ = [
     "rr_pseudo",
     "stream",
     "transform_pseudo",
-    "winsorize_values",
     "__version__",
 ]

@@ -170,12 +170,13 @@ def _refused(node, expr) -> ConfigError:
 
 
 def propensity_expression(expr: str):
-    """Compile a --known-propensity expression into a row-wise callable.
+    """Compile a --known-propensity expression into a function of covariates.
 
     The expression sees the covariate row as ``x``; for example
-    ``"0.1 + 0.8*(x[0] > 0)"``.  Syntax outside the language is a
-    ``ConfigError`` when compiling, which computes it once on stand-in columns.
-    The callable's ``on_rows(X)`` computes it once on the columns of ``X``.
+    ``"0.1 + 0.8*(x[0] > 0)"``.  The function computes it once on the columns
+    of an (n, d) covariate matrix and returns its n values.  Syntax outside the
+    language is a ``ConfigError`` when compiling, which computes it once on
+    stand-in columns.
     """
 
     def evaluate(column, n):
@@ -186,11 +187,8 @@ def propensity_expression(expr: str):
         except Exception as e:
             raise ConfigError(f"propensity expression {expr!r} failed: {e}") from None
 
-    def on_rows(X):
+    def pi(X):
         return evaluate(np.ascontiguousarray(np.transpose(X)).__getitem__, len(X))
-
-    def pi(x):
-        return float(on_rows(np.reshape(x, (1, -1)))[0])
 
     try:
         tree = ast.parse(expr, "<known-propensity>", mode="eval").body
@@ -198,7 +196,6 @@ def propensity_expression(expr: str):
         raise ConfigError(f"bad propensity expression {expr!r}: {e}") from None
     with np.errstate(all="ignore"):
         evaluate(lambda i: np.zeros(1), 1)
-    pi.on_rows = on_rows
     return pi
 
 
@@ -258,7 +255,7 @@ class GroupFile(FromDict):
 
 
 def _load_file(args, file_class):
-    """The config file with ``--seed`` applied, and the propensity callable."""
+    """The config file with ``--seed`` applied, and the compiled propensity."""
     cfg = file_class.from_dict(_load_json(args.config))
     if args.seed is not None:
         cfg = cfg.reseeded(args.seed)
@@ -273,7 +270,7 @@ def _write_file_manifest(args, command, out, cfg, summary, **inputs) -> None:
 
 
 def cmd_fit(args) -> int:
-    cfg, known = _load_file(args, FitFile)
+    cfg, pi = _load_file(args, FitFile)
     covariates = cfg.columns.covariates
     if (args.query is None) == (args.grid is None):
         raise ConfigError("exactly one of --query or --grid is required")
@@ -282,6 +279,7 @@ def cmd_fit(args) -> int:
     else:
         Xq = _parse_grid(args.grid, len(covariates))
     data = load_csv(args.data, cfg.columns)
+    known = pi(data.X) if pi else None
     if cfg.variant == "plugin":
         model = fit_plugin_learner(data, cfg.if_config)
     else:
@@ -300,8 +298,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_group(args) -> int:
-    cfg, known = _load_file(args, GroupFile)
+    cfg, pi = _load_file(args, GroupFile)
     data = load_csv(args.data, cfg.columns)
+    known = pi(data.X) if pi else None
     estimates = fit_group_learner(data, cfg.group, known_propensity=known)
     out = args.out or "group_report.csv"
     estimates.to_csv(out)

@@ -140,12 +140,10 @@ def evaluate_nuisance(data: Dataset, value, name: str) -> np.ndarray:
     """Per-row values of a nuisance given as a scalar, an array or a callable.
 
     An array must have one entry per row; a callable is applied to each
-    covariate row, or to all rows at once through its ``on_rows(X)``
-    method when it has one.  Every value must be a real number.
+    covariate row.  Every value must be a real number.
     """
     if callable(value):
-        on_rows = getattr(value, "on_rows", None)
-        value = on_rows(data.X) if on_rows is not None else [value(x) for x in data.X]
+        value = [value(x) for x in data.X]
     elif np.isscalar(value):
         value = np.full(data.n, value)
     vals = all_numbers(name, value).ravel()

@@ -22,7 +22,9 @@ import numpy as np
 from . import rng as rngmod
 from .config import FromDict, count_at_least, one_of, open_interval
 from .crossfit import fit_then_predict, known_pi_values
-from .data import Dataset, NuisanceEstimates, all_finite, read_only_copy, write_csv
+from .data import (
+    Dataset, NuisanceEstimates, all_finite, all_numbers, read_only_copy, write_csv
+)
 from .errors import ConfigError, EstimationError, SchemaError
 from .iflearner import (
     IFLearnerConfig,
@@ -88,7 +90,7 @@ def group_efficient_estimate(values) -> tuple[float, float]:
     The variance is 1/(n (n-1)) * sum((d - mean)^2), undefined below
     two rows.
     """
-    v = np.asarray(values, dtype=float).ravel()
+    v = all_numbers("group pseudo-outcomes", values).ravel()
     n = v.size
     if n < 2:
         raise EstimationError(
@@ -156,9 +158,8 @@ class GroupEstimates:
         return int(self.psi_hat.size)
 
     def assign(self, scores) -> np.ndarray:
-        """Group index for each score; ties at a cutpoint go low."""
-        s = np.asarray(scores, dtype=float)
-        return np.searchsorted(self.cutpoints, s, side="left")
+        """Group index for each score; ties at a cutpoint go low, NaN goes last."""
+        return np.searchsorted(self.cutpoints, all_numbers("scores", scores), side="left")
 
     def predict(self, Xq) -> np.ndarray:
         """Step-function estimate: score, bin, return the group mean."""

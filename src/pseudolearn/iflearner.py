@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as rngmod
-from .config import FromDict, open_interval
+from .config import FromDict
 from .crossfit import (
     CrossfitConfig,
     arm_rows,
@@ -43,7 +43,6 @@ __all__ = [
     "fit_if_learner",
     "fit_oracle_learner",
     "fit_plugin_learner",
-    "winsorize_values",
     "config_digest",
 ]
 
@@ -72,22 +71,11 @@ class IFLearnerConfig(FromDict):
     pseudo: PseudoOutcomeSpec = field(default_factory=PseudoOutcomeSpec)
     second_stage: LearnerSpec = field(default_factory=LearnerSpec)
     seed: int = 0
-    winsorize: float | None = None  # symmetric quantile, e.g. 0.01; off by default
-
-    def __post_init__(self):
-        if self.winsorize is not None:
-            open_interval("IFLearnerConfig.winsorize", self.winsorize, 0, 0.5)
 
     def reseeded(self, seed: int, crossfit_seed: int) -> "IFLearnerConfig":
         """This config with its second-stage and cross-fitting seeds replaced."""
         crossfit = dataclasses.replace(self.crossfit, seed=crossfit_seed)
         return dataclasses.replace(self, seed=seed, crossfit=crossfit)
-
-
-def winsorize_values(d: np.ndarray, q: float) -> np.ndarray:
-    """Clip to the empirical [q, 1-q] quantile range (symmetric)."""
-    lo, hi = np.quantile(d, [q, 1.0 - q])
-    return np.clip(d, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -126,8 +114,6 @@ def _provenance(cfg, data: Dataset, target: str, variant: str, seed: int) -> dic
 
 
 def _second_stage(cfg: IFLearnerConfig, data: Dataset, d: np.ndarray, variant: str):
-    if cfg.winsorize is not None:
-        d = winsorize_values(d, cfg.winsorize)
     model = fit_learner(cfg.second_stage, data.X, d, seed=cfg.seed)
     model.provenance = _provenance(cfg, data, cfg.pseudo.target, variant, cfg.seed)
     return model

@@ -146,11 +146,11 @@ def transform_pseudo(y, w, pi, mu0, mu1, df_dmu0, df_dmu1, f):
     all_binary("w", w)
     y, w, pi, mu0, mu1 = _prep(y=y, w=w, pi=pi, mu0=mu0, mu1=mu1)
     all_probabilities("pi", pi)
-    g0 = np.asarray(df_dmu0(mu0, mu1), dtype=float)
-    g1 = np.asarray(df_dmu1(mu0, mu1), dtype=float)
-    f0 = np.asarray(f(mu0, mu1), dtype=float)
-    for name, v in (("df_dmu0", g0), ("df_dmu1", g1), ("f", f0)):
-        all_finite(f"{name} at (mu0, mu1)", v)
+    at = {}
+    for name, fn in (("df_dmu0", df_dmu0), ("df_dmu1", df_dmu1), ("f", f)):
+        at[name] = all_numbers(f"{name} at (mu0, mu1)", fn(mu0, mu1))
+        all_finite(f"{name} at (mu0, mu1)", at[name])
+    g0, g1, f0 = at.values()
     if_mu1 = (w / pi) * (y - mu1)
     if_mu0 = ((1.0 - w) / (1.0 - pi)) * (y - mu0)
     return scalar_or_array(if_mu0 * g0 + if_mu1 * g1 + f0)

@@ -316,18 +316,20 @@ SCORED_TARGETS = CONTRAST_TARGETS + ("risk_ratio",)
 def evaluate_mse(model, test: LabeledSample) -> float:
     """Mean squared error of a fitted model against the sample's truth.
 
-    The model's recorded target decides which ground-truth column to
-    score against.  Risk-ratio scoring drops test rows where either
-    true arm probability is below ``RR_EVAL_MIN_P``.
+    The target in the model's ``provenance`` decides which ground-truth
+    column to score against; a model that carries none is a ConfigError.
+    Risk-ratio scoring drops test rows where either true arm probability
+    is below ``RR_EVAL_MIN_P``.
     """
+    target = getattr(model, "provenance", {}).get("target")
+    if target not in SCORED_TARGETS:
+        what = f"target {target!r}" if target else "a model that carries no target"
+        raise ConfigError(f"no ground truth available for {what}")
     preds = np.asarray(model.predict(test.dataset.X), dtype=float)
     if preds.shape != (test.n,):
         raise SchemaError(
             f"model produced {preds.shape} predictions for {test.n} test rows"
         )
-    target = getattr(model, "provenance", {}).get("target", "cate_aipw")
-    if target not in SCORED_TARGETS:
-        raise ConfigError(f"no ground truth available for target {target!r}")
     if target in CONTRAST_TARGETS:
         truth = test.true_tau
     else:

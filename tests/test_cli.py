@@ -11,8 +11,9 @@ import pytest
 from scipy.special import ndtri
 
 from pseudolearn.cli import _NP_FUNCTIONS, main, propensity_expression
-from pseudolearn.data import ColumnMap, load_csv
+from pseudolearn.data import ColumnMap, load_csv, write_csv
 from pseudolearn.errors import ConfigError
+from pseudolearn.grouplearner import GroupConfig, fit_group_learner
 from pseudolearn.iflearner import IFLearnerConfig, fit_if_learner
 from pseudolearn.learners import LearnerSpec, fit_learner
 from pseudolearn.simulate import Dgp1dConfig, sample_1d
@@ -304,6 +305,15 @@ class TestFit:
         assert main(["fit", "--data", data, "--config", cfg, "--grid", "0:1:3"]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "predictions.csv").exists()
+
+    def test_removed_winsorize_key_is_refused(self, tmp_path, capsys):
+        data, columns = self.rct_files(tmp_path)
+        blob = {"columns": columns, "if_config": {"winsorize": 0.01}}
+        cfg = write_json(tmp_path / "fit.json", blob)
+        argv = ["fit", "--data", data, "--config", cfg, "--grid=-1:1:3",
+                "--out", str(tmp_path / "out.csv")]
+        assert main(argv) == 2
+        assert "IFLearnerConfig: unknown key(s) ['winsorize']" in capsys.readouterr().err
 
     def test_config_file_needs_columns(self, tmp_path, capsys):
         data, _ = self.rct_files(tmp_path)
@@ -597,12 +607,11 @@ class TestEntryPoints:
 class TestPropensityExpression:
     def test_evaluates_rowwise(self):
         pi = propensity_expression("0.1 + 0.8*(x[0] > 0)")
-        assert pi(np.array([0.5])) == pytest.approx(0.9)
-        assert pi(np.array([-0.5])) == pytest.approx(0.1)
+        assert pi(np.array([[0.5], [-0.5]])) == pytest.approx([0.9, 0.1])
 
     def test_numpy_available(self):
         pi = propensity_expression("0.5 + 0.1*np.tanh(x[0])")
-        assert 0.4 < pi(np.array([0.3])) < 0.6
+        assert 0.4 < pi(np.array([[0.3]]))[0] < 0.6
 
     def test_syntax_error(self):
         with pytest.raises(ConfigError, match="propensity expression"):
@@ -611,14 +620,14 @@ class TestPropensityExpression:
     def test_runtime_error_becomes_config_error(self):
         pi = propensity_expression("x[7]")
         with pytest.raises(ConfigError, match="failed"):
-            pi(np.array([0.1]))
+            pi(np.array([[0.1]]))
 
     def test_rowwise_warning_shown_once(self):
         expr = "np.sqrt(x[0]) ** 1"  # the power keeps it row by row
         X = np.linspace(-1, 1, 1000).reshape(-1, 1)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("default")
-            values = propensity_expression(expr).on_rows(X)
+            values = propensity_expression(expr)(X)
         assert len(caught) == 1
         with np.errstate(invalid="ignore"):
             # a fresh globals dict per row, as before the warning fix
@@ -635,8 +644,7 @@ class TestPropensityExpression:
             "np.clip(abs(x[0]), 0.1, 0.9) if x[0] > 0 and not x[0] > 5 "
             "else np.where(x[0] < -1, 0.2, 0.3)"
         )
-        assert pi(np.array([0.5])) == 0.5
-        assert pi(np.array([-2.0])) == 0.2
+        assert pi(np.array([[0.5], [-2.0]])).tolist() == [0.5, 0.2]
 
     @pytest.mark.parametrize(
         "expr",
@@ -666,7 +674,7 @@ class TestPropensityExpression:
             for x in (np.array([0.25]), np.array([-1.5])):
                 with np.errstate(invalid="ignore"):
                     want = float(eval(expr, {"__builtins__": {}}, {"x": x, "np": np}))
-                    got = pi(x)
+                    got = pi(x[None])[0]
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     @pytest.mark.parametrize(
@@ -718,13 +726,63 @@ class TestPropensityExpression:
         with np.errstate(all="ignore"):
             for expr in exprs:
                 pi = propensity_expression(expr)
-                rows = np.asarray([pi(x) for x in X])
-                assert pi.on_rows(X).tobytes() == rows.tobytes(), expr
+                rows = np.concatenate([pi(x[None]) for x in X])
+                assert pi(X).tobytes() == rows.tobytes(), expr
 
     def test_column_errors_keep_their_class(self):
         X = np.zeros((5, 1))
         with pytest.raises(ConfigError, match="failed"):
-            propensity_expression("x[7]").on_rows(X)
+            propensity_expression("x[7]")(X)
+
+    @pytest.mark.parametrize("command", ["fit", "group"])
+    def test_cli_output_is_the_library_given_the_values(self, tmp_path, command):
+        # the expression is computed once on the loaded covariates, and the
+        # library given those values writes the same bytes
+        expr = "0.5 + 0.3*np.tanh(2*x[0])"
+        rng = np.random.default_rng(5)
+        X = rng.uniform(-1, 1, size=(60, 1))
+        w = rng.integers(0, 2, size=60)
+        data = write_data_csv(tmp_path / "data.csv", X, X[:, 0] + w, w)
+        columns = {"covariates": ["x1"], "outcome": "y", "treatment": "w"}
+        ds = load_csv(data, ColumnMap.from_dict(columns))
+        known = propensity_expression(expr)(ds.X)
+        cli_out, lib_out = tmp_path / "cli.csv", tmp_path / "lib.csv"
+        argv = [command, "--data", data, "--known-propensity", expr, "--out", str(cli_out)]
+        if command == "fit":
+            blob = {"columns": columns, "if_config": FAST_IF_DICT}
+            grid = np.linspace(-1, 1, 7).reshape(-1, 1)
+            argv.append("--grid=-1:1:7")
+            model = fit_if_learner(ds, IFLearnerConfig.from_dict(FAST_IF_DICT), known)
+            write_csv(lib_out, ["x1", "psi_hat"], zip(grid[:, 0], model.predict(grid)))
+        else:
+            blob = {"columns": columns, "group": {"n_groups": 2, "if_config": FAST_IF_DICT}}
+            group = GroupConfig.from_dict(blob["group"])
+            fit_group_learner(ds, group, known_propensity=known).to_csv(lib_out)
+        argv += ["--config", write_json(tmp_path / "cfg.json", blob)]
+        assert main(argv) == 0
+        assert cli_out.read_bytes() == lib_out.read_bytes()
+
+    @pytest.mark.parametrize(
+        "fit_config",
+        [
+            {"if_config": {**FAST_IF_DICT, "pseudo": {"target": "cate_plugin"}}},
+            {"if_config": FAST_IF_DICT, "variant": "plugin"},
+        ],
+        ids=["cate_plugin", "plugin"],
+    )
+    def test_expression_failing_on_the_data_fails_where_pi_is_unread(
+        self, tmp_path, capsys, fit_config
+    ):
+        data = write_data_csv(tmp_path / "data.csv", np.linspace(-1, 1, 20), np.zeros(20),
+                              np.arange(20) % 2)
+        columns = {"covariates": ["x1"], "outcome": "y", "treatment": "w"}
+        cfg = write_json(tmp_path / "fit.json", {"columns": columns, **fit_config})
+        argv = ["fit", "--data", data, "--config", cfg, "--grid=-1:1:3",
+                "--known-propensity", "x[7]", "--out", str(tmp_path / "out.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: propensity expression 'x[7]' failed: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["fit", "group"])
     @pytest.mark.parametrize(

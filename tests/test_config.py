@@ -178,7 +178,7 @@ def test_scalars_load_unconverted():
     spec = LearnerSpec.from_dict({"bandwidth": 1, "subsample_fraction": 1})
     assert type(spec.bandwidth) is int and type(spec.subsample_fraction) is int
     assert LearnerSpec.from_dict({"bandwidth": None}).bandwidth is None
-    assert IFLearnerConfig.from_dict({"winsorize": 0.1}).winsorize == 0.1
+    assert type(LearnerSpec.from_dict({"bandwidth": 0.1}).bandwidth) is float
 
 
 def test_second_load_resolves_no_type_hints():
@@ -229,7 +229,6 @@ CHOICES_AND_INTERVALS = [
     ("FitFile.variant", lambda v: FitFile(columns=_COLUMNS, variant=v), _CHOICE),
     ("PseudoOutcomeSpec.eps_clip", lambda v: PseudoOutcomeSpec(eps_clip=v), _INTERVAL),
     ("PseudoOutcomeSpec.p_clip", lambda v: PseudoOutcomeSpec(p_clip=v), _INTERVAL),
-    ("IFLearnerConfig.winsorize", lambda v: IFLearnerConfig(winsorize=v), _INTERVAL),
     ("GroupConfig.split_fraction", lambda v: GroupConfig(split_fraction=v), _INTERVAL),
     ("GroupConfig.ci_level", lambda v: GroupConfig(ci_level=v), _INTERVAL),
     ("fit_probability.clip", _fit_probability, _INTERVAL),

@@ -319,7 +319,8 @@ RULED_INPUTS = {
     "LabeledSample.nominal_pi": (
         "probability", HALVES, lambda v: LabeledSample(DS5, ZEROS, ZEROS, HALVES, v)
     ),
-    "group_efficient_estimate": ("finite", ZEROS, group_efficient_estimate),
+    "group_efficient_estimate": ("finite number", ZEROS, group_efficient_estimate),
+    "GroupEstimates.assign": ("number", ZEROS, _group_estimates().assign),
     "aipw_pseudo.y": ("number", ZEROS, lambda v: aipw_pseudo(v, ARMS, HALVES, 0, 0)),
     "aipw_pseudo.mu1": ("number", ZEROS, lambda v: aipw_pseudo(ZEROS, ARMS, HALVES, 0, v)),
     "aipw_pseudo.w": ("binary", ARMS, lambda v: aipw_pseudo(ZEROS, v, HALVES, 0, 0)),
@@ -343,10 +344,8 @@ RULED_INPUTS = {
         lambda v: transform_pseudo(ZEROS, ARMS, v, 0.5, 0.5, _zero, _zero, _zero),
     ),
     "transform_pseudo.df_dmu1": (
-        "finite", ZEROS,
-        lambda v: transform_pseudo(
-            ZEROS, ARMS, HALVES, 0.5, 0.5, _zero, lambda mu0, mu1: np.array(v), _zero
-        ),
+        "finite number", ZEROS,
+        lambda v: transform_pseudo(ZEROS, ARMS, HALVES, 0.5, 0.5, _zero, lambda mu0, mu1: v, _zero),
     ),
     "fit_probability": (
         "binary", ARMS, lambda v: fit_probability(LearnerSpec(kind="mean"), X5, v)

@@ -13,7 +13,6 @@ from pseudolearn.iflearner import (
     fit_if_learner,
     fit_oracle_learner,
     fit_plugin_learner,
-    winsorize_values,
 )
 from pseudolearn.learners import FittedModel, LearnerSpec, fit_learner
 from pseudolearn.pseudo import PseudoOutcomeSpec, aipw_pseudo
@@ -31,7 +30,7 @@ def rct_dataset(n=200, seed=0, tau=1.0):
     return Dataset(X, y, w)
 
 
-def basic_config(second_stage=KERNEL03, target="cate_aipw", seed=3, **kw):
+def basic_config(second_stage=KERNEL03, target="cate_aipw", seed=3):
     return IFLearnerConfig(
         crossfit=CrossfitConfig(
             outcome_spec=KNN2,
@@ -42,7 +41,6 @@ def basic_config(second_stage=KERNEL03, target="cate_aipw", seed=3, **kw):
         pseudo=PseudoOutcomeSpec(target=target),
         second_stage=second_stage,
         seed=seed,
-        **kw,
     )
 
 
@@ -74,10 +72,6 @@ class TestConfig:
             IFLearnerConfig.from_dict(
                 {"crossfit": {"n_folds": 3, **floors}, "pseudo": pseudo}
             )
-
-    def test_winsorize_range(self):
-        with pytest.raises(ConfigError):
-            basic_config(winsorize=0.5)
 
     def test_digest_stable_and_sensitive(self):
         a = basic_config(seed=3)
@@ -157,15 +151,6 @@ class TestFitIfLearner:
         grid = np.linspace(-0.8, 0.8, 30).reshape(-1, 1)
         assert abs(model.predict(grid).mean() - 2.0) < 0.5
 
-    def test_winsorize_changes_fit(self):
-        ds = rct_dataset(n=200, seed=8)
-        grid = np.linspace(-1, 1, 15).reshape(-1, 1)
-        plain = fit_if_learner(ds, basic_config(), known_propensity=0.5)
-        clipped = fit_if_learner(
-            ds, basic_config(winsorize=0.1), known_propensity=0.5
-        )
-        assert not np.array_equal(plain.predict(grid), clipped.predict(grid))
-
     def test_provenance_recorded(self):
         ds = rct_dataset(n=100, seed=9)
         cfg = basic_config()
@@ -204,19 +189,6 @@ def test_fit_result_is_the_fitted_model_with_its_provenance(fit):
     assert set(model.provenance) == PROVENANCE_KEYS
     assert model.provenance["variant"] == fit.split()[0]
     assert (model.provenance["n"], model.provenance["d"]) == (60, 1)
-
-
-class TestWinsorize:
-    def test_clips_at_empirical_quantiles(self):
-        d = np.arange(101.0)
-        out = winsorize_values(d, 0.1)
-        assert out.min() == pytest.approx(10.0)
-        assert out.max() == pytest.approx(90.0)
-        assert out[50] == 50.0
-
-    def test_bad_quantile(self):
-        with pytest.raises(ConfigError):
-            IFLearnerConfig(winsorize=0.6)
 
 
 class TestOracle:

@@ -1,8 +1,9 @@
 """No package module imports a name it never uses, defines a private name
-that nothing reads, or exports a name it lacks, and every example imports
-names that exist (no linter needed)."""
+that nothing reads, or exports a name it lacks, every example imports
+names that exist, and README names every config key (no linter needed)."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import re
@@ -11,6 +12,9 @@ from pathlib import Path
 import pytest
 
 import pseudolearn
+import pseudolearn.cli
+import pseudolearn.simulate
+from pseudolearn.config import FromDict
 
 MODULES = sorted(Path(pseudolearn.__file__).parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parents[1]
@@ -152,3 +156,35 @@ def test_an_unresolved_import_is_found():
     source = "from pseudolearn import Dataset, Gone\nfrom pseudolearn.pseudo import PseudoOutcomes"
     assert _unresolved_imports(source) == ["pseudolearn.Gone", "pseudolearn.pseudo.PseudoOutcomes"]
     assert _unresolved_imports("from pseudolearn import simulate\nimport numpy") == []
+
+
+def _config_classes(base=FromDict) -> list[type]:
+    """Every class that loads through ``FromDict``, subclasses of subclasses too."""
+    return [c for sub in base.__subclasses__() for c in [sub, *_config_classes(sub)]]
+
+
+def _undocumented_keys(classes, text: str) -> list[str]:
+    """``Class.field`` for each field that ``text`` never names in backticks."""
+    named = set(re.findall(r"`([^`\n]+)`", text))
+    return sorted(
+        f"{c.__name__}.{f.name}" for c in classes for f in dataclasses.fields(c)
+        if f.name not in named
+    )
+
+
+def test_readme_names_every_config_key():
+    classes = _config_classes()
+    assert {c.__module__ for c in classes} >= {"pseudolearn.cli", "pseudolearn.simulate"}
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert _undocumented_keys(classes, text) == []
+
+
+def test_an_undocumented_key_is_found():
+    @dataclasses.dataclass
+    class Spec:
+        bandwidth: float = 0.1
+        bandwidths: tuple = ()
+        lag: int = 0
+
+    text = "`bandwidth` is set; so is `lag`.\n`bandwidths\n`"
+    assert _undocumented_keys([Spec], text) == ["Spec.bandwidths"]

@@ -139,9 +139,9 @@ def test_columns_give_the_bits_of_rowwise_eval(case):
             want = rowwise(expr, X)
         except Exception:  # then compiling or computing fails too
             with pytest.raises(ConfigError):
-                propensity_expression(expr).on_rows(X)
+                propensity_expression(expr)(X)
             return
-        got = propensity_expression(expr).on_rows(X)
+        got = propensity_expression(expr)(X)
     # NaN by NaN: numpy's array and scalar arithmetic may pass on different NaNs
     same = (got.view(np.int64) == want.view(np.int64)) | np.isnan(got) & np.isnan(want)
     assert same.all(), (expr, X, got, want)
@@ -157,7 +157,7 @@ def test_any_text_fails_only_with_a_config_error(expr):
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            propensity_expression(expr).on_rows(X)
+            propensity_expression(expr)(X)
         except ConfigError:
             pass
 
@@ -176,7 +176,7 @@ def test_values_take_numpy_types():
         ("(not x[0] > 0) + (not x[0] > 0)", [0.0, 1.0], [0.0, 2.0]),
     ]
     for expr, now, before in cases:
-        assert propensity_expression(expr).on_rows(X).tobytes() == np.array(now).tobytes()
+        assert propensity_expression(expr)(X).tobytes() == np.array(now).tobytes()
         assert rowwise(expr, X).tobytes() == np.array(before).tobytes()
 
 
@@ -197,7 +197,7 @@ def test_where_keeps_its_array_power():
     X = np.array([[-0.0], [0.25]])
     expr = "np.where(x[0] > 1, 1.0, x[0]) ** 0.5"
     want = np.array([-0.0, 0.5]).tobytes()
-    assert propensity_expression(expr).on_rows(X).tobytes() == rowwise(expr, X).tobytes() == want
+    assert propensity_expression(expr)(X).tobytes() == rowwise(expr, X).tobytes() == want
 
 
 def test_clip_with_column_bounds_keeps_row_bits():
@@ -206,4 +206,4 @@ def test_clip_with_column_bounds_keeps_row_bits():
     X = np.tile([0.0, 0.0, -0.0], (32, 1))
     expr = "np.clip(x[0], x[1], x[2])"
     want = np.zeros(32).tobytes()
-    assert propensity_expression(expr).on_rows(X).tobytes() == rowwise(expr, X).tobytes() == want
+    assert propensity_expression(expr)(X).tobytes() == rowwise(expr, X).tobytes() == want

@@ -11,7 +11,7 @@ from pseudolearn.data import Dataset
 from pseudolearn.errors import ConfigError, DomainError, EstimationError, SchemaError
 from pseudolearn.grouplearner import GroupConfig
 from pseudolearn.iflearner import IFLearnerConfig
-from pseudolearn.learners import LearnerSpec
+from pseudolearn.learners import LearnerSpec, fit_learner
 from pseudolearn.pseudo import PseudoOutcomeSpec
 from pseudolearn.simulate import (
     Dgp1dConfig,
@@ -294,6 +294,12 @@ class TestEvaluateMse:
         s = sample_1d(Dgp1dConfig(n=20, seed=9))
         with pytest.raises(ConfigError, match="ground truth"):
             evaluate_mse(_FixedModel(np.zeros(20), target="mar_mean"), s)
+
+    def test_model_without_a_target_is_refused(self):
+        s = sample_1d(Dgp1dConfig(n=10, binary_outcome=True))
+        bare = fit_learner(LearnerSpec(kind="mean"), s.dataset.X, s.true_tau)
+        with pytest.raises(ConfigError, match="carries no target"):
+            evaluate_mse(bare, s)
 
     def test_shape_mismatch(self):
         s = sample_1d(Dgp1dConfig(n=20, seed=10))
