@@ -1,9 +1,11 @@
 """Two-stage pipeline: collapse identity, oracles, baselines, provenance, fit results."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from pseudolearn.crossfit import CrossfitConfig
+from pseudolearn.crossfit import CrossfitConfig, crossfit_nuisances
 from pseudolearn.data import Dataset
 from pseudolearn.errors import ConfigError, EstimationError, SchemaError
 from pseudolearn.iflearner import (
@@ -15,7 +17,7 @@ from pseudolearn.iflearner import (
     fit_plugin_learner,
 )
 from pseudolearn.learners import FittedModel, LearnerSpec, fit_learner
-from pseudolearn.pseudo import PseudoOutcomeSpec, aipw_pseudo
+from pseudolearn.pseudo import PseudoOutcomeSpec, aipw_pseudo, build_pseudo_outcomes
 
 KNN2 = LearnerSpec(kind="knn", k=2)
 MEAN = LearnerSpec(kind="mean")
@@ -72,6 +74,13 @@ class TestConfig:
             IFLearnerConfig.from_dict(
                 {"crossfit": {"n_folds": 3, **floors}, "pseudo": pseudo}
             )
+
+    def test_winsorize_key_is_refused(self):
+        # the second stage regresses D as built; no option clips it
+        fields = [f.name for f in dataclasses.fields(IFLearnerConfig)]
+        assert fields == ["crossfit", "pseudo", "second_stage", "seed"]
+        with pytest.raises(ConfigError, match=r"unknown key\(s\) \['winsorize'\]"):
+            IFLearnerConfig.from_dict({"winsorize": 0.1})
 
     def test_digest_stable_and_sensitive(self):
         a = basic_config(seed=3)
@@ -133,6 +142,17 @@ class TestFitIfLearner:
         estimated = fit_if_learner(ds, cfg).predict(grid)
         assert np.all(np.isfinite(known))
         assert not np.array_equal(known, estimated)
+
+    def test_second_stage_regresses_pseudo_outcomes_as_built(self):
+        ds = rct_dataset(n=120, seed=8)
+        stage = LearnerSpec(kind="forest", n_trees=20, min_leaf=3)
+        cfg = basic_config(second_stage=stage)
+        nuis = crossfit_nuisances(ds, cfg.crossfit, cfg.pseudo, known_propensity=0.5)
+        d = build_pseudo_outcomes(ds, nuis, cfg.pseudo)
+        direct = fit_learner(cfg.second_stage, ds.X, d, seed=cfg.seed)
+        model = fit_if_learner(ds, cfg, known_propensity=0.5)
+        grid = np.linspace(-1, 1, 25).reshape(-1, 1)
+        assert np.array_equal(model.predict(grid), direct.predict(grid))
 
     def test_overflowing_cv_sse_is_estimation_error(self):
         # squared errors of outcomes at +-1e200 overflow in every bandwidth
