@@ -34,7 +34,7 @@ from . import __version__
 from . import rng as rngmod
 from .config import FromDict, one_of
 from .data import ColumnMap, load_csv, read_csv_columns, write_csv
-from .errors import ConfigError, EstimationError, ParseError, PseudolearnError
+from .errors import ConfigError, EstimationError, ParseError, PseudolearnError, SchemaError
 from .grouplearner import GroupConfig, fit_group_learner
 from .iflearner import IFLearnerConfig, config_digest, fit_if_learner, fit_plugin_learner
 from .simulate import ExperimentConfig, run_replications
@@ -188,6 +188,8 @@ def propensity_expression(expr: str):
             raise ConfigError(f"propensity expression {expr!r} failed: {e}") from None
 
     def pi(X):
+        if np.ndim(X) != 2:
+            raise SchemaError(f"covariates X must be 2-D (n, d), got shape {np.shape(X)}")
         return evaluate(np.ascontiguousarray(np.transpose(X)).__getitem__, len(X))
 
     try:

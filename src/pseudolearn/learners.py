@@ -20,17 +20,17 @@ Available kinds
     equal distances is re-sorted by (distance, row).
 ``kernel``
     Nadaraya-Watson smoother with a radial gaussian or epanechnikov
-    kernel.  ``bandwidth=None`` selects the bandwidth by K-fold
-    cross-validation over ``bandwidth_grid`` (ascending; ties go to
-    the smallest bandwidth).  With one feature, Gaussian weights send
-    no exponent below -700 to ``exp`` (only the rows that reach that far
-    are clamped), which keeps numpy on its fast path at small
-    bandwidths.  Grid bandwidths h0 * 2**k share one kernel-argument
-    pass, and each prediction reuses one block workspace.  1-d values
-    all 0 or of magnitude in [2**-458, 2**510] give weights from signed
-    differences (no square root).  Every weight keeps the plain
-    computation's bits.  A Gaussian query whose total weight underflows
-    is redone with its exponents shifted by their largest (log-sum-exp).
+    kernel.  ``bandwidth=None`` picks the ``bandwidth_grid`` entry (ascending;
+    ties go to the smallest) with the lowest K-fold CV error; one-feature
+    Gaussian CV reads it from cheap estimates when a proven rounding bound
+    settles it.  With one feature, Gaussian weights send no exponent
+    below -700 to ``exp`` (only rows reaching that far are clamped), numpy's
+    fast path.  Grid bandwidths h0 * 2**k share one kernel-argument pass,
+    and each prediction reuses one block workspace.  1-d values all 0 or of
+    magnitude in [2**-458, 2**510] give weights from signed differences (no
+    square root).  Every weight keeps the plain computation's bits.  A
+    Gaussian query whose total weight underflows is redone with its
+    exponents shifted by their largest (log-sum-exp).
 ``forest``
     Subsampled regression forest with variance-reduction splits.  When
     ``honest`` each tree's subsample is halved: one half chooses the
@@ -100,15 +100,15 @@ class LearnerSpec(FromDict):
             count_at_least(f"LearnerSpec.{name}", getattr(self, name), low)
         if self.features_per_split is not None:
             count_at_least("LearnerSpec.features_per_split", self.features_per_split, 1)
-        if self.bandwidth is not None and not self.bandwidth > 0:
-            raise ConfigError(f"bandwidth must be positive, got {self.bandwidth}")
+        if self.bandwidth is not None:
+            open_interval("LearnerSpec.bandwidth", self.bandwidth, 0, math.inf)
+        for j, h in enumerate(self.bandwidth_grid):
+            open_interval(f"LearnerSpec.bandwidth_grid[{j}]", h, 0, math.inf)
         grid = tuple(float(h) for h in self.bandwidth_grid)
         if not grid:
             raise ConfigError("bandwidth_grid must be non-empty")
-        if any(h <= 0 for h in grid) or any(
-            a >= b for a, b in zip(grid, grid[1:])
-        ):
-            raise ConfigError("bandwidth_grid must be positive and strictly ascending")
+        if any(a >= b for a, b in zip(grid, grid[1:])):
+            raise ConfigError("LearnerSpec.bandwidth_grid must be strictly ascending")
         object.__setattr__(self, "bandwidth_grid", grid)
         if not 0.0 < self.subsample_fraction <= 1.0:
             raise ConfigError(
@@ -403,18 +403,13 @@ def _signed_ok(v: np.ndarray) -> bool:
     return bool(np.all((a == 0.0) | ((a >= 2.0**-458) & (a <= 2.0**510))))
 
 
-def _nw_predict(Xq, Xt, yt, bandwidths, shape) -> list:
-    """Nadaraya-Watson means at the queries ``Xq``, one vector per bandwidth.
-
-    Each row block's distances are computed once and serve every
-    bandwidth, and each family of bandwidths h0 * 2**k shares one
-    kernel-argument pass.  An Epanechnikov query with zero total weight is
-    outside the kernel's reach and gets the training mean; a Gaussian one
-    whose total underflows is redone by ``_shifted_gaussian``.
+def _kernel_blocks(Xq, Xt, bandwidths, shape, weigh):
+    """Yields (rows, i, w): bandwidth i's weights at the query rows ``rows``,
+    in workspace that the next step overwrites.  Each row block's distances
+    serve every bandwidth, each family of bandwidths h0 * 2**k shares one
+    kernel-argument pass, and ``weigh(arg, h, shape, reach)`` makes weights.
     """
     m, n = Xq.shape[0], Xt.shape[0]
-    preds = [np.empty(m) for _ in bandwidths]
-    tots = [np.empty(m) for _ in bandwidths]
     families = _bandwidth_families(bandwidths)
     # with one feature a query's largest distance is to an end of the training
     # range; with more, Gaussian weights keep the plain exp, as no benchmark
@@ -429,23 +424,36 @@ def _nw_predict(Xq, Xt, yt, bandwidths, shape) -> list:
     # weights in place, and without members no member buffer is needed
     depth = 1 if len(bandwidths) == 1 else 2 + (len(families) < len(bandwidths))
     work = np.empty((depth, max((b.stop - b.start for b in blocks), default=0), n))
+    for rows in blocks:
+        slab = work[:, : rows.stop - rows.start]
+        if signed:
+            np.subtract(Xq[rows], Xt.T, out=slab[0])
+        else:
+            _distances(Xq[rows], Xt, out=slab[0])
+        near = None if reach is None else reach[rows]
+        for family in families:
+            arg = _kernel_arg(slab[0], bandwidths[family[-1][0]], shape, slab[-1])
+            # the base comes last and turns its own argument into weights
+            for i, scale in family:
+                w = arg if scale is None else np.multiply(arg, scale, out=slab[1])
+                weigh(w, bandwidths[i], shape, near)
+                yield rows, i, w
+
+
+def _nw_predict(Xq, Xt, yt, bandwidths, shape) -> list:
+    """Nadaraya-Watson means at the queries ``Xq``, one vector per bandwidth.
+
+    An Epanechnikov query with zero total weight is outside the kernel's
+    reach and gets the training mean; a Gaussian one whose total
+    underflows is redone by ``_shifted_gaussian``.
+    """
+    preds = [np.empty(Xq.shape[0]) for _ in bandwidths]
+    tots = [np.empty(Xq.shape[0]) for _ in bandwidths]
     # queries without weight divide 0 by 0 here; they are overwritten below
     with np.errstate(divide="ignore", invalid="ignore"):
-        for rows in blocks:
-            slab = work[:, : rows.stop - rows.start]
-            if signed:
-                np.subtract(Xq[rows], Xt.T, out=slab[0])
-            else:
-                _distances(Xq[rows], Xt, out=slab[0])
-            near = None if reach is None else reach[rows]
-            for family in families:
-                arg = _kernel_arg(slab[0], bandwidths[family[-1][0]], shape, slab[-1])
-                # the base comes last and turns its own argument into weights
-                for i, scale in family:
-                    w = arg if scale is None else np.multiply(arg, scale, out=slab[1])
-                    _kernel_weights(w, bandwidths[i], shape, near)
-                    np.sum(w, axis=1, out=tots[i][rows])
-                    np.divide(w @ yt, tots[i][rows], out=preds[i][rows])
+        for rows, i, w in _kernel_blocks(Xq, Xt, bandwidths, shape, _kernel_weights):
+            np.sum(w, axis=1, out=tots[i][rows])
+            np.divide(w @ yt, tots[i][rows], out=preds[i][rows])
     for h, pred, tot in zip(bandwidths, preds, tots):
         dead = tot < _GAUSS_TOT_MIN if shape == "gaussian" else tot <= 0.0
         if np.any(dead):
@@ -511,15 +519,84 @@ def _cv_sses(X, y, spec: LearnerSpec, seed: int, n_folds: int) -> list:
     return sses
 
 
+def _floored_exp(w, bandwidth, shape, reach) -> None:
+    """Gaussian weights exp(max(arg, -700)) in place, one fast ``exp``."""
+    np.maximum(w, _EXP_FAST_MIN, out=w)
+    np.exp(w, out=w)
+
+
+def _cv_estimates(X, y, grid, seed: int, n_folds: int):
+    """Estimates S of the SSEs that ``_cv_sses`` returns (1-d Gaussian) and
+    bounds B with |exact - S| <= B, or None where no bound is proven.
+
+    The estimate runs ``_cv_sses``' folds through ``_kernel_blocks`` with
+    weights exp(max(a, -700)) and each block's numerators and totals from one
+    product ``w @ [y, 1]``.  With n rows, M = max|y|, u = 2**-53, E = 1e-304
+    (> exp(-700)) and g(k) = k*u/(1 - k*u), per held-out row (Higham 2002,
+    ch. 3; a product or square that underflows adds at most 2**-1075):
+    - the paths' weights differ only where a < -700, both in [0, E] there;
+    - any-order sums of n terms err by g(n) of their magnitudes, so the
+      estimated total T and numerator N are within dT = g(n)*(2T/(1 - g(n))
+      + nE) + nE and dN = M*dT + n*2**-1074 of the exact path's;
+    - if T - dT >= 2**-960 no exact total is below 2**-969 (the shifted
+      redo), and the predictions p = N/T differ by at most
+      dp = (dN + |p|*dT)/(T - dT) + 2u|p| + 2**-1073, a squared residual
+      r*r by at most dp*(2|r| + dp);
+    - both paths' roundings of the residuals, squares and sums (by fold,
+      then over the folds) err by at most 3*g(n + folds + 1)*S in all, S the
+      estimated SSE, plus 2**-1075 a square.
+    B doubles the total, for 1 + O(u) factors and its own rounding.  NaN, a
+    T - dT < 2**-960, or n*M or S + B >= 2**1000 (overflow) proves nothing.
+    """
+    u, n = 2.0**-53, X.shape[0]
+    big_m, gamma, floor = float(np.max(np.abs(y))), n * u / (1 - n * u), n * 1e-304
+    folds = make_folds(n, n_folds, seed=rngmod.derive_seed(seed, "bwcv"))
+    sse, err = np.zeros(len(grid)), np.zeros(len(grid))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_folds):
+            test, train = folds.rows_in_fold(k), folds.train_rows(k)
+            yt = np.column_stack([y[train], np.ones(train.shape[0])])
+            fit = np.empty((len(grid), test.shape[0], 2))
+            blocks = _kernel_blocks(X[test], X[train], grid, "gaussian", _floored_exp)
+            for rows, i, w in blocks:
+                np.matmul(w, yt, out=fit[i, rows])
+            del w  # free the workspace before the next fold allocates its own
+            tot = fit[..., 1]
+            d_tot = gamma * (2 * tot / (1 - gamma) + floor) + floor
+            low = tot - d_tot
+            if not np.all(low >= 2.0**-960):
+                return None
+            pred = fit[..., 0] / tot
+            res, mag = pred - y[test], np.abs(pred)
+            d_pred = (big_m * d_tot + n * 2.0**-1074 + mag * d_tot) / low
+            d_pred += 2 * u * mag + 2.0**-1073
+            sse += np.sum(res * res, axis=1)
+            err += np.sum(d_pred * (2 * np.abs(res) + d_pred), axis=1)
+        g = (n + n_folds + 1) * u / (1 - (n + n_folds + 1) * u)
+        bound = 2 * (err + 3 * g * sse + n * 2.0**-1073)
+    if big_m * n < 2.0**1000 and np.all(sse + bound < 2.0**1000):
+        return sse, bound
+    return None
+
+
 def _cv_bandwidth(X, y, spec: LearnerSpec, seed: int) -> float:
     """Pick the grid bandwidth with the lowest K-fold held-out SSE.
 
     Ties (exact SSE equality) resolve to the smallest bandwidth because
-    the grid is scanned in ascending order with a strict comparison.
+    the grid is scanned in ascending order with a strict comparison.  The
+    first argmin h* of 1-d Gaussian estimates S, each within B of its exact
+    SSE, is that choice if S(h) - B(h) > S(h*) + B(h*) for every other h.
     """
     n_folds = min(spec.cv_folds, X.shape[0])
     if n_folds < 2:
         return spec.bandwidth_grid[0]
+    if spec.kernel_shape == "gaussian" and X.shape[1] == 1:
+        estimates = _cv_estimates(X, y, spec.bandwidth_grid, seed, n_folds)
+        if estimates is not None:
+            approx, bound = estimates
+            best = int(np.argmin(approx))
+            if np.all(np.delete(approx - bound, best) > approx[best] + bound[best]):
+                return spec.bandwidth_grid[best]
     best_h, best_sse = None, math.inf
     for h, sse in zip(spec.bandwidth_grid, _cv_sses(X, y, spec, seed, n_folds)):
         if sse < best_sse:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -12,7 +13,7 @@ from scipy.special import ndtri
 
 from pseudolearn.cli import _NP_FUNCTIONS, main, propensity_expression
 from pseudolearn.data import ColumnMap, load_csv, write_csv
-from pseudolearn.errors import ConfigError
+from pseudolearn.errors import ConfigError, SchemaError
 from pseudolearn.grouplearner import GroupConfig, fit_group_learner
 from pseudolearn.iflearner import IFLearnerConfig, fit_if_learner
 from pseudolearn.learners import LearnerSpec, fit_learner
@@ -621,6 +622,13 @@ class TestPropensityExpression:
         pi = propensity_expression("x[7]")
         with pytest.raises(ConfigError, match="failed"):
             pi(np.array([[0.1]]))
+
+    @pytest.mark.parametrize("X, shape", [([0.2, 0.7], "(2,)"), ([[[0.2]]], "(1, 1, 1)")])
+    def test_matrix_must_be_2d(self, X, shape):
+        # a bare row used to read as d rows of one covariate each
+        message = re.escape(f"must be 2-D (n, d), got shape {shape}")
+        with pytest.raises(SchemaError, match=message):
+            propensity_expression("x[0]")(np.array(X))
 
     def test_rowwise_warning_shown_once(self):
         expr = "np.sqrt(x[0]) ** 1"  # the power keeps it row by row

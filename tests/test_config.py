@@ -232,6 +232,12 @@ CHOICES_AND_INTERVALS = [
     ("GroupConfig.split_fraction", lambda v: GroupConfig(split_fraction=v), _INTERVAL),
     ("GroupConfig.ci_level", lambda v: GroupConfig(ci_level=v), _INTERVAL),
     ("fit_probability.clip", _fit_probability, _INTERVAL),
+    ("LearnerSpec.bandwidth", lambda v: LearnerSpec(bandwidth=v),
+     (True, -0.1, 0, "0.1", np.nan, np.inf)),
+    ("LearnerSpec.bandwidth_grid[0]",
+     lambda v: LearnerSpec(bandwidth_grid=(v,)), (np.nan, np.inf, 0.0)),
+    ("LearnerSpec.bandwidth_grid[1]",
+     lambda v: LearnerSpec(bandwidth_grid=(0.1, v)), (np.nan, np.inf, -1.0, True, "0.2")),
 ]
 # (where, build or call with the value, the smallest count allowed)
 COUNTS = [

@@ -29,6 +29,7 @@ from pseudolearn.learners import (
     fit_learner,
     fit_probability,
 )
+from pseudolearn.simulate import Dgp1dConfig, sample_1d
 
 
 def col(v):
@@ -749,6 +750,132 @@ class TestGaussianFastPath:
         assert clamp.called == clamps
         want = _reference_nw_predict(cdist(X[:100], X), y, 0.01, shape)
         assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _cv_problems(draw):
+    """1-d CV inputs: uniform, half-integer (tied distances) or two clusters
+    36, 37.5 or 40 of the largest bandwidths apart (a held-out row's total
+    weight near or below the 2**-960 cut-off); noisy, constant, binary,
+    1e+-6-scaled or overflowing y; drawn grids and fold counts."""
+    n, seed = draw(st.integers(2, 300)), draw(st.integers(0, 2**32 - 1))
+    grid = draw(st.one_of(
+        st.just(learners.DEFAULT_BANDWIDTH_GRID),
+        st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=8, unique=True).map(
+            lambda g: tuple(sorted(g))
+        ),
+    ))
+    rng = np.random.default_rng(seed)
+    x = {
+        "uniform": rng.uniform(-1, 1, n),
+        "half": rng.integers(-20, 21, n) / 2.0,
+        "clusters": rng.uniform(-0.1, 0.1, n)
+        + (draw(st.sampled_from((36.0, 37.5, 40.0))) * grid[-1] + 0.2)
+        * (rng.uniform(size=n) < rng.uniform(0.01, 0.5)),
+    }[draw(st.sampled_from(("uniform", "half", "clusters")))]
+    noisy = np.sin(3.0 * x) + rng.normal(size=n)
+    y = {
+        "noisy": noisy,
+        "constant": np.full(n, noisy[0]),
+        "binary": (noisy > 0).astype(float),
+        "large": noisy * 1e6,
+        "small": noisy * 1e-6,
+        "overflow": noisy * 1e200,
+    }[draw(st.sampled_from(("noisy", "constant", "binary", "large", "small", "overflow")))]
+    spec = LearnerSpec(kind="kernel", bandwidth_grid=grid, cv_folds=draw(st.integers(2, 6)))
+    return col(x), y, spec, seed
+
+
+class TestCertifiedCv:
+    """1-d Gaussian CV picks h from bounded estimates, or else by the exact scan."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_cv_problems())
+    def test_bounds_hold_and_choice_is_the_exact_scans(self, case):
+        X, y, spec, seed = case
+        n_folds = min(spec.cv_folds, X.shape[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _reference_cv_sses(X, y, spec, seed, n_folds)
+            estimates = learners._cv_estimates(X, y, spec.bandwidth_grid, seed, n_folds)
+            if estimates is not None:
+                sse, bound = estimates
+                assert np.all(np.abs(np.asarray(want) - sse) <= bound)
+            finite = [v for v in want if v < np.inf]
+            if not finite:
+                with pytest.raises(EstimationError, match="no grid bandwidth has a finite"):
+                    _cv_bandwidth(X, y, spec, seed)
+                return
+            got = _cv_bandwidth(X, y, spec, seed)
+        assert got == spec.bandwidth_grid[want.index(min(finite))]
+
+    def test_bound_covers_the_floored_weights(self):
+        # leave one out: the row at 36.48 takes its weight from the rows at 0
+        # and -0.1 only, a total just above 2**-960; the 28 rows from -10 on,
+        # exponents below -700, add 28 * exp(-700) to its estimated total and
+        # pull the estimate towards their y = 1e6, by a third of the bound
+        X = col(np.concatenate([[0.0, -0.1, 36.48], -np.linspace(10, 20, 28)]))
+        y = np.concatenate([[0.0, 0.0, 1.0], np.full(28, 1e6)])
+        spec = LearnerSpec(kind="kernel", bandwidth_grid=(1.0,), cv_folds=31)
+        (sse,), (bound,) = learners._cv_estimates(X, y, spec.bandwidth_grid, 0, 31)
+        (want,) = _reference_cv_sses(X, y, spec, 0, 31)
+        assert 0.1 * bound < abs(want - sse) <= bound
+
+    @pytest.mark.parametrize("case", ["tie", "overflow", "underflowed row"])
+    def test_unproven_choices_take_the_exact_scan(self, case):
+        # y = 0 ties every SSE at 0; +-1e200 overflows them; a row 90
+        # bandwidths of 0.1 from the rest has no weight when held out
+        X, y = col(np.linspace(0, 1, 30)), np.sin(np.arange(30.0))
+        if case == "tie":
+            y = np.zeros(30)
+        elif case == "overflow":
+            y = np.where(np.arange(30) % 2 == 0, 1e200, -1e200)
+        else:
+            X[-1] = 10.0
+        spec = LearnerSpec(kind="kernel", bandwidth_grid=(0.1, 0.3, 0.9))
+        with (
+            np.errstate(over="ignore"),
+            mock.patch.object(learners, "_cv_sses", wraps=_cv_sses) as exact,
+        ):
+            if case == "overflow":
+                with pytest.raises(EstimationError, match="no grid bandwidth has a finite"):
+                    _cv_bandwidth(X, y, spec, 0)
+            else:
+                got = _cv_bandwidth(X, y, spec, 0)
+                want = _reference_cv_sses(X, y, spec, 0, 5)
+                assert got == spec.bandwidth_grid[int(np.argmin(want))]
+        assert exact.call_count == 1
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("arm", [0, 1])
+    def test_strong_selection_arms_are_proven(self, seed, arm):
+        data = sample_1d(Dgp1dConfig(propensity="strong_selection", n=2000, seed=seed))
+        X, y = data.dataset.X, data.dataset.y
+        X, y = X[data.dataset.w == arm], y[data.dataset.w == arm]
+        spec = LearnerSpec(kind="kernel")
+        with mock.patch.object(learners, "_cv_sses", wraps=_cv_sses) as exact:
+            got = _cv_bandwidth(X, y, spec, seed)
+        assert not exact.called
+        want = _cv_sses(X, y, spec, seed, spec.cv_folds)
+        assert got == spec.bandwidth_grid[int(np.argmin(want))]
+
+    def test_estimate_keeps_exp_off_its_slow_path(self):
+        # as the exact scan's clamp, but the estimate sends nothing below -700
+        rng = np.random.default_rng(5)
+        X = col(rng.uniform(-1, 1, 400))
+        y = np.sin(3.0 * X[:, 0]) + 0.3 * rng.normal(size=400)
+        real_exp, lowest = np.exp, []
+
+        def exp(x, *args, **kwargs):
+            lowest.append(np.min(x, initial=np.inf))  # before out= overwrites x
+            return real_exp(x, *args, **kwargs)
+
+        with (
+            mock.patch.object(np, "exp", wraps=exp),
+            mock.patch.object(learners, "_cv_sses", wraps=_cv_sses) as exact,
+        ):
+            _cv_bandwidth(X, y, LearnerSpec(kind="kernel"), 0)
+        assert not exact.called
+        assert lowest and min(lowest) == -700.0
 
 
 # the signed band's edges, +-0 and the doubles just inside it; values just
