@@ -22,15 +22,16 @@ Available kinds
     Nadaraya-Watson smoother with a radial gaussian or epanechnikov
     kernel.  ``bandwidth=None`` picks the ``bandwidth_grid`` entry (ascending;
     ties go to the smallest) with the lowest K-fold CV error; one-feature
-    Gaussian CV reads it from cheap estimates when a proven rounding bound
-    settles it.  With one feature, Gaussian weights send no exponent
-    below -700 to ``exp`` (only rows reaching that far are clamped), numpy's
-    fast path.  Grid bandwidths h0 * 2**k share one kernel-argument pass,
-    and each prediction reuses one block workspace.  1-d values all 0 or of
-    magnitude in [2**-458, 2**510] give weights from signed differences (no
-    square root).  Every weight keeps the plain computation's bits.  A
-    Gaussian query whose total weight underflows is redone with its
-    exponents shifted by their largest (log-sum-exp).
+    Gaussian CV estimates every error cheaply (each cross-fold pair weighed
+    once) under a proven rounding bound, and scans exactly only the
+    bandwidths the bound leaves open.  With one feature, Gaussian weights
+    send no exponent below -700 to ``exp`` (only rows reaching that far are
+    clamped), numpy's fast path.  Grid bandwidths h0 * 2**k share one
+    kernel-argument pass, and each prediction reuses one block workspace.
+    1-d values all 0 or of magnitude in [2**-458, 2**510] give weights from
+    signed differences (no square root).  Every weight keeps the plain
+    computation's bits.  A Gaussian query whose total weight underflows is
+    redone with its exponents shifted by their largest (log-sum-exp).
 ``forest``
     Subsampled regression forest with variance-reduction splits.  When
     ``honest`` each tree's subsample is halved: one half chooses the
@@ -44,7 +45,7 @@ Available kinds
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -527,76 +528,83 @@ def _floored_exp(w, bandwidth, shape, reach) -> None:
 
 def _cv_estimates(X, y, grid, seed: int, n_folds: int):
     """Estimates S of the SSEs that ``_cv_sses`` returns (1-d Gaussian) and
-    bounds B with |exact - S| <= B, or None where no bound is proven.
+    bounds B with |exact - S| <= B; a bandwidth without a proven bound gets
+    S = 0 and B = inf.
 
-    The estimate runs ``_cv_sses``' folds through ``_kernel_blocks`` with
-    weights exp(max(a, -700)) and each block's numerators and totals from one
-    product ``w @ [y, 1]``.  With n rows, M = max|y|, u = 2**-53, E = 1e-304
-    (> exp(-700)) and g(k) = k*u/(1 - k*u), per held-out row (Higham 2002,
-    ch. 3; a product or square that underflows adds at most 2**-1075):
+    The rows are sorted by fold, and ``_kernel_blocks`` weighs each fold's
+    rows against the later folds' rows with weights exp(max(a, -700)), so
+    each cross-fold pair is weighed once: a block ``w`` adds ``w @ [y, 1]``
+    to its query rows' numerators and totals and ``w.T @ [y, 1]`` to its
+    training rows'.  fl(a - b) = -fl(b - a), and ``_signed_ok`` makes a
+    pair's signed and sqrt distances equal, so where a >= -700 a weight has
+    the bits the exact path gives it with either row held out.  With n rows,
+    M = max|y|, u = 2**-53, E = 1e-304 (> exp(-700)) and g(k) =
+    k*u/(1 - k*u), per held-out row (Higham 2002, ch. 3; a product or square
+    that underflows adds at most 2**-1075):
     - the paths' weights differ only where a < -700, both in [0, E] there;
-    - any-order sums of n terms err by g(n) of their magnitudes, so the
-      estimated total T and numerator N are within dT = g(n)*(2T/(1 - g(n))
-      + nE) + nE and dN = M*dT + n*2**-1074 of the exact path's;
+    - sums of n terms in any order (the estimate adds a row's block sums)
+      err by g(n) of their magnitudes, so the estimated total T and
+      numerator N are within dT = g(n)*(2T/(1 - g(n)) + nE) + nE and
+      dN = M*dT + n*2**-1074 of the exact path's;
     - if T - dT >= 2**-960 no exact total is below 2**-969 (the shifted
       redo), and the predictions p = N/T differ by at most
       dp = (dN + |p|*dT)/(T - dT) + 2u|p| + 2**-1073, a squared residual
       r*r by at most dp*(2|r| + dp);
-    - both paths' roundings of the residuals, squares and sums (by fold,
-      then over the folds) err by at most 3*g(n + folds + 1)*S in all, S the
-      estimated SSE, plus 2**-1075 a square.
+    - both paths' roundings of the residuals, squares and sums (the exact
+      path's by fold, then over the folds; the estimate's over all rows) err
+      by at most 3*g(n + folds + 1)*S in all, plus 2**-1075 a square.
     B doubles the total, for 1 + O(u) factors and its own rounding.  NaN, a
     T - dT < 2**-960, or n*M or S + B >= 2**1000 (overflow) proves nothing.
     """
     u, n = 2.0**-53, X.shape[0]
     big_m, gamma, floor = float(np.max(np.abs(y))), n * u / (1 - n * u), n * 1e-304
-    folds = make_folds(n, n_folds, seed=rngmod.derive_seed(seed, "bwcv"))
-    sse, err = np.zeros(len(grid)), np.zeros(len(grid))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_folds):
-            test, train = folds.rows_in_fold(k), folds.train_rows(k)
-            yt = np.column_stack([y[train], np.ones(train.shape[0])])
-            fit = np.empty((len(grid), test.shape[0], 2))
-            blocks = _kernel_blocks(X[test], X[train], grid, "gaussian", _floored_exp)
+    fold_of = make_folds(n, n_folds, seed=rngmod.derive_seed(seed, "bwcv")).fold_of
+    order = np.argsort(fold_of, kind="stable")
+    X, y, ends = X[order], y[order], np.bincount(fold_of).cumsum()
+    yo, fit = np.column_stack([y, np.ones(n)]), np.zeros((len(grid), n, 2))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for start, stop in zip([0, *ends[:-2]], ends[:-1]):
+            blocks = _kernel_blocks(X[start:stop], X[stop:], grid, "gaussian", _floored_exp)
             for rows, i, w in blocks:
-                np.matmul(w, yt, out=fit[i, rows])
+                query = slice(start + rows.start, start + rows.stop)
+                fit[i, query] += w @ yo[stop:]
+                fit[i, stop:] += w.T @ yo[query]
             del w  # free the workspace before the next fold allocates its own
-            tot = fit[..., 1]
-            d_tot = gamma * (2 * tot / (1 - gamma) + floor) + floor
-            low = tot - d_tot
-            if not np.all(low >= 2.0**-960):
-                return None
-            pred = fit[..., 0] / tot
-            res, mag = pred - y[test], np.abs(pred)
-            d_pred = (big_m * d_tot + n * 2.0**-1074 + mag * d_tot) / low
-            d_pred += 2 * u * mag + 2.0**-1073
-            sse += np.sum(res * res, axis=1)
-            err += np.sum(d_pred * (2 * np.abs(res) + d_pred), axis=1)
+        tot = fit[..., 1]
+        d_tot = gamma * (2 * tot / (1 - gamma) + floor) + floor
+        low = tot - d_tot
+        pred = fit[..., 0] / tot
+        res, mag = pred - y, np.abs(pred)
+        d_pred = (big_m * d_tot + n * 2.0**-1074 + mag * d_tot) / low
+        d_pred += 2 * u * mag + 2.0**-1073
+        sse = np.sum(res * res, axis=1)
+        err = np.sum(d_pred * (2 * np.abs(res) + d_pred), axis=1)
         g = (n + n_folds + 1) * u / (1 - (n + n_folds + 1) * u)
         bound = 2 * (err + 3 * g * sse + n * 2.0**-1073)
-    if big_m * n < 2.0**1000 and np.all(sse + bound < 2.0**1000):
-        return sse, bound
-    return None
+        proven = np.all(low >= 2.0**-960, axis=1) & (sse + bound < 2.0**1000)
+    proven &= big_m * n < 2.0**1000
+    return np.where(proven, sse, 0.0), np.where(proven, bound, np.inf)
 
 
 def _cv_bandwidth(X, y, spec: LearnerSpec, seed: int) -> float:
     """Pick the grid bandwidth with the lowest K-fold held-out SSE.
 
     Ties (exact SSE equality) resolve to the smallest bandwidth because
-    the grid is scanned in ascending order with a strict comparison.  The
-    first argmin h* of 1-d Gaussian estimates S, each within B of its exact
-    SSE, is that choice if S(h) - B(h) > S(h*) + B(h*) for every other h.
+    the grid is scanned in ascending order with a strict comparison.  With
+    1-d Gaussian estimates S, each within B of its exact SSE, only the
+    bandwidths with S - B <= min(S + B) can be that choice (rounding is
+    monotone, so the float comparison is safe): a lone one with a finite B
+    is the choice, and otherwise the exact scan runs on them alone.
     """
     n_folds = min(spec.cv_folds, X.shape[0])
     if n_folds < 2:
         return spec.bandwidth_grid[0]
     if spec.kernel_shape == "gaussian" and X.shape[1] == 1:
-        estimates = _cv_estimates(X, y, spec.bandwidth_grid, seed, n_folds)
-        if estimates is not None:
-            approx, bound = estimates
-            best = int(np.argmin(approx))
-            if np.all(np.delete(approx - bound, best) > approx[best] + bound[best]):
-                return spec.bandwidth_grid[best]
+        approx, bound = _cv_estimates(X, y, spec.bandwidth_grid, seed, n_folds)
+        keep = np.flatnonzero(approx - bound <= np.min(approx + bound))
+        if keep.size == 1 and bound[keep[0]] < math.inf:
+            return spec.bandwidth_grid[keep[0]]
+        spec = replace(spec, bandwidth_grid=tuple(spec.bandwidth_grid[i] for i in keep))
     best_h, best_sse = None, math.inf
     for h, sse in zip(spec.bandwidth_grid, _cv_sses(X, y, spec, seed, n_folds)):
         if sse < best_sse:

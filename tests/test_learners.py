@@ -757,13 +757,18 @@ def _cv_problems(draw):
     """1-d CV inputs: uniform, half-integer (tied distances) or two clusters
     36, 37.5 or 40 of the largest bandwidths apart (a held-out row's total
     weight near or below the 2**-960 cut-off); noisy, constant, binary,
-    1e+-6-scaled or overflowing y; drawn grids and fold counts."""
+    1e+-6-scaled or overflowing y; default, drawn or h0 * 2**k grids; 2 to 6
+    folds, or one row a fold (n <= 40); row blocks of the module's size or of
+    64 entries (several blocks a fold, each adding to the later folds' rows)."""
     n, seed = draw(st.integers(2, 300)), draw(st.integers(0, 2**32 - 1))
     grid = draw(st.one_of(
         st.just(learners.DEFAULT_BANDWIDTH_GRID),
         st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=8, unique=True).map(
             lambda g: tuple(sorted(g))
         ),
+        st.tuples(
+            st.floats(1e-3, 1.0), st.lists(st.integers(0, 6), min_size=1, max_size=5, unique=True)
+        ).map(lambda t: tuple(t[0] * 2.0**k for k in sorted(t[1]))),
     ))
     rng = np.random.default_rng(seed)
     x = {
@@ -782,8 +787,9 @@ def _cv_problems(draw):
         "small": noisy * 1e-6,
         "overflow": noisy * 1e200,
     }[draw(st.sampled_from(("noisy", "constant", "binary", "large", "small", "overflow")))]
-    spec = LearnerSpec(kind="kernel", bandwidth_grid=grid, cv_folds=draw(st.integers(2, 6)))
-    return col(x), y, spec, seed
+    folds = draw(st.integers(2, 6) if n > 40 else st.one_of(st.integers(2, 6), st.just(n)))
+    spec = LearnerSpec(kind="kernel", bandwidth_grid=grid, cv_folds=folds)
+    return col(x), y, spec, seed, draw(st.sampled_from((learners._BLOCK_ENTRIES, 64)))
 
 
 class TestCertifiedCv:
@@ -792,14 +798,16 @@ class TestCertifiedCv:
     @settings(max_examples=200, deadline=None)
     @given(_cv_problems())
     def test_bounds_hold_and_choice_is_the_exact_scans(self, case):
-        X, y, spec, seed = case
+        X, y, spec, seed, entries = case
         n_folds = min(spec.cv_folds, X.shape[0])
-        with np.errstate(over="ignore", invalid="ignore"):
+        with (
+            np.errstate(over="ignore", invalid="ignore"),
+            mock.patch.object(learners, "_BLOCK_ENTRIES", entries),
+        ):
             want = _reference_cv_sses(X, y, spec, seed, n_folds)
-            estimates = learners._cv_estimates(X, y, spec.bandwidth_grid, seed, n_folds)
-            if estimates is not None:
-                sse, bound = estimates
-                assert np.all(np.abs(np.asarray(want) - sse) <= bound)
+            sse, bound = learners._cv_estimates(X, y, spec.bandwidth_grid, seed, n_folds)
+            # an infinite bound claims nothing, NaN included
+            assert np.all((np.abs(np.asarray(want) - sse) <= bound) | (bound == np.inf))
             finite = [v for v in want if v < np.inf]
             if not finite:
                 with pytest.raises(EstimationError, match="no grid bandwidth has a finite"):
@@ -807,6 +815,25 @@ class TestCertifiedCv:
                 return
             got = _cv_bandwidth(X, y, spec, seed)
         assert got == spec.bandwidth_grid[want.index(min(finite))]
+
+    @settings(max_examples=100, deadline=None)
+    @given(_cv_problems(), st.data())
+    def test_sub_grid_sses_are_the_full_grids(self, case, data):
+        # a sub-grid splits bandwidth families h0 * 2**k, which keep their bits
+        X, y, spec, seed, entries = case
+        grid = spec.bandwidth_grid
+        keep = data.draw(
+            st.lists(st.sampled_from(range(len(grid))), min_size=1, unique=True).map(sorted)
+        )
+        sub = LearnerSpec(kind="kernel", bandwidth_grid=tuple(grid[i] for i in keep))
+        n_folds = min(spec.cv_folds, X.shape[0])
+        with (
+            np.errstate(over="ignore", invalid="ignore"),
+            mock.patch.object(learners, "_BLOCK_ENTRIES", entries),
+        ):
+            full = _cv_sses(X, y, spec, seed, n_folds)
+            part = _cv_sses(X, y, sub, seed, n_folds)
+        assert np.asarray(part).tobytes() == np.asarray(full)[keep].tobytes()
 
     def test_bound_covers_the_floored_weights(self):
         # leave one out: the row at 36.48 takes its weight from the rows at 0
@@ -820,10 +847,14 @@ class TestCertifiedCv:
         (want,) = _reference_cv_sses(X, y, spec, 0, 31)
         assert 0.1 * bound < abs(want - sse) <= bound
 
-    @pytest.mark.parametrize("case", ["tie", "overflow", "underflowed row"])
-    def test_unproven_choices_take_the_exact_scan(self, case):
+    @pytest.mark.parametrize(
+        "case, scanned",
+        [("tie", (0.1, 0.3, 0.9)), ("overflow", (0.1, 0.3, 0.9)), ("underflowed row", (0.1, 0.9))],
+    )
+    def test_unproven_choices_take_the_exact_scan(self, case, scanned):
         # y = 0 ties every SSE at 0; +-1e200 overflows them; a row 90
-        # bandwidths of 0.1 from the rest has no weight when held out
+        # bandwidths of 0.1 from the rest has no weight when held out, which
+        # leaves 0.1 unproven, and 0.9's interval is below 0.3's
         X, y = col(np.linspace(0, 1, 30)), np.sin(np.arange(30.0))
         if case == "tie":
             y = np.zeros(30)
@@ -844,6 +875,7 @@ class TestCertifiedCv:
                 want = _reference_cv_sses(X, y, spec, 0, 5)
                 assert got == spec.bandwidth_grid[int(np.argmin(want))]
         assert exact.call_count == 1
+        assert exact.call_args.args[2].bandwidth_grid == scanned
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("arm", [0, 1])
@@ -876,6 +908,33 @@ class TestCertifiedCv:
             _cv_bandwidth(X, y, LearnerSpec(kind="kernel"), 0)
         assert not exact.called
         assert lowest and min(lowest) == -700.0
+
+    def test_estimate_weighs_each_cross_fold_pair_once(self):
+        # fold k's rows meet the later folds' rows only: sum_{k<l} n_k * n_l
+        # weights a bandwidth, not sum_k n_k * (n - n_k)
+        rng = np.random.default_rng(8)
+        X = col(rng.uniform(-1, 1, 800))
+        y = np.sin(3.0 * X[:, 0]) + 0.3 * rng.normal(size=800)
+        spec = LearnerSpec(kind="kernel")
+        with mock.patch.object(learners, "_floored_exp", wraps=learners._floored_exp) as exp:
+            fit_learner(spec, X, y, seed=2)
+        folds = make_folds(800, spec.cv_folds, seed=rngmod.derive_seed(2, "bwcv"))
+        pairs = (800**2 - int(np.sum(np.bincount(folds.fold_of) ** 2))) // 2
+        assert sum(c.args[0].size for c in exp.call_args_list) == len(spec.bandwidth_grid) * pairs
+
+    def test_estimate_keeps_one_block_workspace(self):
+        # a workspace of 3 x 40 x 1600 doubles is 1.5 MiB; two alive at once
+        # (one fold's blocks held while the next allocates) would pass 3 MiB
+        rng = np.random.default_rng(0)
+        X = col(rng.uniform(-1, 1, 2000))
+        y = np.sin(3.0 * X[:, 0]) + rng.normal(size=2000)
+        tracemalloc.start()
+        try:
+            learners._cv_estimates(X, y, learners.DEFAULT_BANDWIDTH_GRID, 0, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2**20
 
 
 # the signed band's edges, +-0 and the doubles just inside it; values just
