@@ -77,7 +77,7 @@ def _write_manifest(out_path: str, command: str, config: dict, summary: str) -> 
         "output": str(out_path),
         "versions": _versions(),
     }
-    with open(f"{out_path}.manifest.json", "w") as f:
+    with open(f"{out_path}.manifest.json", "w", encoding="utf-8") as f:
         json.dump(manifest, f, sort_keys=True, indent=2)
         f.write("\n")
     print(f"wrote {out_path} ({summary})")
@@ -215,7 +215,11 @@ def _parse_grid(spec: str, n_features: int) -> np.ndarray:
         raise ConfigError(f"--grid must be 'lo:hi:count', got {spec!r}") from None
     if count < 1 or not lo < hi:
         raise ConfigError(f"--grid needs lo < hi and count >= 1, got {spec!r}")
-    return np.linspace(lo, hi, count).reshape(-1, 1)
+    with np.errstate(all="ignore"):  # an infinite end or span is refused below
+        grid = np.linspace(lo, hi, count)
+    if not np.isfinite(grid).all():
+        raise ConfigError(f"--grid values must all be finite, got {spec!r}")
+    return grid.reshape(-1, 1)
 
 
 def cmd_simulate(args) -> int:

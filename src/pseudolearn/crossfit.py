@@ -10,10 +10,10 @@ per-fold learner seeds all derive from ``config.seed``, so the K fits
 could run in any order or in parallel without changing the result.
 
 Row-order sensitivity: with order-insensitive learners (knn, fixed
-bandwidth kernel) the output is equivariant under row permutation once
-the fold assignment is transported alongside.  Learners that consume
-seeded randomness tied to row positions (forest subsampling, CV
-bandwidth selection) do not have this property.
+bandwidth kernel) a :func:`fit_then_predict` is equivariant under row
+permutation once its train and test rows are transported alongside.
+The drawn folds are tied to row positions, and so are learners that
+consume seeded randomness (forest subsampling, CV bandwidth selection).
 """
 
 from __future__ import annotations
@@ -107,14 +107,13 @@ def arm_rows(name: str, w: np.ndarray, pool: np.ndarray) -> np.ndarray:
 
 
 def fit_then_predict(
-    data, train, test, cfg, pseudo, seed_of, where, given=None, instrument=None
+    data, train, test, cfg, pseudo, seed_of, where, given=None
 ) -> dict:
     """Fit the nuisances the target reads on ``train`` rows; predict ``test`` rows.
 
     Returns the predictions keyed by :class:`NuisanceEstimates` field.
     ``given`` maps a nuisance to its values at the ``test`` rows (a known
-    pi, or predictions of this same fit), used instead of fitting it;
-    ``instrument(name, rows)`` sees each model's training rows.
+    pi, or predictions of this same fit), used instead of fitting it.
     """
     preds = {}
     for name in NUISANCES[pseudo.target]:
@@ -124,8 +123,6 @@ def fit_then_predict(
         rows = arm_rows(name, data.w, train)
         model = fit_nuisance(name, data, rows, cfg, pseudo, seed_of(name), where)
         preds[f"{name}_hat"] = model.predict(data.X[test])
-        if instrument is not None:
-            instrument(name, rows)
     return preds
 
 
@@ -196,9 +193,7 @@ def crossfit_nuisances(
     data: Dataset,
     cfg: CrossfitConfig,
     pseudo: PseudoOutcomeSpec = _DEFAULT_PSEUDO,
-    folds: FoldAssignment | None = None,
     known_propensity=None,
-    instrument=None,
 ) -> NuisanceEstimates:
     """First stage: out-of-fold nuisance predictions for every row.
 
@@ -209,15 +204,8 @@ def crossfit_nuisances(
     cfg : CrossfitConfig
     pseudo : PseudoOutcomeSpec
         Supplies the clip floors and the binary-outcome mode.
-    folds : FoldAssignment, optional
-        Injected fold assignment (no redrawing happens for injected
-        folds; a degenerate arm errors immediately).
     known_propensity : scalar, array or callable, optional
         Bypasses propensity fitting; see :func:`evaluate_propensity`.
-    instrument : callable, optional
-        Called as ``instrument(name, fold, train_rows, predict_rows)``
-        for every model fit, exposing training-row identifiers so fold
-        hygiene can be audited externally.
 
     Returns
     -------
@@ -230,33 +218,17 @@ def crossfit_nuisances(
         raise EstimationError(
             "degenerate arm: all rows share one indicator value"
         )
-    if folds is None:
-        folds = _draw_folds(data, cfg)
-    else:
-        if folds.n != n:
-            raise SchemaError(
-                f"fold assignment covers {folds.n} rows, dataset has {n}"
-            )
-        if folds.n_folds != cfg.n_folds:
-            raise ConfigError(
-                f"fold assignment has {folds.n_folds} folds, config says {cfg.n_folds}"
-            )
-        if not _arms_ok(folds.fold_of, w, cfg.n_folds):
-            raise EstimationError(
-                "degenerate arm: injected folds leave a training complement "
-                "without one arm"
-            )
+    folds = _draw_folds(data, cfg)
 
     known = known_pi_values(data, known_propensity, pseudo)
     out = {f"{name}_hat": np.empty(n) for name in NUISANCES[pseudo.target]}
     for k in range(cfg.n_folds):
         test = folds.rows_in_fold(k)
-        hook = instrument and (lambda name, rows: instrument(name, k, rows, test))
         given = None if known is None else {"pi": known[test]}
         preds = fit_then_predict(
             data, folds.train_rows(k), test, cfg, pseudo,
             seed_of=lambda name: rngmod.derive_seed(cfg.seed, name, k),
-            where=f"fold {k}", given=given, instrument=hook,
+            where=f"fold {k}", given=given,
         )
         for key, values in preds.items():
             out[key][test] = values

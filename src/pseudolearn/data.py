@@ -275,6 +275,10 @@ class ColumnMap(FromDict):
     def __post_init__(self):
         if not self.covariates:
             raise ConfigError("column map needs at least one covariate column")
+        names = [*self.covariates, self.outcome, self.treatment]
+        for i, name in enumerate(names):
+            if name is not None and name in names[:i]:
+                raise ConfigError(f"column map names column {name!r} twice: each has one role")
 
 
 def read_csv_columns(path, names) -> np.ndarray:
@@ -367,8 +371,8 @@ def load_csv(path, column_map) -> Dataset:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write a headered CSV; floats get 17 significant digits (exact round-trip)."""
-    with open(path, "w", newline="") as f:
+    """Write a headered UTF-8 CSV; floats get 17 significant digits (exact round-trip)."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
         for row in rows:

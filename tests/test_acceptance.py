@@ -53,6 +53,8 @@ from pseudolearn.simulate import (
     xi,
 )
 
+from fitwatch import watched_fits
+
 # the unit suite alone: pytest -m "not acceptance"
 pytestmark = pytest.mark.acceptance
 
@@ -209,14 +211,9 @@ def test_04_crossfit_never_predicts_training_rows():
             seed=int(rng.integers(0, 2**31)),
         )
 
-        events = []
-        def instrument(name, fold, train_rows, predict_rows):
-            events.append((name, fold, np.array(train_rows), np.array(predict_rows)))
-
         known = 0.5 if trial % 4 == 0 else None
-        nuis = crossfit_nuisances(
-            data, cfg, known_propensity=known, instrument=instrument
-        )
+        with watched_fits() as events:
+            nuis = crossfit_nuisances(data, cfg, known_propensity=known)
 
         predicted = {"mu0": [], "mu1": [], "pi": []}
         for name, _fold, train_rows, predict_rows in events:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import re
 import subprocess
 import sys
@@ -296,6 +297,12 @@ class TestFit:
              "LearnerSpec.bandwidth_grid: expected float, got 'a'"),
             ({"if_config": {"crossfit": {"eps_clip": 0.05}}},
              "CrossfitConfig: unknown key(s) ['eps_clip']"),
+            ({"columns": {"covariates": ["y"], "outcome": "y"}},
+             "column map names column 'y' twice"),
+            ({"columns": {"covariates": ["x1"], "outcome": "w", "treatment": "w"}},
+             "column map names column 'w' twice"),
+            ({"columns": {"covariates": ["x1", "x1"], "outcome": "y"}},
+             "column map names column 'x1' twice"),
         ],
     )
     def test_bad_config_file_is_validation_failure(
@@ -315,6 +322,42 @@ class TestFit:
                 "--out", str(tmp_path / "out.csv")]
         assert main(argv) == 2
         assert "IFLearnerConfig: unknown key(s) ['winsorize']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["-inf:1:3", "0:inf:3", "-1e308:1e308:3"])
+    def test_non_finite_grid_is_validation_failure(self, tmp_path, capsys, grid):
+        data, columns = self.rct_files(tmp_path)
+        cfg = write_json(tmp_path / "fit.json", {"columns": columns, "if_config": FAST_IF_DICT})
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", "--data", data, "--config", cfg, f"--grid={grid}",
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --grid values must all be finite, got {grid!r}\n"
+        )
+        assert not out.exists()
+
+    def test_outputs_are_utf8_whatever_the_locale(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("âge,w,y\n0.1,0,1.0\n0.2,1,2.0\n0.3,0,3.0\n0.4,1,4.0\n"
+                        "0.5,0,5.0\n0.6,1,6.0\n", encoding="utf-8")
+        blob = {
+            "columns": {"covariates": ["âge"], "outcome": "y", "treatment": "w"},
+            "if_config": {**FAST_IF_DICT, "pseudo": {"target": "regression_mean"},
+                          "second_stage": {"kind": "mean"}},
+        }
+        cfg = write_json(tmp_path / "fit.json", blob)
+        out = tmp_path / "out.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pseudolearn.cli", "fit", "--data", str(data),
+             "--config", cfg, "--grid=0:1:2", "--out", str(out)],
+            capture_output=True, text=True,
+            env={**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_bytes() == "âge,psi_hat\n0,3.5\n1,3.5\n".encode("utf-8")
+        manifest = json.loads(out.with_name("out.csv.manifest.json").read_text("utf-8"))
+        assert manifest["config"]["columns"]["covariates"] == ["âge"]
 
     def test_config_file_needs_columns(self, tmp_path, capsys):
         data, _ = self.rct_files(tmp_path)

@@ -7,6 +7,7 @@ from pseudolearn.crossfit import (
     CrossfitConfig,
     crossfit_nuisances,
     evaluate_propensity,
+    fit_then_predict,
     oob_nuisances,
 )
 from pseudolearn.data import Dataset, make_folds
@@ -18,6 +19,9 @@ from pseudolearn.errors import (
 )
 from pseudolearn.learners import LearnerSpec
 from pseudolearn.pseudo import PseudoOutcomeSpec
+from pseudolearn.rng import derive_seed
+
+from fitwatch import watched_fits
 
 KNN1 = LearnerSpec(kind="knn", k=1)
 MEAN = LearnerSpec(kind="mean")
@@ -129,25 +133,6 @@ class TestCrossfit:
         nuis = crossfit_nuisances(ds, cfg)
         assert abs(nuis.pi_hat.mean() - 0.5) < 3.0 / np.sqrt(n)
 
-    def test_injected_degenerate_folds_error_without_redraw(self):
-        ds = Dataset(
-            np.arange(4.0).reshape(-1, 1), np.zeros(4), [1, 1, 0, 0]
-        )
-        from pseudolearn.data import FoldAssignment
-
-        # fold 0 = both treated rows -> complement of fold 1 lacks arm 0
-        folds = FoldAssignment(fold_of=np.array([0, 0, 1, 1]), n_folds=2)
-        cfg = CrossfitConfig(outcome_spec=MEAN, propensity_spec=MEAN, n_folds=2)
-        with pytest.raises(EstimationError, match="injected"):
-            crossfit_nuisances(ds, cfg, folds=folds)
-
-    def test_fold_count_mismatch_rejected(self):
-        ds = rct_dataset(n=20, seed=5)
-        folds = make_folds(20, 4, seed=0)
-        cfg = CrossfitConfig(outcome_spec=MEAN, propensity_spec=MEAN, n_folds=5)
-        with pytest.raises(ConfigError):
-            crossfit_nuisances(ds, cfg, folds=folds)
-
 
 class TestFitNuisance:
     def test_too_few_rows_names_nuisance_and_fold(self):
@@ -180,10 +165,8 @@ class TestFoldHygiene:
                 n_folds=k,
                 seed=trial,
             )
-            records = []
-            nuis = crossfit_nuisances(
-                ds, cfg, instrument=lambda *rec: records.append(rec)
-            )
+            with watched_fits() as records:
+                nuis = crossfit_nuisances(ds, cfg)
             predicted = []
             for name, fold, train, test in records:
                 assert not set(train.tolist()) & set(test.tolist())
@@ -194,8 +177,8 @@ class TestFoldHygiene:
             # out-of-fold predictions cover every row exactly once
             assert sorted(predicted) == list(range(n))
 
-    def test_permutation_equivariance_with_injected_folds(self):
-        # order-insensitive learners + transported folds = same estimates
+    def test_permutation_equivariance_with_transported_rows(self):
+        # order-insensitive learners + transported train/test rows = same estimates
         ds = rct_dataset(n=50, seed=11)
         folds = make_folds(50, 5, seed=21)
         cfg = CrossfitConfig(
@@ -203,18 +186,26 @@ class TestFoldHygiene:
             propensity_spec=LearnerSpec(kind="kernel", bandwidth=0.8),
             seed=3,
         )
-        base = crossfit_nuisances(ds, cfg, folds=folds)
-
         rng = np.random.default_rng(12)
         perm = rng.permutation(50)
         ds_p = Dataset(ds.X[perm], ds.y[perm], ds.w[perm])
-        from pseudolearn.data import FoldAssignment
-
-        folds_p = FoldAssignment(fold_of=folds.fold_of[perm], n_folds=5)
-        permuted = crossfit_nuisances(ds_p, cfg, folds=folds_p)
-        assert np.allclose(permuted.mu0_hat, base.mu0_hat[perm], atol=1e-12)
-        assert np.allclose(permuted.mu1_hat, base.mu1_hat[perm], atol=1e-12)
-        assert np.allclose(permuted.pi_hat, base.pi_hat[perm], atol=1e-12)
+        position = np.argsort(perm)  # row i of ds is row position[i] of ds_p
+        keys = ("mu0_hat", "mu1_hat", "pi_hat")
+        base, permuted = ({key: np.empty(50) for key in keys} for _ in range(2))
+        for k in range(5):
+            train, test = folds.train_rows(k), folds.rows_in_fold(k)
+            # transported rows, taken in ds_p's order rather than ds's
+            train_p, test_p = np.sort(position[train]), np.sort(position[test])
+            for d, tr, te, out in ((ds, train, test, base), (ds_p, train_p, test_p, permuted)):
+                preds = fit_then_predict(
+                    d, tr, te, cfg, PseudoOutcomeSpec(),
+                    seed_of=lambda name: derive_seed(cfg.seed, name, k),
+                    where=f"fold {k}",
+                )
+                for key in keys:
+                    out[key][te] = preds[key]
+        for key in keys:
+            assert np.allclose(permuted[key], base[key][perm], atol=1e-12), key
 
 
 class TestKnownPropensity:
@@ -257,13 +248,8 @@ class TestKnownPropensity:
 
     def test_outcomes_still_crossfitted(self):
         ds = rct_dataset(n=40, seed=13)
-        records = []
-        crossfit_nuisances(
-            ds,
-            self.CFG,
-            known_propensity=0.5,
-            instrument=lambda *rec: records.append(rec),
-        )
+        with watched_fits() as records:
+            crossfit_nuisances(ds, self.CFG, known_propensity=0.5)
         names = {r[0] for r in records}
         assert names == {"mu0", "mu1"}  # no propensity model was fitted
 

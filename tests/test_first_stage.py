@@ -47,6 +47,8 @@ from pseudolearn.pseudo import (
 )
 from pseudolearn.simulate import Dgp1dConfig, sample_1d
 
+from fitwatch import watched_fits
+
 KNN5 = LearnerSpec(kind="knn", k=5)
 KNN10 = LearnerSpec(kind="knn", k=10)
 FOREST = LearnerSpec(kind="forest", n_trees=4, min_leaf=3)
@@ -83,17 +85,16 @@ class TestNuisanceTable:
     @pytest.mark.parametrize("known", [None, 0.5])
     def test_crossfit_returns_the_table_vectors(self, target, known):
         data = sample_for(target).dataset
-        seen = []
-        nuis = crossfit_nuisances(
-            data,
-            CrossfitConfig(outcome_spec=KNN5, propensity_spec=KNN5, n_folds=3),
-            pseudo_for(target),
-            known_propensity=known,
-            instrument=lambda name, k, rows, test: seen.append(name),
-        )
+        with watched_fits() as seen:
+            nuis = crossfit_nuisances(
+                data,
+                CrossfitConfig(outcome_spec=KNN5, propensity_spec=KNN5, n_folds=3),
+                pseudo_for(target),
+                known_propensity=known,
+            )
         assert fitted(nuis) == set(NUISANCES[target])
         fits = [n for n in NUISANCES[target] if n != "pi" or known is None]
-        assert seen == fits * 3
+        assert [name for name, *_ in seen] == fits * 3
         assert nuis.n == data.n
 
     @pytest.mark.parametrize("target", TARGETS)

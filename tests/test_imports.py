@@ -1,6 +1,7 @@
 """No package module imports a name it never uses, defines a private name
-that nothing reads, or exports a name it lacks, every example imports
-names that exist, and README names every config key (no linter needed)."""
+that nothing reads, exports a name it lacks, runs code from text or opens
+a text file in the locale's encoding; every example imports names that
+exist, and README names every config key (no linter needed)."""
 
 import ast
 import dataclasses
@@ -125,6 +126,41 @@ def test_no_module_runs_code_from_text(path):
 def test_dynamic_code_is_found():
     source = "import builtins\nx = eval('1')\nbuiltins.exec(s)\nre.compile(p)\n__import__('os')"
     assert _dynamic_code(source) == ["__import__ (line 5)", "eval (line 2)", "exec (line 3)"]
+
+
+def _opens_without_encoding(source: str) -> list[str]:
+    """Text-mode ``open`` calls that leave the encoding to the locale."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call)
+                and ast.unparse(node.func).removeprefix("builtins.") in ("open", "io.open")):
+            continue
+        mode = node.args[1] if len(node.args) > 1 else next(
+            (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r")
+        )
+        binary = isinstance(mode, ast.Constant) and "b" in str(mode.value)
+        if not binary and len(node.args) < 4 and all(k.arg != "encoding" for k in node.keywords):
+            found.append(f"{ast.unparse(node)} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_text_open_names_its_encoding(path):
+    assert _opens_without_encoding(path.read_text(encoding="utf-8")) == []
+
+
+def test_an_open_without_encoding_is_found():
+    source = (
+        "open(p)\nopen(p, 'w', newline='')\nopen(p, mode='a')\nbuiltins.open(p, m)\n"
+        "open(p, 'rb')\nopen(p, mode='wb')\nopen(p, encoding='utf-8')\n"
+        "open(p, 'w', -1, 'utf-8')\nos.open(p, 0)"
+    )
+    assert _opens_without_encoding(source) == [
+        "open(p) (line 1)",
+        "open(p, 'w', newline='') (line 2)",
+        "open(p, mode='a') (line 3)",
+        "builtins.open(p, m) (line 4)",
+    ]
 
 
 def _unresolved_imports(source: str) -> list[str]:
