@@ -23,8 +23,9 @@ Available kinds
     kernel.  ``bandwidth=None`` picks the ``bandwidth_grid`` entry (ascending;
     ties go to the smallest) with the lowest K-fold CV error; one-feature
     Gaussian CV estimates every error cheaply (each cross-fold pair weighed
-    once) under a proven rounding bound, and scans exactly only the
-    bandwidths the bound leaves open.  With one feature, Gaussian weights
+    once, one ``exp`` per family h0 * 2**k, its smaller members by squaring)
+    under a proven rounding bound, and scans exactly only the bandwidths
+    the bound leaves open.  With one feature, Gaussian weights
     send no exponent below -700 to ``exp`` (only rows reaching that far are
     clamped), numpy's fast path.  Grid bandwidths h0 * 2**k share one
     kernel-argument pass, and each prediction reuses one block workspace.
@@ -404,11 +405,24 @@ def _signed_ok(v: np.ndarray) -> bool:
     return bool(np.all((a == 0.0) | ((a >= 2.0**-458) & (a <= 2.0**510))))
 
 
-def _kernel_blocks(Xq, Xt, bandwidths, shape, weigh):
+def _outer_difference(a, b, out) -> np.ndarray:
+    """``a - b.T`` for columns ``a`` (m, 1) and ``b`` (n, 1), written to ``out``.
+
+    numpy's default 8192-entry buffer copies both operands through it when
+    3n <= 8192, five times slower; a 1024-entry one does not.  The bits do
+    not change, and the size is restored (numpy < 2 keeps it global)."""
+    size = np.setbufsize(1024)
+    try:
+        return np.subtract(a, b.T, out=out)
+    finally:
+        np.setbufsize(size)
+
+
+def _kernel_blocks(Xq, Xt, bandwidths, shape):
     """Yields (rows, i, w): bandwidth i's weights at the query rows ``rows``,
     in workspace that the next step overwrites.  Each row block's distances
-    serve every bandwidth, each family of bandwidths h0 * 2**k shares one
-    kernel-argument pass, and ``weigh(arg, h, shape, reach)`` makes weights.
+    serve every bandwidth, and each family of bandwidths h0 * 2**k shares one
+    kernel-argument pass.
     """
     m, n = Xq.shape[0], Xt.shape[0]
     families = _bandwidth_families(bandwidths)
@@ -428,7 +442,7 @@ def _kernel_blocks(Xq, Xt, bandwidths, shape, weigh):
     for rows in blocks:
         slab = work[:, : rows.stop - rows.start]
         if signed:
-            np.subtract(Xq[rows], Xt.T, out=slab[0])
+            _outer_difference(Xq[rows], Xt, slab[0])
         else:
             _distances(Xq[rows], Xt, out=slab[0])
         near = None if reach is None else reach[rows]
@@ -437,7 +451,7 @@ def _kernel_blocks(Xq, Xt, bandwidths, shape, weigh):
             # the base comes last and turns its own argument into weights
             for i, scale in family:
                 w = arg if scale is None else np.multiply(arg, scale, out=slab[1])
-                weigh(w, bandwidths[i], shape, near)
+                _kernel_weights(w, bandwidths[i], shape, near)
                 yield rows, i, w
 
 
@@ -452,7 +466,7 @@ def _nw_predict(Xq, Xt, yt, bandwidths, shape) -> list:
     tots = [np.empty(Xq.shape[0]) for _ in bandwidths]
     # queries without weight divide 0 by 0 here; they are overwritten below
     with np.errstate(divide="ignore", invalid="ignore"):
-        for rows, i, w in _kernel_blocks(Xq, Xt, bandwidths, shape, _kernel_weights):
+        for rows, i, w in _kernel_blocks(Xq, Xt, bandwidths, shape):
             np.sum(w, axis=1, out=tots[i][rows])
             np.divide(w @ yt, tots[i][rows], out=preds[i][rows])
     for h, pred, tot in zip(bandwidths, preds, tots):
@@ -520,32 +534,37 @@ def _cv_sses(X, y, spec: LearnerSpec, seed: int, n_folds: int) -> list:
     return sses
 
 
-def _floored_exp(w, bandwidth, shape, reach) -> None:
-    """Gaussian weights exp(max(arg, -700)) in place, one fast ``exp``."""
-    np.maximum(w, _EXP_FAST_MIN, out=w)
-    np.exp(w, out=w)
-
-
 def _cv_estimates(X, y, grid, seed: int, n_folds: int):
     """Estimates S of the SSEs that ``_cv_sses`` returns (1-d Gaussian) and
     bounds B with |exact - S| <= B; a bandwidth without a proven bound gets
     S = 0 and B = inf.
 
-    The rows are sorted by fold, and ``_kernel_blocks`` weighs each fold's
-    rows against the later folds' rows with weights exp(max(a, -700)), so
-    each cross-fold pair is weighed once: a block ``w`` adds ``w @ [y, 1]``
-    to its query rows' numerators and totals and ``w.T @ [y, 1]`` to its
-    training rows'.  fl(a - b) = -fl(b - a), and ``_signed_ok`` makes a
-    pair's signed and sqrt distances equal, so where a >= -700 a weight has
-    the bits the exact path gives it with either row held out.  With n rows,
-    M = max|y|, u = 2**-53, E = 1e-304 (> exp(-700)) and g(k) =
-    k*u/(1 - k*u), per held-out row (Higham 2002, ch. 3; a product or square
-    that underflows adds at most 2**-1075):
-    - the paths' weights differ only where a < -700, both in [0, E] there;
+    The rows are sorted by fold, and each fold's rows meet only the later
+    folds' rows, so each cross-fold pair is weighed once: a block ``w`` adds
+    ``w @ [y, 1]`` to its query rows' numerators and totals and
+    ``w.T @ [y, 1]`` to its training rows'.  A block squares its signed
+    differences D once; each family h * 2**k takes one exp(D*D * c), c =
+    -0.5/(h*h) at its largest member (floored at -700 only if the span
+    reaches below it), and each halving squares the weights twice.
+
+    With n rows, M = max|y|, u = 2**-53, E = 1e-304 (> exp(-700)), g(k) =
+    k*u/(1 - k*u) and a = -D*D/(2*h*h) exactly, per held-out row (Higham
+    2002, ch. 3; a product that underflows adds at most 2**-1075):
+    - ``_signed_ok`` makes |D| the exact path's distance and D*D normal or 0,
+      and h*h in [2**-1022, 2**1021] at a family's top keeps c normal;
+      without both nothing is proven.  float64 ``exp`` is assumed within 4
+      ulp of e**x on [-745, 0] (numpy's tests hold 1 ulp; a test checks 2);
+    - where a >= -700 the two paths' weights w and q, all squares normal,
+      have |ln(w/q)| <= L = u*(8*A + 10*4**j + 8) + 2**-900 for A >= |a|:
+      7u*|a| for the exponents' 4 and 3 roundings (a floor only moves one
+      towards a), 8u per ``exp`` and u per squaring, the estimate's raised
+      to 4**j by j halvings.  So |w - q| <= rho*w, rho = L*exp(L); an L
+      above 2**-20 proves nothing;
+    - where a < -700 both weights lie in [0, E];
     - sums of n terms in any order (the estimate adds a row's block sums)
-      err by g(n) of their magnitudes, so the estimated total T and
-      numerator N are within dT = g(n)*(2T/(1 - g(n)) + nE) + nE and
-      dN = M*dT + n*2**-1074 of the exact path's;
+      err by g(n) of their magnitudes, so the estimated total T and numerator
+      N are within dT = (2g(n) + (1 + g(n))*rho)*T/(1 - g(n)) + (1 + g(n))*nE
+      and dN = M*dT + n*2**-1074 of the exact path's;
     - if T - dT >= 2**-960 no exact total is below 2**-969 (the shifted
       redo), and the predictions p = N/T differ by at most
       dp = (dN + |p|*dT)/(T - dT) + 2u|p| + 2**-1073, a squared residual
@@ -558,20 +577,51 @@ def _cv_estimates(X, y, grid, seed: int, n_folds: int):
     """
     u, n = 2.0**-53, X.shape[0]
     big_m, gamma, floor = float(np.max(np.abs(y))), n * u / (1 - n * u), n * 1e-304
+    rho, chains, span = np.full(len(grid), np.inf), [], float(np.max(X)) - float(np.min(X))
+    # per family: c, whether to floor, and its members from the largest down,
+    # each with its halvings j from the largest
+    for family in _bandwidth_families(grid) if _signed_ok(X) else ():
+        top = grid[family[0][0]]
+        if not 2.0**-1022 <= top * top <= 2.0**1021:
+            continue
+        members = [(i, math.frexp(top)[1] - math.frexp(grid[i])[1]) for i, _ in family]
+        floored = 0.5 * (span / top) * (span / top) > -_EXP_FAST_MIN
+        chains.append((-0.5 / (top * top), floored, members))
+        for i, j in members:
+            arg_max = min(700.0, 0.5 * (span / grid[i]) * (span / grid[i]) * (1 + 2.0**-40))
+            log_err = u * (8 * arg_max + 10 * 4.0**j + 8) + 2.0**-900
+            if log_err <= 2.0**-20:
+                rho[i] = log_err * math.exp(log_err)
+    if not chains:
+        return np.zeros(len(grid)), rho
     fold_of = make_folds(n, n_folds, seed=rngmod.derive_seed(seed, "bwcv")).fold_of
     order = np.argsort(fold_of, kind="stable")
     X, y, ends = X[order], y[order], np.bincount(fold_of).cumsum()
     yo, fit = np.column_stack([y, np.ones(n)]), np.zeros((len(grid), n, 2))
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         for start, stop in zip([0, *ends[:-2]], ends[:-1]):
-            blocks = _kernel_blocks(X[start:stop], X[stop:], grid, "gaussian", _floored_exp)
-            for rows, i, w in blocks:
+            blocks = list(_row_blocks(stop - start, n - stop))
+            # one workspace serves the fold's blocks: D*D and the weights
+            work = np.empty((2, max(b.stop - b.start for b in blocks), n - stop))
+            for rows in blocks:
                 query = slice(start + rows.start, start + rows.stop)
-                fit[i, query] += w @ yo[stop:]
-                fit[i, stop:] += w.T @ yo[query]
-            del w  # free the workspace before the next fold allocates its own
+                d2, w = work[:, : rows.stop - rows.start]
+                np.square(_outer_difference(X[query], X[stop:], d2), out=d2)
+                for c, floored, members in chains:
+                    np.multiply(d2, c, out=w)
+                    if floored:
+                        np.maximum(w, _EXP_FAST_MIN, out=w)
+                    np.exp(w, out=w)
+                    done = 0
+                    for i, j in members:
+                        for _ in range(2 * (j - done)):
+                            np.square(w, out=w)
+                        done = j
+                        fit[i, query] += w @ yo[stop:]
+                        fit[i, stop:] += w.T @ yo[query]
+            del work, d2, w  # free the workspace before the next fold allocates its own
         tot = fit[..., 1]
-        d_tot = gamma * (2 * tot / (1 - gamma) + floor) + floor
+        d_tot = (2 * gamma + (1 + gamma) * rho[:, None]) * tot / (1 - gamma) + (1 + gamma) * floor
         low = tot - d_tot
         pred = fit[..., 0] / tot
         res, mag = pred - y, np.abs(pred)

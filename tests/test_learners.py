@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
@@ -759,7 +760,10 @@ def _cv_problems(draw):
     weight near or below the 2**-960 cut-off); noisy, constant, binary,
     1e+-6-scaled or overflowing y; default, drawn or h0 * 2**k grids; 2 to 6
     folds, or one row a fold (n <= 40); row blocks of the module's size or of
-    64 entries (several blocks a fold, each adding to the later folds' rows)."""
+    64 entries (several blocks a fold, each adding to the later folds' rows).
+    Covariates and grid may be scaled together by 1e-170 to 1e200 (values
+    outside the signed band, squared bandwidths that under- or overflow), or
+    the grid alone by 1e+-160 (squares that under- or overflow)."""
     n, seed = draw(st.integers(2, 300)), draw(st.integers(0, 2**32 - 1))
     grid = draw(st.one_of(
         st.just(learners.DEFAULT_BANDWIDTH_GRID),
@@ -788,8 +792,13 @@ def _cv_problems(draw):
         "overflow": noisy * 1e200,
     }[draw(st.sampled_from(("noisy", "constant", "binary", "large", "small", "overflow")))]
     folds = draw(st.integers(2, 6) if n > 40 else st.one_of(st.integers(2, 6), st.just(n)))
+    scale = 10.0 ** draw(
+        st.one_of(st.just(0), st.sampled_from((-170, -140, 150, 200)), st.integers(-170, 200))
+    )
+    h_scale = draw(st.sampled_from((1.0, 1e-160, 1e160))) if scale == 1.0 else 1.0
+    grid = tuple(sorted({h * scale * h_scale for h in grid}))
     spec = LearnerSpec(kind="kernel", bandwidth_grid=grid, cv_folds=folds)
-    return col(x), y, spec, seed, draw(st.sampled_from((learners._BLOCK_ENTRIES, 64)))
+    return col(x * scale), y, spec, seed, draw(st.sampled_from((learners._BLOCK_ENTRIES, 64)))
 
 
 class TestCertifiedCv:
@@ -837,14 +846,15 @@ class TestCertifiedCv:
 
     def test_bound_covers_the_floored_weights(self):
         # leave one out: the row at 36.48 takes its weight from the rows at 0
-        # and -0.1 only, a total just above 2**-960; the 28 rows from -10 on,
-        # exponents below -700, add 28 * exp(-700) to its estimated total and
-        # pull the estimate towards their y = 1e6, by a third of the bound
-        X = col(np.concatenate([[0.0, -0.1, 36.48], -np.linspace(10, 20, 28)]))
-        y = np.concatenate([[0.0, 0.0, 1.0], np.full(28, 1e6)])
-        spec = LearnerSpec(kind="kernel", bandwidth_grid=(1.0,), cv_folds=31)
-        (sse,), (bound,) = learners._cv_estimates(X, y, spec.bandwidth_grid, 0, 31)
-        (want,) = _reference_cv_sses(X, y, spec, 0, 31)
+        # and -0.1 only, a total just above 2**-960; the 1000 rows from -10
+        # on, exponents below -700, add 1000 * exp(-700) to its estimated
+        # total and pull the estimate towards their y = 1e6, by a quarter of
+        # the bound (the rest covers the weights' relative rounding)
+        X = col(np.concatenate([[0.0, -0.1, 36.48], -np.linspace(10, 20, 1000)]))
+        y = np.concatenate([[0.0, 0.0, 1.0], np.full(1000, 1e6)])
+        spec = LearnerSpec(kind="kernel", bandwidth_grid=(1.0,), cv_folds=1003)
+        (sse,), (bound,) = learners._cv_estimates(X, y, spec.bandwidth_grid, 0, 1003)
+        (want,) = _reference_cv_sses(X, y, spec, 0, 1003)
         assert 0.1 * bound < abs(want - sse) <= bound
 
     @pytest.mark.parametrize(
@@ -890,6 +900,15 @@ class TestCertifiedCv:
         want = _cv_sses(X, y, spec, seed, spec.cv_folds)
         assert got == spec.bandwidth_grid[int(np.argmin(want))]
 
+    def test_exp_is_within_two_ulp_of_libm(self):
+        # the bound assumes float64 exp within 4 ulp of e**x on [-745, 0];
+        # libm's exp is within 1 ulp, so 2 ulp from it leaves room
+        rng = np.random.default_rng(0)
+        x = np.concatenate([np.linspace(-745.0, 0.0, 400_001), rng.uniform(-745.0, 0.0, 100_000)])
+        want = np.array([math.exp(v) for v in x])
+        ulps = np.abs(np.exp(x).view(np.int64) - want.view(np.int64))
+        assert np.all(want > 0.0) and int(ulps.max()) <= 2
+
     def test_estimate_keeps_exp_off_its_slow_path(self):
         # as the exact scan's clamp, but the estimate sends nothing below -700
         rng = np.random.default_rng(5)
@@ -910,21 +929,27 @@ class TestCertifiedCv:
         assert lowest and min(lowest) == -700.0
 
     def test_estimate_weighs_each_cross_fold_pair_once(self):
-        # fold k's rows meet the later folds' rows only: sum_{k<l} n_k * n_l
-        # weights a bandwidth, not sum_k n_k * (n - n_k)
+        # fold k's rows meet the later folds' rows only, sum_{k<l} n_k * n_l
+        # pairs, not sum_k n_k * (n - n_k); each of the default grid's four
+        # families {0.01, 0.02}, {0.05, 0.1, 0.2}, {0.35}, {0.5} weighs them
+        # with one exp, its smaller members by squaring
         rng = np.random.default_rng(8)
         X = col(rng.uniform(-1, 1, 800))
         y = np.sin(3.0 * X[:, 0]) + 0.3 * rng.normal(size=800)
         spec = LearnerSpec(kind="kernel")
-        with mock.patch.object(learners, "_floored_exp", wraps=learners._floored_exp) as exp:
+        with (
+            mock.patch.object(np, "exp", wraps=np.exp) as exp,
+            mock.patch.object(learners, "_cv_sses", wraps=_cv_sses) as exact,
+        ):
             fit_learner(spec, X, y, seed=2)
+        assert not exact.called
         folds = make_folds(800, spec.cv_folds, seed=rngmod.derive_seed(2, "bwcv"))
         pairs = (800**2 - int(np.sum(np.bincount(folds.fold_of) ** 2))) // 2
-        assert sum(c.args[0].size for c in exp.call_args_list) == len(spec.bandwidth_grid) * pairs
+        assert sum(np.size(c.args[0]) for c in exp.call_args_list) == 4 * pairs
 
     def test_estimate_keeps_one_block_workspace(self):
-        # a workspace of 3 x 40 x 1600 doubles is 1.5 MiB; two alive at once
-        # (one fold's blocks held while the next allocates) would pass 3 MiB
+        # a workspace of 2 x 40 x 1600 doubles is 1 MiB; two alive at once
+        # (one fold's blocks held while the next allocates) would pass 2 MiB
         rng = np.random.default_rng(0)
         X = col(rng.uniform(-1, 1, 2000))
         y = np.sin(3.0 * X[:, 0]) + rng.normal(size=2000)
@@ -934,7 +959,7 @@ class TestCertifiedCv:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * 2**20
+        assert peak < 2 * 2**20
 
 
 # the signed band's edges, +-0 and the doubles just inside it; values just
@@ -979,6 +1004,21 @@ def _signed_cases(draw):
 
 
 class TestSignedDifferences:
+    def test_buffer_size_is_left_as_found(self):
+        # the outer difference runs under a small ufunc buffer of its own
+        rng = np.random.default_rng(4)
+        X, y = col(rng.uniform(-1, 1, 300)), rng.normal(size=300)
+        size = np.setbufsize(4096)
+        try:
+            (pred,) = _nw_predict(X[:50], X, y, (0.1,), "gaussian")
+            assert np.getbufsize() == 4096
+            learners._cv_estimates(X, y, learners.DEFAULT_BANDWIDTH_GRID, 0, 5)
+            assert np.getbufsize() == 4096
+        finally:
+            np.setbufsize(size)
+        want = _reference_nw_predict(cdist(X[:50], X), y, 0.1, "gaussian")
+        assert pred.tobytes() == want.tobytes()
+
     @settings(max_examples=300, deadline=None)
     @given(arrays(float, st.integers(1, 16), elements=_band_floats()))
     def test_abs_difference_is_root_of_square_in_band(self, v):
