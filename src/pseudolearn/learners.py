@@ -38,9 +38,11 @@ Available kinds
     ``honest`` each tree's subsample is halved: one half chooses the
     splits, the other fills in the leaf means, so no outcome is used
     twice.  Each tree sorts its rows once per feature (a stable sort only
-    for a feature with equal values) and children keep that order, so
-    equal values stay in the order the tree drew its rows; the tie rules
-    are unchanged.  Supports out-of-bag prediction.
+    for a feature with equal values); children keep that order, so equal
+    values stay in drawn order.  A node scores all candidate features'
+    cuts in one block and picks the feature, then the cut, by argmax (NaN
+    never wins); a child too small or with equal outcomes is a leaf.
+    Supports out-of-bag prediction.
 """
 
 from __future__ import annotations
@@ -681,7 +683,7 @@ def _best_split(v, s, min_leaf):
     n = v.shape[1]
     if n < 2 * min_leaf:
         return None
-    csum = s.cumsum(axis=1)
+    csum = np.add.accumulate(s, axis=1)
     total = csum[:, -1:]
     # cut i (between sorted values i and i+1) leaves i+1 rows on the left;
     # only cuts min_leaf-1 .. n-min_leaf-1 leave min_leaf rows each side
@@ -690,19 +692,20 @@ def _best_split(v, s, min_leaf):
     s_left = csum[:, lo:hi]
     # s_left**2 / n_left + (total - s_left)**2 / n_right, built in place
     score = np.square(s_left)
-    score /= counts[min_leaf : hi + 1]
+    np.divide(score, counts[min_leaf : hi + 1], out=score)
     right = np.subtract(total, s_left)
     np.square(right, out=right)
-    right /= counts[hi:lo:-1]
-    score += right
-    score[~(v[:, lo + 1 : hi + 1] > v[:, lo:hi])] = -np.inf  # equal (or NaN) values
-    best = score.argmax(axis=1)
-    reduction = score.max(axis=1) - total[:, 0] * total[:, 0] / n
-    reduction[~(reduction > 0.0)] = -np.inf
+    np.divide(right, counts[hi:lo:-1], out=right)
+    np.add(score, right, out=score)
+    np.putmask(score, ~(v[:, lo + 1 : hi + 1] > v[:, lo:hi]), -np.inf)  # equal (or NaN) values
+    reduction = np.maximum.reduce(score, axis=1) - total[:, 0] * total[:, 0] / n
     j = int(reduction.argmax())
+    if not reduction[j] > 0.0:  # no gain, or a NaN (argmax stops at the first)
+        j = int(np.where(reduction > 0.0, reduction, -np.inf).argmax())
     if not reduction[j] > 0.0:
         return None
-    a, b = float(v[j, lo + best[j]]), float(v[j, lo + best[j] + 1])
+    cut = lo + int(score[j].argmax())
+    a, b = float(v[j, cut]), float(v[j, cut + 1])
     mid = 0.5 * (a + b)
     return float(reduction[j]), j, mid if a <= mid < b else a
 
@@ -715,35 +718,42 @@ def _grow_tree(Xs, ys, min_leaf, mtry, tree_rng):
     node holds one lane of row ids per feature, ordered by (value, row),
     and its children keep that order.
     """
-    d = Xs.shape[1]
+
+    def can_split(y):  # else a leaf, never pushed, so it draws no candidates
+        return y.shape[0] >= 2 * min_leaf and np.maximum.reduce(y) != np.minimum.reduce(y)
+
+    n, d = Xs.shape
     XsT = np.ascontiguousarray(Xs.T)
-    goes_left = np.empty(Xs.shape[0], dtype=bool)  # read only at the split node's rows
+    values, offsets = XsT.ravel(), np.arange(d)[:, None] * n  # feature f's start in values
+    goes_left = np.empty(n, dtype=bool)  # read only at the split node's rows
     leaf = (-1, 0.0, -1, -1)  # (feature, threshold, left, right); node 0 is the root
     nodes = [leaf]
-    stack = [(0, _sort_rows(XsT)[0])]
-    while stack:
-        node, lanes = stack.pop()
-        ys_node = ys[lanes[0]]
-        if lanes.shape[1] < 2 * min_leaf or ys_node.max() == ys_node.min():
-            continue
-        candidates, cand = np.arange(d), lanes
-        if mtry < d:
-            # sorted so the lowest-feature tie-break is lane order
-            candidates = np.sort(tree_rng.choice(d, size=mtry, replace=False))
-            cand = lanes[candidates]
-        v = XsT[candidates[:, None], cand]
-        best = _best_split(v, ys[cand], min_leaf)
-        if best is None:
-            continue
-        _, j, thr = best
-        goes_left[cand[j]] = v[j] <= thr
-        go = goes_left[lanes]
-        lid = len(nodes)
-        nodes[node] = (int(candidates[j]), thr, lid, lid + 1)
-        nodes += (leaf, leaf)
-        # right first so the left child is processed next (pure convention)
-        stack.append((lid + 1, lanes[~go].reshape(d, -1)))
-        stack.append((lid, lanes[go].reshape(d, -1)))
+    stack = [(0, _sort_rows(XsT)[0])] if can_split(ys) else []
+    with np.errstate(over="ignore", invalid="ignore"):  # the split search ranks inf, NaN
+        while stack:
+            node, lanes = stack.pop()
+            candidates, cand, offs = range(d), lanes, offsets
+            if mtry < d:
+                # sorted so the lowest-feature tie-break is lane order
+                candidates = np.sort(tree_rng.choice(d, size=mtry, replace=False))
+                cand, offs = lanes[candidates], offsets[candidates]
+            v, s = values.take(cand + offs), ys.take(cand)
+            best = _best_split(v, s, min_leaf)
+            if best is None:
+                continue
+            _, j, thr = best
+            lid = len(nodes)
+            nodes[node] = (int(candidates[j]), thr, lid, lid + 1)
+            nodes += (leaf, leaf)
+            goes_left[cand[j]] = in_left = v[j] <= thr
+            n_left = np.count_nonzero(in_left)  # lane j's first n_left rows go left
+            rows = lanes.ravel()
+            go = goes_left.take(rows)
+            # right first so the left child is processed next (pure convention)
+            if can_split(s[j, n_left:]):
+                stack.append((lid + 1, rows.compress(~go).reshape(d, -1)))
+            if can_split(s[j, :n_left]):
+                stack.append((lid, rows.compress(go).reshape(d, -1)))
     feature, threshold, left, right = zip(*nodes)
     return (
         np.asarray(feature, dtype=np.int64),

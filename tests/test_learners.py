@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 from unittest import mock
 
@@ -1329,6 +1330,19 @@ class TestForest:
         assert tree.feature[0] == -1
         assert model.predict(col([3.3]))[0] == pytest.approx(2.5)
 
+    def test_outcomes_whose_squares_overflow_fit_without_warnings(self):
+        # split scores overflow to inf and NaN; the split search ranks them
+        rng = np.random.default_rng(0)
+        X = rng.uniform(size=(50, 2))
+        y = np.where(rng.uniform(size=50) < 0.5, -1e200, 1e200)
+        spec = LearnerSpec(kind="forest", n_trees=3, min_leaf=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pred = fit_learner(spec, X, y).predict(X)
+        assert np.isfinite(pred).all() and np.abs(pred).max() <= 1e200
+        with np.errstate(over="ignore", invalid="ignore"):  # the reference warns
+            _assert_grows_like_reference(X, y, spec, seed=0)
+
     def test_deterministic_in_seed(self):
         rng = np.random.default_rng(0)
         X = rng.uniform(size=(60, 2))
@@ -1475,10 +1489,14 @@ def _split_blocks(draw):
     # few distinct values per column and in y: many tied cuts and scores
     levels = draw(st.integers(1, 5))
     block = draw(arrays(float, (n, k), elements=st.integers(0, levels).map(float)))
+    # small values mixed with ones whose squares (and sums) overflow: rows
+    # whose reductions are inf or NaN
+    huge = st.sampled_from([1e200, -1e200, 1.7e308, -1.7e308])
     ys = draw(
         st.one_of(
             arrays(float, n, elements=st.integers(0, 1).map(float)),
             arrays(float, n, elements=st.floats(-100, 100, width=32)),
+            arrays(float, n, elements=st.one_of(st.integers(-2, 2).map(float), huge)),
         )
     )
     return block, ys, draw(st.integers(1, n))
@@ -1492,9 +1510,10 @@ class TestBlockSplitSearch:
         # one lane per column: its rows sorted by (value, row)
         lanes = np.argsort(block.T, axis=1, kind="stable")
         v = np.take_along_axis(block.T, lanes, axis=1)
-        assert _best_split(v, ys[lanes], min_leaf) == _reference_best_split(
-            block, ys, min_leaf
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _best_split(v, ys[lanes], min_leaf) == _reference_best_split(
+                block, ys, min_leaf
+            )
 
 
 def _reference_grow_tree(Xs, ys, min_leaf, mtry, tree_rng):
@@ -1561,20 +1580,41 @@ def _forest_cases(draw):
     return X, y, spec, draw(st.integers(0, 2**16))
 
 
+def _assert_grows_like_reference(X, y, spec, seed):
+    """Fits ``spec`` and checks each tree's bytes against the re-sorting
+    grower's; returns the fit."""
+    model = fit_learner(spec, X, y, seed=seed)
+    with mock.patch.object(learners, "_grow_tree", wraps=_reference_grow_tree) as grow:
+        reference = fit_learner(spec, X, y, seed=seed)
+    assert grow.call_count == spec.n_trees
+    for got, want in zip(_trees(model), _trees(reference), strict=True):
+        for name in ("feature", "threshold", "left", "right", "value"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    return model
+
+
 class TestPresortedGrower:
     @settings(max_examples=200, deadline=None)
     @given(_forest_cases())
     def test_matches_resorting_grower(self, case):
-        X, y, spec, seed = case
-        model = fit_learner(spec, X, y, seed=seed)
-        with mock.patch.object(
-            learners, "_grow_tree", wraps=_reference_grow_tree
-        ) as grow:
-            reference = fit_learner(spec, X, y, seed=seed)
-        assert grow.call_count == spec.n_trees
-        for got, want in zip(_trees(model), _trees(reference), strict=True):
-            for name in ("feature", "threshold", "left", "right", "value"):
-                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        _assert_grows_like_reference(*case)
+
+    @pytest.mark.parametrize("features_per_split", [None, 3])
+    def test_matches_resorting_grower_at_benchmark_scale(self, features_per_split):
+        # trees the size of the benchmark's 10-d forests: about 30 splits, depth 8
+        rng = np.random.default_rng(0)
+        X = rng.uniform(-1, 1, size=(400, 10))
+        y = X[:, 0] * X[:, 1] + X[:, 2] + 0.5 * rng.normal(size=400)
+        spec = LearnerSpec(
+            kind="forest",
+            n_trees=2,
+            min_leaf=10,
+            subsample_fraction=1.0,
+            features_per_split=features_per_split,
+            honest=False,
+        )
+        model = _assert_grows_like_reference(X, y, spec, seed=0)
+        assert np.count_nonzero(model._feature >= 0) >= 50
 
 
 def _bounded_split_search(limit):
