@@ -24,13 +24,12 @@ Available kinds
     ties go to the smallest) with the lowest K-fold CV error; one-feature
     Gaussian CV estimates every error cheaply (each cross-fold pair weighed
     once, one ``exp`` per family h0 * 2**k, its smaller members by squaring)
-    under a proven rounding bound, and scans exactly only the bandwidths
-    the bound leaves open.  With one feature, Gaussian weights
-    send no exponent below -700 to ``exp`` (only rows reaching that far are
-    clamped), numpy's fast path.  Grid bandwidths h0 * 2**k share one
-    kernel-argument pass, and each prediction reuses one block workspace.
-    1-d values all 0 or of magnitude in [2**-458, 2**510] give weights from
-    signed differences (no square root).  Every weight keeps the plain
+    under a proven rounding bound, and scans exactly, one bandwidth at a
+    time, only the bandwidths the bound leaves open.  With one feature,
+    Gaussian weights send no exponent below -700 to ``exp`` (only rows
+    reaching that far are clamped), numpy's fast path.  1-d values all 0
+    or of magnitude in [2**-458, 2**510] give weights from signed
+    differences (no square root).  Every weight keeps the plain
     computation's bits.  A Gaussian query whose total weight underflows is
     redone with its exponents shifted by their largest (log-sum-exp).
 ``forest``
@@ -320,33 +319,25 @@ _GAUSS_TOT_MIN = 2.0**-969
 
 
 def _bandwidth_families(bandwidths) -> list:
-    """Positions of ``bandwidths`` in families h0 * 2**k, 0 <= k <= 64.
-
-    A family lists its members as (position, 4.0**-k), then its smallest
-    bandwidth h0 as (position, None).  Equal significands make h / h0 a
-    power of two, which commutes with rounding: fl(d / h) = fl(d / h0) *
-    2**-k, and the square and the halving scale alike.  A subnormal value
-    means a weight of 1.0 either way; k <= 64 keeps every member of an
-    overflowing base argument below -1e260, a weight of 0 either way.
-    """
+    """Positions of ``bandwidths`` in families h0 * 2**k, 0 <= k <= 64, each
+    from its largest member down: a member's Gaussian weights are the
+    largest's to a power of four, and k <= 64 bounds the chain of squarings."""
     families, last = [], {}
     for i in sorted(range(len(bandwidths)), key=lambda i: bandwidths[i]):
         frac, exp = math.frexp(bandwidths[i])
         if frac in last and exp - last[frac][0] <= 64:
-            last[frac][1].insert(0, (i, 4.0 ** (last[frac][0] - exp)))
+            last[frac][1].insert(0, i)
         else:
-            last[frac] = (exp, [(i, None)])
+            last[frac] = (exp, [i])
             families.append(last[frac][1])
     return families
 
 
-def _kernel_arg(dist, bandwidth: float, shape: str, out) -> np.ndarray:
-    """The kernel's argument, written to ``out`` (may be ``dist``):
-    -(d/h)**2 / 2 for gaussian, (d/h)**2 for epanechnikov.
-
-    ``dist`` may hold signed differences: only its square is read.
-    """
-    w = np.divide(dist, bandwidth, out=out)
+def _kernel_arg(w, bandwidth: float, shape: str) -> np.ndarray:
+    """Turns the distances ``w`` (or signed differences: only their squares
+    are read) into the kernel's argument in place, and returns it:
+    -(d/h)**2 / 2 for gaussian, (d/h)**2 for epanechnikov."""
+    np.divide(w, bandwidth, out=w)
     np.multiply(w, w, out=w)
     if shape == "gaussian":
         # exp(-0.5 * u * u): halving is exact, so the order does not matter
@@ -420,14 +411,16 @@ def _outer_difference(a, b, out) -> np.ndarray:
         np.setbufsize(size)
 
 
-def _kernel_blocks(Xq, Xt, bandwidths, shape):
-    """Yields (rows, i, w): bandwidth i's weights at the query rows ``rows``,
-    in workspace that the next step overwrites.  Each row block's distances
-    serve every bandwidth, and each family of bandwidths h0 * 2**k shares one
-    kernel-argument pass.
+def _nw_predict(Xq, Xt, yt, bandwidth: float, shape) -> np.ndarray:
+    """Nadaraya-Watson means at the queries ``Xq``.
+
+    Each row block makes one pass through one workspace: distances (or
+    signed differences), the kernel argument, the weights, their total and
+    the product with ``yt``.  An Epanechnikov query with zero total weight
+    is outside the kernel's reach and gets the training mean; a Gaussian
+    one whose total underflows is redone by ``_shifted_gaussian``.
     """
     m, n = Xq.shape[0], Xt.shape[0]
-    families = _bandwidth_families(bandwidths)
     # with one feature a query's largest distance is to an end of the training
     # range; with more, Gaussian weights keep the plain exp, as no benchmark
     # workload measures a clamp there
@@ -435,56 +428,34 @@ def _kernel_blocks(Xq, Xt, bandwidths, shape):
     if shape == "gaussian" and Xt.shape[1] == 1:
         reach = _distances(Xq, np.array([[Xt.min()], [Xt.max()]])).max(axis=1)
     signed = Xt.shape[1] == 1 and _signed_ok(Xq) and _signed_ok(Xt)
+    pred, tot = np.empty(m), np.empty(m)
     blocks = list(_row_blocks(m, n))
-    # one workspace serves every block: the distances, a member's argument
-    # and a family's base argument; one bandwidth turns the distances into
-    # weights in place, and without members no member buffer is needed
-    depth = 1 if len(bandwidths) == 1 else 2 + (len(families) < len(bandwidths))
-    work = np.empty((depth, max((b.stop - b.start for b in blocks), default=0), n))
-    for rows in blocks:
-        slab = work[:, : rows.stop - rows.start]
-        if signed:
-            _outer_difference(Xq[rows], Xt, slab[0])
-        else:
-            _distances(Xq[rows], Xt, out=slab[0])
-        near = None if reach is None else reach[rows]
-        for family in families:
-            arg = _kernel_arg(slab[0], bandwidths[family[-1][0]], shape, slab[-1])
-            # the base comes last and turns its own argument into weights
-            for i, scale in family:
-                w = arg if scale is None else np.multiply(arg, scale, out=slab[1])
-                _kernel_weights(w, bandwidths[i], shape, near)
-                yield rows, i, w
-
-
-def _nw_predict(Xq, Xt, yt, bandwidths, shape) -> list:
-    """Nadaraya-Watson means at the queries ``Xq``, one vector per bandwidth.
-
-    An Epanechnikov query with zero total weight is outside the kernel's
-    reach and gets the training mean; a Gaussian one whose total
-    underflows is redone by ``_shifted_gaussian``.
-    """
-    preds = [np.empty(Xq.shape[0]) for _ in bandwidths]
-    tots = [np.empty(Xq.shape[0]) for _ in bandwidths]
+    work = np.empty((max((b.stop - b.start for b in blocks), default=0), n))
     # queries without weight divide 0 by 0 here; they are overwritten below
     with np.errstate(divide="ignore", invalid="ignore"):
-        for rows, i, w in _kernel_blocks(Xq, Xt, bandwidths, shape):
-            np.sum(w, axis=1, out=tots[i][rows])
-            np.divide(w @ yt, tots[i][rows], out=preds[i][rows])
-    for h, pred, tot in zip(bandwidths, preds, tots):
-        dead = tot < _GAUSS_TOT_MIN if shape == "gaussian" else tot <= 0.0
-        if np.any(dead):
-            live = ~dead
-            if np.any(live):
-                # a row's BLAS product can depend on the rows multiplied
-                # with it: redo the live rows without the dead ones, so
-                # their bits do not depend on where the blocks cut
-                (pred[live],) = _nw_predict(Xq[live], Xt, yt, (h,), shape)
-            if shape == "gaussian":
-                pred[dead] = _shifted_gaussian(Xq[dead], Xt, yt, h)
+        for rows in blocks:
+            w = work[: rows.stop - rows.start]
+            if signed:
+                _outer_difference(Xq[rows], Xt, w)
             else:
-                pred[dead] = yt.mean()
-    return preds
+                _distances(Xq[rows], Xt, out=w)
+            _kernel_arg(w, bandwidth, shape)
+            _kernel_weights(w, bandwidth, shape, None if reach is None else reach[rows])
+            np.sum(w, axis=1, out=tot[rows])
+            np.divide(w @ yt, tot[rows], out=pred[rows])
+    dead = tot < _GAUSS_TOT_MIN if shape == "gaussian" else tot <= 0.0
+    if np.any(dead):
+        live = ~dead
+        if np.any(live):
+            # a row's BLAS product can depend on the rows multiplied with
+            # it: redo the live rows without the dead ones, so their bits
+            # do not depend on where the blocks cut
+            pred[live] = _nw_predict(Xq[live], Xt, yt, bandwidth, shape)
+        if shape == "gaussian":
+            pred[dead] = _shifted_gaussian(Xq[dead], Xt, yt, bandwidth)
+        else:
+            pred[dead] = yt.mean()
+    return pred
 
 
 def _shifted_gaussian(Xq, Xt, yt, bandwidth: float) -> np.ndarray:
@@ -493,8 +464,7 @@ def _shifted_gaussian(Xq, Xt, yt, bandwidth: float) -> np.ndarray:
     far away they are.  A row without a finite exponent gets the training mean."""
     pred = np.empty(Xq.shape[0])
     for rows in _row_blocks(*pred.shape, Xt.shape[0]):
-        dist = _distances(Xq[rows], Xt)
-        arg = _kernel_arg(dist, bandwidth, "gaussian", dist)
+        arg = _kernel_arg(_distances(Xq[rows], Xt), bandwidth, "gaussian")
         top = arg.max(axis=1)
         with np.errstate(invalid="ignore"):  # -inf - -inf
             np.subtract(arg, top[:, None], out=arg)
@@ -514,25 +484,24 @@ class _KernelModel(FittedModel):
 
     def predict(self, Xq) -> np.ndarray:
         Xq = _as_matrix(Xq, self.n_features)
-        (pred,) = _nw_predict(Xq, self._X, self._y, (self.bandwidth,), self._shape)
-        return pred
+        return _nw_predict(Xq, self._X, self._y, self.bandwidth, self._shape)
 
 
 def _cv_sses(X, y, spec: LearnerSpec, seed: int, n_folds: int) -> list:
     """Held-out SSE of each grid bandwidth over ``n_folds`` CV folds.
 
-    Each bandwidth's SSE adds up its folds in fold order.
+    Each bandwidth's SSE adds up its folds in fold order; squared errors
+    that overflow make it inf.
     """
     folds = make_folds(X.shape[0], n_folds, seed=rngmod.derive_seed(seed, "bwcv"))
     sses = [0.0] * len(spec.bandwidth_grid)
     for k in range(n_folds):
-        test = folds.rows_in_fold(k)
-        train = folds.train_rows(k)
-        preds = _nw_predict(
-            X[test], X[train], y[train], spec.bandwidth_grid, spec.kernel_shape
-        )
-        for i, pred in enumerate(preds):
-            sses[i] += float(np.sum((pred - y[test]) ** 2))
+        test, train = folds.rows_in_fold(k), folds.train_rows(k)
+        Xq, Xt, yt, yq = X[test], X[train], y[train], y[test]
+        for i, h in enumerate(spec.bandwidth_grid):
+            pred = _nw_predict(Xq, Xt, yt, h, spec.kernel_shape)
+            with np.errstate(over="ignore"):
+                sses[i] += float(np.sum((pred - yq) ** 2))
     return sses
 
 
@@ -583,10 +552,10 @@ def _cv_estimates(X, y, grid, seed: int, n_folds: int):
     # per family: c, whether to floor, and its members from the largest down,
     # each with its halvings j from the largest
     for family in _bandwidth_families(grid) if _signed_ok(X) else ():
-        top = grid[family[0][0]]
+        top = grid[family[0]]
         if not 2.0**-1022 <= top * top <= 2.0**1021:
             continue
-        members = [(i, math.frexp(top)[1] - math.frexp(grid[i])[1]) for i, _ in family]
+        members = [(i, math.frexp(top)[1] - math.frexp(grid[i])[1]) for i in family]
         floored = 0.5 * (span / top) * (span / top) > -_EXP_FAST_MIN
         chains.append((-0.5 / (top * top), floored, members))
         for i, j in members:
@@ -723,6 +692,11 @@ def _grow_tree(Xs, ys, min_leaf, mtry, tree_rng):
         return y.shape[0] >= 2 * min_leaf and np.maximum.reduce(y) != np.minimum.reduce(y)
 
     n, d = Xs.shape
+    top = float(np.max(np.abs(ys)))
+    if n * top >= 2.0**511:
+        # node sums could reach 2**511 and every cut's score overflow; a power
+        # of two (exact but where it makes values subnormal) keeps cut ranks
+        ys = ys * 2.0 ** (511 - math.frexp(top)[1] - n.bit_length())
     XsT = np.ascontiguousarray(Xs.T)
     values, offsets = XsT.ravel(), np.arange(d)[:, None] * n  # feature f's start in values
     goes_left = np.empty(n, dtype=bool)  # read only at the split node's rows

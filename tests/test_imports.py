@@ -62,11 +62,11 @@ def test_an_unused_import_is_found():
 
 
 def _unread_private_names(sources: dict[str, str]) -> list[str]:
-    """Module-level private functions, classes and constants that no module reads."""
+    """Module-level private functions, classes and constants that no module
+    reads; a function or class that only reads itself (recursion) is unread."""
     defined, read = {}, set()
     for module, source in sources.items():
-        tree = ast.parse(source)
-        for node in tree.body:
+        for node in ast.parse(source).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -77,13 +77,17 @@ def _unread_private_names(sources: dict[str, str]) -> list[str]:
             for name in names:
                 if name.startswith("_") and not name.startswith("__"):
                     defined[name] = f"{module}:{node.lineno}"
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                read.update(alias.name for alias in node.names)
+            reads = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    reads.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    reads.add(sub.attr)
+                elif isinstance(sub, ast.ImportFrom):
+                    reads.update(alias.name for alias in sub.names)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                reads.discard(node.name)
+            read |= reads
     return sorted(f"{name} ({where})" for name, where in defined.items() if name not in read)
 
 
@@ -98,6 +102,18 @@ def test_an_unread_private_name_is_found():
         "b": "from .a import _USED\n__all__ = ['_USED']",
     }
     assert _unread_private_names(sources) == ["_Gone (a:5)", "_LIMIT (a:1)", "_orphan (a:3)"]
+
+
+def test_a_helper_only_it_calls_is_found():
+    # a planted helper that calls only itself, beside one that calls it and
+    # is called from another module
+    sources = {
+        "a": "def _loop(n):\n    return _loop(n - 1) if n else 0\n"
+        "def _walk(n):\n    return _walk(n - 1) if n else _step()\n"
+        "def _step():\n    return 1",
+        "b": "from .a import _walk\nprint(_walk(3))",
+    }
+    assert _unread_private_names(sources) == ["_loop (a:1)"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

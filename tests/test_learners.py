@@ -5,12 +5,13 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist
@@ -279,6 +280,19 @@ class TestKernel:
         with np.errstate(over="ignore"):
             with pytest.raises(EstimationError, match="no grid bandwidth has a finite"):
                 fit_learner(LearnerSpec(kind="kernel"), np.linspace(0, 1, 30), y)
+
+    @pytest.mark.parametrize(
+        "d, shape", [(1, "gaussian"), (1, "epanechnikov"), (2, "gaussian")]
+    )
+    def test_cv_overflow_raises_without_warnings(self, d, shape):
+        # the exact scan's squared errors overflow quietly, so even under
+        # -W error the fit reports the EstimationError, not a RuntimeWarning
+        x = np.random.default_rng(0).uniform(size=(200, d))
+        y = 1e200 * np.sin(3 * x[:, 0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimationError, match="no grid bandwidth has a finite"):
+                fit_learner(LearnerSpec(kind="kernel", kernel_shape=shape), x, y)
 
     def test_cv_deterministic_in_seed(self):
         rng = np.random.default_rng(3)
@@ -639,8 +653,8 @@ class TestGaussianFastPath:
         grid = (h / 2, h, 2 * h)
         with np.errstate(over="ignore"):
             with mock.patch.object(learners, "_BLOCK_ENTRIES", entries):
-                preds = _nw_predict(Xq, Xt, y, grid, "gaussian")
-                (alone,) = _nw_predict(Xq, Xt, y, (h,), "gaussian")
+                preds = [_nw_predict(Xq, Xt, y, bw, "gaussian") for bw in grid]
+                alone = _nw_predict(Xq, Xt, y, h, "gaussian")
             want = [_reference_nw_predict(dist, y, bw, "gaussian") for bw in grid]
         for pred, ref in zip(preds, want):
             assert pred.tobytes() == ref.tobytes()
@@ -655,7 +669,7 @@ class TestGaussianFastPath:
         y = np.sin(3.0 * x)
         Xq = col(np.concatenate([x[::20], np.linspace(1.5, 3.0, 21)]))
         with mock.patch.object(learners, "_BLOCK_ENTRIES", entries):
-            (pred,) = _nw_predict(Xq, col(x), y, (0.02,), "gaussian")
+            pred = _nw_predict(Xq, col(x), y, 0.02, "gaussian")
         want = _reference_nw_predict(cdist(Xq, col(x)), y, 0.02, "gaussian")
         assert pred.tobytes() == want.tobytes()
         assert np.all(np.abs(pred[11:] - y[-1]) < 1e-3)
@@ -674,7 +688,7 @@ class TestGaussianFastPath:
         spec = LearnerSpec(kind="kernel")
         n_folds = min(spec.cv_folds, n)
         with mock.patch.object(learners, "_BLOCK_ENTRIES", entries):
-            preds = _nw_predict(Xq, X, y, spec.bandwidth_grid, "gaussian")
+            preds = [_nw_predict(Xq, X, y, h, "gaussian") for h in spec.bandwidth_grid]
             got = _cv_sses(X, y, spec, seed, n_folds)
         dist = cdist(Xq, X)
         for h, pred in zip(spec.bandwidth_grid, preds):
@@ -716,12 +730,12 @@ class TestGaussianFastPath:
             _clamped_exp(x)
 
         with mock.patch.object(learners, "_clamped_exp", side_effect=clamp) as spy:
-            (got,) = _nw_predict(Xq, X, y, (0.05,), "gaussian")
+            got = _nw_predict(Xq, X, y, 0.05, "gaussian")
             assert np.concatenate(seen).tobytes() == (
                 -0.5 * (dist[slow] / 0.05) ** 2
             ).tobytes()
             spy.reset_mock()
-            (wide,) = _nw_predict(Xq, X, y, (0.1,), "gaussian")
+            wide = _nw_predict(Xq, X, y, 0.1, "gaussian")
             assert not spy.called
         assert got.tobytes() == _reference_nw_predict(dist, y, 0.05, "gaussian").tobytes()
         assert wide.tobytes() == _reference_nw_predict(dist, y, 0.1, "gaussian").tobytes()
@@ -746,7 +760,7 @@ class TestGaussianFastPath:
             mock.patch.object(learners, "_clamped_exp", wraps=_clamped_exp) as clamp,
         ):
             blocks = len(list(_row_blocks(100, 300)))
-            (got,) = _nw_predict(X[:100], X, y, (0.01,), shape)
+            got = _nw_predict(X[:100], X, y, 0.01, shape)
         per_block = 0 if d == 1 and in_band else blocks
         assert dist.call_count == per_block + clamps
         assert clamp.called == clamps
@@ -1011,7 +1025,7 @@ class TestSignedDifferences:
         X, y = col(rng.uniform(-1, 1, 300)), rng.normal(size=300)
         size = np.setbufsize(4096)
         try:
-            (pred,) = _nw_predict(X[:50], X, y, (0.1,), "gaussian")
+            pred = _nw_predict(X[:50], X, y, 0.1, "gaussian")
             assert np.getbufsize() == 4096
             learners._cv_estimates(X, y, learners.DEFAULT_BANDWIDTH_GRID, 0, 5)
             assert np.getbufsize() == 4096
@@ -1045,7 +1059,7 @@ class TestSignedDifferences:
         y = np.array([1.0, -2.0, 4.0])
         grid = (v, 2 * v, 4 * v)
         with np.errstate(over="ignore", under="ignore"):
-            preds = _nw_predict(X, X, y, grid, shape)
+            preds = [_nw_predict(X, X, y, h, shape) for h in grid]
             want = [_reference_nw_predict(cdist(X, X), y, h, shape) for h in grid]
         for pred, ref in zip(preds, want):
             assert pred.tobytes() == ref.tobytes()
@@ -1064,7 +1078,7 @@ class TestSignedDifferences:
         grid = (h / 2, h, 2 * h)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             with mock.patch.object(learners, "_BLOCK_ENTRIES", entries):
-                preds = _nw_predict(Xq, X, y, grid, shape)
+                preds = [_nw_predict(Xq, X, y, bw, shape) for bw in grid]
             dist = cdist(Xq, X)
             want = [_reference_nw_predict(dist, y, bw, shape) for bw in grid]
         for pred, ref in zip(preds, want):
@@ -1084,45 +1098,41 @@ def _family_grids(draw):
 
 class TestBandwidthFamilies:
     @staticmethod
-    def _assert_alone_and_dense(entries, X, y, Xq, grid, shape):
+    def _assert_alone_and_dense(entries, X, y, grid, shape):
+        # the exact scan, reached directly and through the CV choice
+        assume(X.shape[0] >= 2)
+        grid = tuple(sorted(set(grid)))
+        spec = LearnerSpec(kind="kernel", kernel_shape=shape, bandwidth_grid=grid)
+        n_folds = min(spec.cv_folds, X.shape[0])
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             with mock.patch.object(learners, "_BLOCK_ENTRIES", entries):
-                preds = _nw_predict(Xq, X, y, grid, shape)
-                alone = [_nw_predict(Xq, X, y, (h,), shape)[0] for h in grid]
-            dist = cdist(Xq, X)
-            want = [_reference_nw_predict(dist, y, h, shape) for h in grid]
-        for pred, one, ref in zip(preds, alone, want):
-            assert pred.tobytes() == one.tobytes() == ref.tobytes()
+                sses = _cv_sses(X, y, spec, 0, n_folds)
+                alone = [
+                    _cv_sses(X, y, replace(spec, bandwidth_grid=(h,)), 0, n_folds)[0]
+                    for h in grid
+                ]
+                want = _reference_cv_sses(X, y, spec, 0, n_folds)
+                finite = [v for v in want if v < np.inf]
+                if not finite:
+                    with pytest.raises(EstimationError, match="no grid bandwidth has a finite"):
+                        _cv_bandwidth(X, y, spec, 0)
+                else:
+                    assert _cv_bandwidth(X, y, spec, 0) == grid[want.index(min(finite))]
+        assert np.asarray(sses).tobytes() == np.asarray(alone).tobytes()
+        assert np.asarray(sses).tobytes() == np.asarray(want).tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(_signed_cases(), _family_grids(), st.sampled_from(("gaussian", "epanechnikov")))
     def test_one_feature_families_keep_bits(self, case, grid, shape):
-        entries, X, y, Xq, _ = case
-        self._assert_alone_and_dense(entries, X, y, Xq, grid, shape)
+        entries, X, y, _, _ = case
+        self._assert_alone_and_dense(entries, X, y, grid, shape)
 
     @settings(max_examples=100, deadline=None)
     @given(_pairwise_cases(), _family_grids(), st.sampled_from(("gaussian", "epanechnikov")))
     def test_pairwise_families_keep_bits(self, case, grid, shape):
         entries, d, n, m, seed = case
-        X, y, Xq = _pairwise_data(d, n, m, seed)
-        self._assert_alone_and_dense(entries, X, y, Xq, grid, shape)
-
-    def test_default_grid_takes_four_argument_passes_per_block(self):
-        # {0.01, 0.02} and {0.05, 0.1, 0.2} share a significand each
-        rng = np.random.default_rng(3)
-        X, y = col(rng.uniform(-1, 1, 300)), rng.normal(size=300)
-        grid = learners.DEFAULT_BANDWIDTH_GRID
-        with (
-            mock.patch.object(learners, "_BLOCK_ENTRIES", 2**12),
-            mock.patch.object(learners, "_kernel_arg", wraps=learners._kernel_arg) as arg,
-        ):
-            blocks = len(list(_row_blocks(100, 300)))
-            preds = _nw_predict(X[:100], X, y, grid, "gaussian")
-        assert arg.call_count == 4 * blocks
-        assert sorted({c.args[1] for c in arg.call_args_list}) == [0.01, 0.05, 0.35, 0.5]
-        dist = cdist(X[:100], X)
-        for h, pred in zip(grid, preds):
-            assert pred.tobytes() == _reference_nw_predict(dist, y, h, "gaussian").tobytes()
+        X, y, _ = _pairwise_data(d, n, m, seed)
+        self._assert_alone_and_dense(entries, X, y, grid, shape)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -1153,7 +1163,7 @@ class TestBandwidthFamilies:
         with mock.patch.object(learners, "_BLOCK_ENTRIES", entries):
             runs = [
                 (
-                    _nw_predict(Xq * a, X * a, y, sp.bandwidth_grid, shape),
+                    [_nw_predict(Xq * a, X * a, y, h, shape) for h in sp.bandwidth_grid],
                     _cv_sses(X * a, y, sp, seed, n_folds),
                     sp.bandwidth_grid.index(_cv_bandwidth(X * a, y, sp, seed)),
                 )
@@ -1204,14 +1214,13 @@ class TestPredictMemory:
             assert peak < 100 * 20000 * 8
 
     def test_default_grid_workspace_stays_small(self):
-        # seven bandwidths share one workspace of a few row blocks; the dense
-        # 3000 x 3000 float64 matrix alone is 69 MiB
+        # the exact scan's predictions each keep one workspace of a few row
+        # blocks; the dense 3000 x 3000 float64 matrix alone is 69 MiB
         rng = np.random.default_rng(0)
-        X, Xq = col(rng.uniform(-1, 1, 3000)), col(rng.uniform(-1, 1, 3000))
-        y = rng.normal(size=3000)
+        X, y = col(rng.uniform(-1, 1, 3000)), rng.normal(size=3000)
         tracemalloc.start()
         try:
-            _nw_predict(Xq, X, y, learners.DEFAULT_BANDWIDTH_GRID, "gaussian")
+            _cv_sses(X, y, LearnerSpec(kind="kernel"), 0, 5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1331,7 +1340,8 @@ class TestForest:
         assert model.predict(col([3.3]))[0] == pytest.approx(2.5)
 
     def test_outcomes_whose_squares_overflow_fit_without_warnings(self):
-        # split scores overflow to inf and NaN; the split search ranks them
+        # the split search scales +-1e200 by a power of two, and its trees
+        # are the reference grower's on the outcomes scaled alike
         rng = np.random.default_rng(0)
         X = rng.uniform(size=(50, 2))
         y = np.where(rng.uniform(size=50) < 0.5, -1e200, 1e200)
@@ -1340,8 +1350,23 @@ class TestForest:
             warnings.simplefilter("error")
             pred = fit_learner(spec, X, y).predict(X)
         assert np.isfinite(pred).all() and np.abs(pred).max() <= 1e200
-        with np.errstate(over="ignore", invalid="ignore"):  # the reference warns
-            _assert_grows_like_reference(X, y, spec, seed=0)
+        _assert_grows_like_reference(X, y, spec, seed=0, reference=_scaled_reference_grow_tree)
+
+    def test_outcomes_past_the_split_scale_grow_the_unit_trees(self):
+        # node sums past about 2**511 once overflowed every cut's score, and
+        # such a forest never split; scaled outcomes grow c = 1's trees
+        rng = np.random.default_rng(0)
+        X = col(rng.uniform(size=200))
+        spec = LearnerSpec(kind="forest", n_trees=5, min_leaf=5)
+        unit = fit_learner(spec, X, 1.0 * (X[:, 0] > 0.5))
+        want = unit.predict(col([0.25, 0.75]))
+        assert np.count_nonzero(unit._feature >= 0) == 5
+        assert want[0] == 0.0 and want[1] == pytest.approx(0.965, abs=1e-3)
+        for c in (1e150, 1e155, 1e200, 1e300):
+            model = fit_learner(spec, X, c * (X[:, 0] > 0.5))
+            for name in ("_feature", "_threshold", "_left", "_right"):
+                assert getattr(model, name).tobytes() == getattr(unit, name).tobytes()
+            assert model.predict(col([0.25, 0.75])) == pytest.approx(c * want, rel=1e-12)
 
     def test_deterministic_in_seed(self):
         rng = np.random.default_rng(0)
@@ -1580,11 +1605,20 @@ def _forest_cases(draw):
     return X, y, spec, draw(st.integers(0, 2**16))
 
 
-def _assert_grows_like_reference(X, y, spec, seed):
-    """Fits ``spec`` and checks each tree's bytes against the re-sorting
-    grower's; returns the fit."""
+def _scaled_reference_grow_tree(Xs, ys, min_leaf, mtry, tree_rng):
+    """The re-sorting grower on outcomes scaled, when n * max|y| >= 2**511,
+    by the power of two 2**(511 - e - n.bit_length()) for max|y| < 2**e."""
+    n, top = ys.shape[0], float(np.max(np.abs(ys)))
+    if n * top >= 2.0**511:
+        ys = ys * 2.0 ** (511 - math.frexp(top)[1] - n.bit_length())
+    return _reference_grow_tree(Xs, ys, min_leaf, mtry, tree_rng)
+
+
+def _assert_grows_like_reference(X, y, spec, seed, reference=_reference_grow_tree):
+    """Fits ``spec`` and checks each tree's bytes against those ``reference``
+    grows; returns the fit."""
     model = fit_learner(spec, X, y, seed=seed)
-    with mock.patch.object(learners, "_grow_tree", wraps=_reference_grow_tree) as grow:
+    with mock.patch.object(learners, "_grow_tree", wraps=reference) as grow:
         reference = fit_learner(spec, X, y, seed=seed)
     assert grow.call_count == spec.n_trees
     for got, want in zip(_trees(model), _trees(reference), strict=True):
