@@ -23,15 +23,15 @@ Available kinds
     kernel.  ``bandwidth=None`` picks the ``bandwidth_grid`` entry (ascending;
     ties go to the smallest) with the lowest K-fold CV error; one-feature
     Gaussian CV estimates every error cheaply (each cross-fold pair weighed
-    once, one ``exp`` per family h0 * 2**k, its smaller members by squaring)
-    under a proven rounding bound, and scans exactly, one bandwidth at a
-    time, only the bandwidths the bound leaves open.  With one feature,
-    Gaussian weights send no exponent below -700 to ``exp`` (only rows
-    reaching that far are clamped), numpy's fast path.  1-d values all 0
-    or of magnitude in [2**-458, 2**510] give weights from signed
-    differences (no square root).  Every weight keeps the plain
-    computation's bits.  A Gaussian query whose total weight underflows is
-    redone with its exponents shifted by their largest (log-sum-exp).
+    once, one ``exp`` per bandwidth) under a proven rounding bound, and
+    scans exactly, one bandwidth at a time, only the bandwidths the bound
+    leaves open.  With one feature, Gaussian weights send no exponent below
+    -700 to ``exp`` (a row block reaching that far is clamped), numpy's
+    fast path.  1-d values all 0 or of magnitude in [2**-458, 2**510] give
+    weights from signed differences (no square root).  Every weight keeps
+    the plain computation's bits.  A Gaussian query whose total weight
+    underflows is redone with its exponents shifted by their largest
+    (log-sum-exp).
 ``forest``
     Subsampled regression forest with variance-reduction splits.  When
     ``honest`` each tree's subsample is halved: one half chooses the
@@ -318,27 +318,14 @@ _EXP_ZERO_BELOW = -746.0
 _GAUSS_TOT_MIN = 2.0**-969
 
 
-def _bandwidth_families(bandwidths) -> list:
-    """Positions of ``bandwidths`` in families h0 * 2**k, 0 <= k <= 64, each
-    from its largest member down: a member's Gaussian weights are the
-    largest's to a power of four, and k <= 64 bounds the chain of squarings."""
-    families, last = [], {}
-    for i in sorted(range(len(bandwidths)), key=lambda i: bandwidths[i]):
-        frac, exp = math.frexp(bandwidths[i])
-        if frac in last and exp - last[frac][0] <= 64:
-            last[frac][1].insert(0, i)
-        else:
-            last[frac] = (exp, [i])
-            families.append(last[frac][1])
-    return families
-
-
 def _kernel_arg(w, bandwidth: float, shape: str) -> np.ndarray:
     """Turns the distances ``w`` (or signed differences: only their squares
     are read) into the kernel's argument in place, and returns it:
-    -(d/h)**2 / 2 for gaussian, (d/h)**2 for epanechnikov."""
-    np.divide(w, bandwidth, out=w)
-    np.multiply(w, w, out=w)
+    -(d/h)**2 / 2 for gaussian, (d/h)**2 for epanechnikov.  A d/h that
+    overflows to inf gives the exact weight 0."""
+    with np.errstate(over="ignore"):
+        np.divide(w, bandwidth, out=w)
+        np.multiply(w, w, out=w)
     if shape == "gaussian":
         # exp(-0.5 * u * u): halving is exact, so the order does not matter
         np.multiply(w, -0.5, out=w)
@@ -349,7 +336,8 @@ def _kernel_weights(w, bandwidth: float, shape: str, reach) -> None:
     """Turn the kernel arguments ``w`` into weights in place.
 
     ``reach`` bounds each row's distances (NaN for a NaN query), or is
-    None: then Gaussian weights take the plain ``exp``.
+    None: then Gaussian weights take the plain ``exp``.  Otherwise a block
+    whose farthest row has an exponent below -700 is clamped whole.
     """
     if shape != "gaussian":
         # epanechnikov; the 3/4 constant cancels in the weighted mean
@@ -357,23 +345,12 @@ def _kernel_weights(w, bandwidth: float, shape: str, reach) -> None:
         np.maximum(w, 0.0, out=w)
         return
     # the transform is monotone, so the farthest query gives the block's
-    # smallest exponent, and each row's reach that row's
+    # smallest exponent
     u = 0.0 if reach is None else float(reach.max()) / bandwidth
     if -0.5 * u * u >= _EXP_FAST_MIN:
         np.exp(w, out=w)
-        return
-    u = reach / bandwidth
-    slow = ~(-0.5 * u * u >= _EXP_FAST_MIN)
-    if slow.all():
+    else:
         _clamped_exp(w)
-        return
-    # no other row has an exponent below -700: the slow rows are set aside
-    # for one fast exp over the block, then redone on their own
-    part = w[slow]
-    w[slow] = 0.0
-    np.exp(w, out=w)
-    _clamped_exp(part)
-    w[slow] = part
 
 
 def _clamped_exp(x: np.ndarray) -> None:
@@ -514,23 +491,21 @@ def _cv_estimates(X, y, grid, seed: int, n_folds: int):
     folds' rows, so each cross-fold pair is weighed once: a block ``w`` adds
     ``w @ [y, 1]`` to its query rows' numerators and totals and
     ``w.T @ [y, 1]`` to its training rows'.  A block squares its signed
-    differences D once; each family h * 2**k takes one exp(D*D * c), c =
-    -0.5/(h*h) at its largest member (floored at -700 only if the span
-    reaches below it), and each halving squares the weights twice.
+    differences D once; each bandwidth h takes one exp(D*D * c), c =
+    -0.5/(h*h), floored at -700 only if the span reaches below it.
 
     With n rows, M = max|y|, u = 2**-53, E = 1e-304 (> exp(-700)), g(k) =
     k*u/(1 - k*u) and a = -D*D/(2*h*h) exactly, per held-out row (Higham
     2002, ch. 3; a product that underflows adds at most 2**-1075):
     - ``_signed_ok`` makes |D| the exact path's distance and D*D normal or 0,
-      and h*h in [2**-1022, 2**1021] at a family's top keeps c normal;
-      without both nothing is proven.  float64 ``exp`` is assumed within 4
+      and h*h in [2**-1022, 2**1021] keeps c normal; without both nothing
+      is proven for h.  float64 ``exp`` is assumed within 4
       ulp of e**x on [-745, 0] (numpy's tests hold 1 ulp; a test checks 2);
     - where a >= -700 the two paths' weights w and q, all squares normal,
-      have |ln(w/q)| <= L = u*(8*A + 10*4**j + 8) + 2**-900 for A >= |a|:
-      7u*|a| for the exponents' 4 and 3 roundings (a floor only moves one
-      towards a), 8u per ``exp`` and u per squaring, the estimate's raised
-      to 4**j by j halvings.  So |w - q| <= rho*w, rho = L*exp(L); an L
-      above 2**-20 proves nothing;
+      have |ln(w/q)| <= L = u*(8*A + 18) + 2**-900 for A >= |a|: 7u*|a|
+      for the exponents' 4 and 3 roundings (a floor only moves one towards
+      a) and 8u per ``exp``, with u*A + 2u to spare.  So |w - q| <= rho*w,
+      rho = L*exp(L), and L < 2**-40 as A <= 700;
     - where a < -700 both weights lie in [0, E];
     - sums of n terms in any order (the estimate adds a row's block sums)
       err by g(n) of their magnitudes, so the estimated total T and numerator
@@ -548,22 +523,16 @@ def _cv_estimates(X, y, grid, seed: int, n_folds: int):
     """
     u, n = 2.0**-53, X.shape[0]
     big_m, gamma, floor = float(np.max(np.abs(y))), n * u / (1 - n * u), n * 1e-304
-    rho, chains, span = np.full(len(grid), np.inf), [], float(np.max(X)) - float(np.min(X))
-    # per family: c, whether to floor, and its members from the largest down,
-    # each with its halvings j from the largest
-    for family in _bandwidth_families(grid) if _signed_ok(X) else ():
-        top = grid[family[0]]
-        if not 2.0**-1022 <= top * top <= 2.0**1021:
+    rho, span = np.full(len(grid), np.inf), float(np.max(X)) - float(np.min(X))
+    steps = []  # per bandwidth with a bound: its position, c and whether to floor
+    for i, h in enumerate(grid) if _signed_ok(X) else ():
+        if not 2.0**-1022 <= h * h <= 2.0**1021:
             continue
-        members = [(i, math.frexp(top)[1] - math.frexp(grid[i])[1]) for i in family]
-        floored = 0.5 * (span / top) * (span / top) > -_EXP_FAST_MIN
-        chains.append((-0.5 / (top * top), floored, members))
-        for i, j in members:
-            arg_max = min(700.0, 0.5 * (span / grid[i]) * (span / grid[i]) * (1 + 2.0**-40))
-            log_err = u * (8 * arg_max + 10 * 4.0**j + 8) + 2.0**-900
-            if log_err <= 2.0**-20:
-                rho[i] = log_err * math.exp(log_err)
-    if not chains:
+        arg_max = 0.5 * (span / h) * (span / h)
+        steps.append((i, -0.5 / (h * h), arg_max > -_EXP_FAST_MIN))
+        log_err = u * (8 * min(700.0, arg_max * (1 + 2.0**-40)) + 18) + 2.0**-900
+        rho[i] = log_err * math.exp(log_err)
+    if not steps:
         return np.zeros(len(grid)), rho
     fold_of = make_folds(n, n_folds, seed=rngmod.derive_seed(seed, "bwcv")).fold_of
     order = np.argsort(fold_of, kind="stable")
@@ -578,18 +547,13 @@ def _cv_estimates(X, y, grid, seed: int, n_folds: int):
                 query = slice(start + rows.start, start + rows.stop)
                 d2, w = work[:, : rows.stop - rows.start]
                 np.square(_outer_difference(X[query], X[stop:], d2), out=d2)
-                for c, floored, members in chains:
+                for i, c, floored in steps:
                     np.multiply(d2, c, out=w)
                     if floored:
                         np.maximum(w, _EXP_FAST_MIN, out=w)
                     np.exp(w, out=w)
-                    done = 0
-                    for i, j in members:
-                        for _ in range(2 * (j - done)):
-                            np.square(w, out=w)
-                        done = j
-                        fit[i, query] += w @ yo[stop:]
-                        fit[i, stop:] += w.T @ yo[query]
+                    fit[i, query] += w @ yo[stop:]
+                    fit[i, stop:] += w.T @ yo[query]
             del work, d2, w  # free the workspace before the next fold allocates its own
         tot = fit[..., 1]
         d_tot = (2 * gamma + (1 + gamma) * rho[:, None]) * tot / (1 - gamma) + (1 + gamma) * floor
@@ -777,11 +741,17 @@ class _ForestModel(FittedModel):
         for cols, leaves in self._routes(X, est_rows):
             leaf[:, cols] = leaves
         n_nodes = self._feature.shape[0]
-        sums = np.bincount(leaf.ravel(), weights=y[est_rows].ravel(), minlength=n_nodes)
+        top, scale = float(np.max(np.abs(y))), 1.0
+        if n * top >= 2.0**1000:
+            # sums of n outcomes could overflow; a power of two keeps them finite
+            scale = 2.0 ** (1000 - math.frexp(top)[1] - n.bit_length())
+        ys = y * scale
+        sums = np.bincount(leaf.ravel(), weights=ys[est_rows].ravel(), minlength=n_nodes)
         counts = np.bincount(leaf.ravel(), minlength=n_nodes)
         filled = counts > 0
-        self._value = np.full(n_nodes, float(np.mean(y)))  # for empty leaves
+        self._value = np.full(n_nodes, float(np.mean(ys)))  # for empty leaves
         self._value[filled] = sums[filled] / counts[filled]
+        self._value /= scale
 
     def _routes(self, Xq, rows=None):
         """Yields (cols, leaves): tree t sends query rows ``rows[t, cols]``

@@ -106,7 +106,10 @@ def configs(draw, command):
     """The valid config with entries replaced, dropped or added, as JSON text."""
     blob = copy.deepcopy(VALID[command])
     for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 1, 2, 3]))):
-        path = draw(st.sampled_from(sorted(_paths(blob))))
+        paths = sorted(_paths(blob))
+        if not paths:  # every entry was dropped
+            break
+        path = draw(st.sampled_from(paths))
         parent = blob
         for key in path[:-1]:
             parent = parent[key]

@@ -294,6 +294,22 @@ class TestKernel:
             with pytest.raises(EstimationError, match="no grid bandwidth has a finite"):
                 fit_learner(LearnerSpec(kind="kernel", kernel_shape=shape), x, y)
 
+    @pytest.mark.parametrize("shape", ["gaussian", "epanechnikov"])
+    def test_bandwidth_far_below_the_spacing_fits_without_warnings(self, shape):
+        # every d / h but a row's own overflows to inf, a zero weight: each
+        # training x predicts its own y, and every held-out row of the CV
+        # has no weight, which ties the SSEs
+        rng = np.random.default_rng(0)
+        x, y = rng.uniform(size=50), rng.normal(size=50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fixed = LearnerSpec(kind="kernel", kernel_shape=shape, bandwidth=1e-310)
+            pred = fit_learner(fixed, x, y).predict(x)
+            cv = LearnerSpec(kind="kernel", kernel_shape=shape, bandwidth_grid=(1e-310, 1e-300))
+            model = fit_learner(cv, x, y)
+        assert pred.tobytes() == y.tobytes()
+        assert model.bandwidth == 1e-310
+
     def test_cv_deterministic_in_seed(self):
         rng = np.random.default_rng(3)
         X = col(rng.uniform(-1, 1, size=80))
@@ -713,16 +729,20 @@ class TestGaussianFastPath:
         assert lowest and min(lowest) >= -746.0
         assert min(lowest) < -700.0  # the exact band was recomputed
 
-    def test_clamp_takes_only_the_rows_that_reach_below_the_fast_path(self):
+    def test_clamp_takes_only_the_blocks_that_reach_below_the_fast_path(self):
         # on [-1, 1] at h = 0.05 only queries near an end of the training
-        # range have an exponent below -700, and blocks mix both kinds of row
+        # range have an exponent below -700; with sorted queries the first
+        # and last blocks mix both kinds of row and are clamped whole, and
+        # the middle block takes the plain exp
         rng = np.random.default_rng(6)
         X, y = col(rng.uniform(-1, 1, 400)), rng.normal(size=400)
-        Xq = col(rng.uniform(-1, 1, 400))
+        Xq = col(np.sort(rng.uniform(-1, 1, 400)))
         dist = cdist(Xq, X)
         u = dist.max(axis=1) / 0.05
         slow = -0.5 * u * u < -700.0
-        assert all(0 < slow[b].sum() < b.stop - b.start for b in _row_blocks(400, 400))
+        first, middle, last = _row_blocks(400, 400)
+        assert all(0 < slow[b].sum() < b.stop - b.start for b in (first, last))
+        assert not slow[middle].any()
         seen = []
 
         def clamp(x):
@@ -732,7 +752,7 @@ class TestGaussianFastPath:
         with mock.patch.object(learners, "_clamped_exp", side_effect=clamp) as spy:
             got = _nw_predict(Xq, X, y, 0.05, "gaussian")
             assert np.concatenate(seen).tobytes() == (
-                -0.5 * (dist[slow] / 0.05) ** 2
+                -0.5 * (dist[np.r_[first, last]] / 0.05) ** 2
             ).tobytes()
             spy.reset_mock()
             wide = _nw_predict(Xq, X, y, 0.1, "gaussian")
@@ -843,7 +863,7 @@ class TestCertifiedCv:
     @settings(max_examples=100, deadline=None)
     @given(_cv_problems(), st.data())
     def test_sub_grid_sses_are_the_full_grids(self, case, data):
-        # a sub-grid splits bandwidth families h0 * 2**k, which keep their bits
+        # each bandwidth's SSE keeps its bits whatever else is on the grid
         X, y, spec, seed, entries = case
         grid = spec.bandwidth_grid
         keep = data.draw(
@@ -945,9 +965,8 @@ class TestCertifiedCv:
 
     def test_estimate_weighs_each_cross_fold_pair_once(self):
         # fold k's rows meet the later folds' rows only, sum_{k<l} n_k * n_l
-        # pairs, not sum_k n_k * (n - n_k); each of the default grid's four
-        # families {0.01, 0.02}, {0.05, 0.1, 0.2}, {0.35}, {0.5} weighs them
-        # with one exp, its smaller members by squaring
+        # pairs, not sum_k n_k * (n - n_k); each of the default grid's seven
+        # bandwidths weighs them with one exp
         rng = np.random.default_rng(8)
         X = col(rng.uniform(-1, 1, 800))
         y = np.sin(3.0 * X[:, 0]) + 0.3 * rng.normal(size=800)
@@ -960,7 +979,7 @@ class TestCertifiedCv:
         assert not exact.called
         folds = make_folds(800, spec.cv_folds, seed=rngmod.derive_seed(2, "bwcv"))
         pairs = (800**2 - int(np.sum(np.bincount(folds.fold_of) ** 2))) // 2
-        assert sum(np.size(c.args[0]) for c in exp.call_args_list) == 4 * pairs
+        assert sum(np.size(c.args[0]) for c in exp.call_args_list) == 7 * pairs
 
     def test_estimate_keeps_one_block_workspace(self):
         # a workspace of 2 x 40 x 1600 doubles is 1 MiB; two alive at once
@@ -1088,7 +1107,8 @@ class TestSignedDifferences:
 @st.composite
 def _family_grids(draw):
     """A base bandwidth from 1e-160 to 1e200, members base * 2**k with k in
-    1..70 (past the cap of 64) and unrelated bandwidths, shuffled."""
+    1..70 (squares far apart, some under- or overflowing) and unrelated
+    bandwidths, shuffled."""
     h = draw(st.sampled_from((1e-160, 0.01, 0.3, 5.0, 1e200)))
     ks = draw(st.lists(st.integers(1, 70), min_size=1, max_size=4, unique=True))
     others = draw(st.lists(st.floats(0.1, 10.0), max_size=2))
@@ -1354,7 +1374,8 @@ class TestForest:
 
     def test_outcomes_past_the_split_scale_grow_the_unit_trees(self):
         # node sums past about 2**511 once overflowed every cut's score, and
-        # such a forest never split; scaled outcomes grow c = 1's trees
+        # such a forest never split; leaf sums near the largest double once
+        # overflowed to inf; scaled outcomes grow c = 1's trees and leaves
         rng = np.random.default_rng(0)
         X = col(rng.uniform(size=200))
         spec = LearnerSpec(kind="forest", n_trees=5, min_leaf=5)
@@ -1362,11 +1383,14 @@ class TestForest:
         want = unit.predict(col([0.25, 0.75]))
         assert np.count_nonzero(unit._feature >= 0) == 5
         assert want[0] == 0.0 and want[1] == pytest.approx(0.965, abs=1e-3)
-        for c in (1e150, 1e155, 1e200, 1e300):
-            model = fit_learner(spec, X, c * (X[:, 0] > 0.5))
+        for c in (1e150, 1e155, 1e200, 1e300, 1e307):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                model = fit_learner(spec, X, c * (X[:, 0] > 0.5))
+                pred = model.predict(col([0.25, 0.75]))
             for name in ("_feature", "_threshold", "_left", "_right"):
                 assert getattr(model, name).tobytes() == getattr(unit, name).tobytes()
-            assert model.predict(col([0.25, 0.75])) == pytest.approx(c * want, rel=1e-12)
+            assert pred == pytest.approx(c * want, rel=1e-12)
 
     def test_deterministic_in_seed(self):
         rng = np.random.default_rng(0)

@@ -1,4 +1,5 @@
-"""The project's pytest settings: unknown markers and passing xfails fail."""
+"""The project's pytest settings: unknown markers, passing xfails and
+escaping RuntimeWarnings fail."""
 
 import subprocess
 import sys
@@ -7,23 +8,39 @@ from pathlib import Path
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
-def test_misspelt_marker_and_passing_xfail_fail(tmp_path):
-    (tmp_path / "test_sample.py").write_text(
-        "import pytest\n\n"
-        "@pytest.mark.acceptence\n"
-        "def test_typo():\n    pass\n"
-    )
+def _run_sample(tmp_path, source):
+    """Runs ``source`` as a test file under the project's settings."""
+    (tmp_path / "test_sample.py").write_text(source)
     run = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
            "-c", str(PYPROJECT), "--rootdir", str(tmp_path), str(tmp_path)]
-    proc = subprocess.run(run, capture_output=True, text=True)
+    return subprocess.run(run, capture_output=True, text=True)
+
+
+def test_misspelt_marker_and_passing_xfail_fail(tmp_path):
+    proc = _run_sample(
+        tmp_path,
+        "import pytest\n\n"
+        "@pytest.mark.acceptence\n"
+        "def test_typo():\n    pass\n",
+    )
     assert proc.returncode != 0
     assert "'acceptence' not found in `markers`" in proc.stdout
 
-    (tmp_path / "test_sample.py").write_text(
+    proc = _run_sample(
+        tmp_path,
         "import pytest\n\n"
         "@pytest.mark.xfail(reason='passes')\n"
-        "def test_passes():\n    pass\n"
+        "def test_passes():\n    pass\n",
     )
-    proc = subprocess.run(run, capture_output=True, text=True)
     assert proc.returncode != 0
     assert "XPASS(strict)" in proc.stdout
+
+
+def test_escaping_runtime_warning_fails(tmp_path):
+    proc = _run_sample(
+        tmp_path,
+        "import numpy as np\n\n"
+        "def test_overflows():\n    np.exp(np.array([1000.0]))\n",
+    )
+    assert proc.returncode != 0
+    assert "RuntimeWarning: overflow encountered in exp" in proc.stdout
